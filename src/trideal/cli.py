@@ -32,13 +32,9 @@ def _mismatch(message: str) -> int:
 
 def _check_enumeration(n: int, expected_total: int) -> int:
     """Cross-check the brute-force totals and histograms against closed forms."""
-    by_size = {k: 0 for k in range(n + 1)}
-    by_red = {k: 0 for k in range(n + 1)}
-    total = 0
-    for deal in enumeration.enumerate_deals(n):
-        total += 1
-        by_size[len(deal.s)] += 1
-        by_red[len({c.denomination for c in deal.red})] += 1
+    by_size = enumeration.histogram(n, "s_size")
+    by_red = enumeration.histogram(n, "red_distinct")
+    total = sum(by_size.values())
     if total != expected_total:
         return _mismatch(f"MISMATCH n={n} enumerated={total} expected={expected_total}")
     for k in range(n + 1):

@@ -1,9 +1,10 @@
 """Exhaustive generation of every deal; the brute-force oracle for all counts.
 
-Streams are deterministic: denomination subsets are visited in lexicographic
-order (as sorted tuples) and, within a subset, the per-denomination routing
-codes in increasing numeric order.  Every closed-form count in the package
-is checked against the totals and histograms computed here.
+One loop visits every deal as a denomination subset plus one routing code per
+denomination: subsets in lexicographic order (as sorted tuples), then codes in
+increasing numeric order.  Counts and histograms are read from the codes;
+``Deal`` objects are built only for yielded deals.  Every closed-form count in
+the package is checked against the totals and histograms computed here.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ _RECIPIENTS: tuple[tuple[Color, Color, Color], ...] = tuple(
     )
     for code in range(8)
 )
+# Cards each code puts in red's and in green's hand; blue's hand gets the rest.
+_RED_LOAD = tuple(recipients.count(Color.RED) for recipients in _RECIPIENTS)
+_GREEN_LOAD = tuple(recipients.count(Color.GREEN) for recipients in _RECIPIENTS)
 
 
 def subsets_lex(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -63,7 +67,10 @@ def subsets_lex(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
     return walk((), 0)
 
 
-def _guard(n: int, allow_large: bool) -> None:
+def _routings(
+    n: int, allow_large: bool, *, full_deck: bool = False
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every deal over 1..n as (subset, routing codes), in canonical order."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if n > EXHAUSTIVE_GUARD and not allow_large:
@@ -71,19 +78,21 @@ def _guard(n: int, allow_large: bool) -> None:
             f"n={n} exceeds the exhaustive guard ({EXHAUSTIVE_GUARD}); "
             "pass allow_large=True to enumerate anyway"
         )
+    deck = tuple(range(1, n + 1))
+    for subset in (deck,) if full_deck else subsets_lex(deck):
+        size = len(subset)
+        for codes in product(range(8), repeat=size):
+            red = sum(map(_RED_LOAD.__getitem__, codes))
+            if red == size == sum(map(_GREEN_LOAD.__getitem__, codes)):
+                yield subset, codes
 
 
-def _deals_for_subset(n: int, subset: tuple[int, ...]) -> Iterator[Deal]:
-    size = len(subset)
-    for codes in product(range(8), repeat=size):
-        hands: dict[Color, list[Card]] = {color: [] for color in COLORS}
-        for denom, code in zip(subset, codes):
-            red_to, green_to, blue_to = _RECIPIENTS[code]
-            hands[red_to].append(Card(denom, Color.RED))
-            hands[green_to].append(Card(denom, Color.GREEN))
-            hands[blue_to].append(Card(denom, Color.BLUE))
-        if all(len(hand) == size for hand in hands.values()):
-            yield Deal(n, subset, hands[Color.RED], hands[Color.GREEN], hands[Color.BLUE])
+def _deal(n: int, subset: tuple[int, ...], codes: tuple[int, ...]) -> Deal:
+    hands: dict[Color, list[Card]] = {color: [] for color in COLORS}
+    for denom, code in zip(subset, codes):
+        for color, recipient in zip(COLORS, _RECIPIENTS[code]):
+            hands[recipient].append(Card(denom, color))
+    return Deal(n, subset, hands[Color.RED], hands[Color.GREEN], hands[Color.BLUE])
 
 
 def enumerate_deals(n: int, *, allow_large: bool = False) -> Iterator[Deal]:
@@ -92,15 +101,14 @@ def enumerate_deals(n: int, *, allow_large: bool = False) -> Iterator[Deal]:
     Candidate assignments whose hands come out unequal are skipped, so each
     yielded deal is valid by construction.
     """
-    _guard(n, allow_large)
-    for subset in subsets_lex(tuple(range(1, n + 1))):
-        yield from _deals_for_subset(n, subset)
+    for subset, codes in _routings(n, allow_large):
+        yield _deal(n, subset, codes)
 
 
 def enumerate_full_deck_deals(n: int, *, allow_large: bool = False) -> Iterator[Deal]:
     """Deals whose denomination set is all of 1..n."""
-    _guard(n, allow_large)
-    yield from _deals_for_subset(n, tuple(range(1, n + 1)))
+    for subset, codes in _routings(n, allow_large, full_deck=True):
+        yield _deal(n, subset, codes)
 
 
 def enumerate_deals_with_red_denoms(
@@ -110,9 +118,9 @@ def enumerate_deals_with_red_denoms(
     wanted = frozenset(denoms)
     if not wanted <= frozenset(range(1, n + 1)):
         raise ValueError(f"denominations {sorted(wanted)} not within 1..{n}")
-    for deal in enumerate_deals(n, allow_large=allow_large):
-        if frozenset(card.denomination for card in deal.red) == wanted:
-            yield deal
+    for subset, codes in _routings(n, allow_large):
+        if {d for d, code in zip(subset, codes) if _RED_LOAD[code]} == wanted:
+            yield _deal(n, subset, codes)
 
 
 def histogram(n: int, statistic: str, *, allow_large: bool = False) -> dict[int, int]:
@@ -124,15 +132,12 @@ def histogram(n: int, statistic: str, *, allow_large: bool = False) -> dict[int,
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; expected one of {STATISTICS}")
     buckets = {k: 0 for k in range(n + 1)}
-    for deal in enumerate_deals(n, allow_large=allow_large):
-        if statistic == "s_size":
-            key = len(deal.s)
-        else:
-            key = len({card.denomination for card in deal.red})
+    for subset, codes in _routings(n, allow_large):
+        key = len(subset) if statistic == "s_size" else sum(1 for c in codes if _RED_LOAD[c])
         buckets[key] += 1
     return buckets
 
 
 def count_deals(n: int, *, allow_large: bool = False) -> int:
     """Total number of deals over denominations 1..n."""
-    return sum(1 for _ in enumerate_deals(n, allow_large=allow_large))
+    return sum(1 for _ in _routings(n, allow_large))

@@ -76,6 +76,9 @@ class LaurentPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
+        # Constants equal their int, so they must hash like it too.
+        if self._coeffs.keys() <= {(0, 0)}:
+            return hash(self.constant_term())
         return hash(frozenset(self._coeffs.items()))
 
     @staticmethod

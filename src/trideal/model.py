@@ -200,7 +200,9 @@ def deal_from_text(text: str, n: int) -> Deal:
     """Parse the canonical text form back into a Deal.
 
     The text form does not carry the deck size, so ``n`` is supplied by the
-    caller.  No validity check is performed; pair with validate_deal.
+    caller.  Text that deal_to_text would not print back unchanged (repeated
+    or unsorted items, leading zeros, stray commas or whitespace) raises
+    ValueError.  No validity check is performed; pair with validate_deal.
     """
     m = _DEAL_RE.fullmatch(text.strip())
     if m is None:
@@ -210,7 +212,10 @@ def deal_from_text(text: str, n: int) -> Deal:
         frozenset(Card.from_token(tok) for tok in group.split(",") if tok)
         for group in m.groups()[1:]
     )
-    return Deal(n, s, red, green, blue)
+    deal = Deal(n, s, red, green, blue)
+    if deal_to_text(deal) != text:
+        raise ValueError(f"non-canonical deal text: {text!r}")
+    return deal
 
 
 def deal_record(deal: Deal) -> dict[str, list]:

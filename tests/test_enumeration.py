@@ -11,7 +11,13 @@ from trideal.enumeration import (
     histogram,
     subsets_lex,
 )
-from trideal.model import deal_from_text, deal_to_text, validate_deal
+from trideal.model import (
+    deal_from_text,
+    deal_stats,
+    deal_to_text,
+    red_denomination_set,
+    validate_deal,
+)
 
 TOTALS = [1, 3, 15, 93, 639]
 
@@ -70,6 +76,22 @@ class TestEnumerateDeals:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             next(enumerate_deals(-1))
+
+
+def test_routing_code_paths_match_the_built_deals():
+    # counts, histograms and the red-set filter never build a Deal; check
+    # each against the statistics of the deals enumerate_deals yields
+    for n in range(5):
+        deals = list(enumerate_deals(n))
+        stats = [deal_stats(deal) for deal in deals]
+        assert count_deals(n) == len(deals)
+        for statistic in ("s_size", "red_distinct"):
+            keys = [getattr(s, statistic) for s in stats]
+            assert histogram(n, statistic) == {k: keys.count(k) for k in range(n + 1)}
+        for denoms in subsets_lex(tuple(range(1, n + 1))):
+            assert list(enumerate_deals_with_red_denoms(n, denoms)) == [
+                deal for deal in deals if red_denomination_set(deal) == frozenset(denoms)
+            ]
 
 
 class TestFullDeckDeals:

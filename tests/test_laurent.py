@@ -167,3 +167,7 @@ def test_polynomials_hash_by_value():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+    for poly, value in ((LaurentPoly.constant(3), 3), (LaurentPoly(), 0)):
+        assert poly == value
+        assert hash(poly) == hash(value)
+        assert len({poly, value}) == 1

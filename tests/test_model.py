@@ -121,7 +121,18 @@ class TestTextForm:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "S={1}", "S={1};R=[g1];G=[b1]", "R=[];G=[];B=[];S={}", "S={1};R=(g1);G=[b1];B=[r1]"],
+        [
+            "",
+            "S={1}",
+            "S={1};R=[g1];G=[b1]",
+            "R=[];G=[];B=[];S={}",
+            "S={1};R=(g1);G=[b1];B=[r1]",
+            # well-formed but non-canonical: each would otherwise be silently rewritten
+            "S={1};R=[g1,g1];G=[b1];B=[r1]",
+            "S={1};R=[g01];G=[b1];B=[r1]",
+            "S={1,,};R=[g1];G=[b1];B=[r1]",
+            "S={1};R=[g1];G=[b1];B=[r1] ",
+        ],
     )
     def test_malformed_text_rejected(self, bad):
         with pytest.raises(ValueError):
