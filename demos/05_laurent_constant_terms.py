@@ -3,7 +3,7 @@ Laurent polynomials and the constant-term route
 ===============================================
 
 Sparse two-variable Laurent polynomials with exact integer coefficients:
-exponents may be negative, and powers are computed by repeated squaring.
+exponents may be negative, and p**n is n multiplications by p.
 The deal counts fall out of one polynomial identity.
 """
 

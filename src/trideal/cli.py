@@ -14,7 +14,7 @@ import sys
 from typing import Sequence
 
 from . import bijections, counting, enumeration, laurent
-from .model import deal_record, deal_to_text, denom_set_text, hand_text
+from .model import deal_record, deal_to_text, denom_set_text, hand_text, red_denomination_set
 
 MISMATCH = 1
 USAGE_ERROR = 2
@@ -66,6 +66,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     base, _, _ = laurent.identity_polynomials()
     power = laurent.LaurentPoly.constant(1)
     for n in range(max_n + 1):
+        if n:
+            power = power * base
         lhs = counting.lhs_sum(n)
         rhs = counting.rhs_sum(n)
         ct = power.constant_term()
@@ -76,7 +78,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if status:
                 return status
         print(f"n={n} lhs=rhs=ct={lhs} OK")
-        power = power * base
     return 0
 
 
@@ -172,14 +173,15 @@ def _audit_full_deck(n: int, allow_large: bool) -> int:
 
 def _audit_red_set(n: int, allow_large: bool) -> int:
     print(f"audit red-set n={n}")
+    by_red: dict[frozenset[int], list] = {}
+    for deal in enumeration.enumerate_deals(n, allow_large=allow_large):
+        by_red.setdefault(red_denomination_set(deal), []).append(deal)
     total = 0
     for denoms in enumeration.subsets_lex(tuple(range(1, n + 1))):
         params = list(bijections.iter_red_set_params(n, denoms))
         encoded = [bijections.encode_red_set(p) for p in params]
         image = set(encoded)
-        enumerated = list(
-            enumeration.enumerate_deals_with_red_denoms(n, denoms, allow_large=allow_large)
-        )
+        enumerated = by_red.get(frozenset(denoms), [])
         expected = counting.red_set_count(n, len(denoms))
         label = f"D={denom_set_text(denoms)}"
         if len(image) != len(params):

@@ -16,7 +16,8 @@ from typing import Mapping
 
 __all__ = ["CT_GUARD", "LaurentPoly", "identity_polynomials", "sequence_term"]
 
-#: Largest n accepted by sequence_term; base**n carries ~(2n+1)**2 terms.
+#: Largest n accepted by sequence_term.  base**n has 3n**2 + 3n + 1 terms and costs
+#: O(n**3) term products: sequence_term(200) takes ~35 s (Python 3.11, 2-vCPU VM).
 CT_GUARD = 200
 
 
@@ -129,20 +130,14 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
-        """Square-and-multiply power; p**0 is 1.  Negative exponents rejected."""
+        """``exponent`` multiplications by ``self``; p**0 is 1.  Negative exponents rejected."""
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             raise ValueError(f"negative power {exponent} not supported")
         result = LaurentPoly.constant(1)
-        square = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * square
-            e >>= 1
-            if e:
-                square = square * square
+        for _ in range(exponent):
+            result = result * self
         return result
 
     @staticmethod
@@ -206,8 +201,8 @@ def identity_polynomials() -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
 def sequence_term(n: int) -> int:
     """Constant term of base**n: term n of the deal-count sequence 1, 3, 15, 93, 639, ...
 
-    Guarded at n <= CT_GUARD because the power's term count grows
-    quadratically in n.
+    Builds base**n by n multiplications by the 7-term base, O(n**3) term
+    products in all (~35 s at n = CT_GUARD = 200; Python 3.11, 2-vCPU VM).
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")

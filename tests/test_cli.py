@@ -1,6 +1,7 @@
 import pytest
 
 from trideal.cli import main
+from trideal.laurent import LaurentPoly, identity_polynomials
 
 SEQUENCE_LINES = [
     "n=0 lhs=rhs=ct=1 OK",
@@ -33,6 +34,21 @@ class TestVerify:
     def test_huge_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--max-n", "5000")
         assert code == 2
+
+    def test_builds_no_power_beyond_max_n(self, capsys, monkeypatch):
+        identity_polynomials()  # built and cached before counting starts
+        calls = []
+        original = LaurentPoly.__mul__
+
+        def counting_mul(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+        code, out, _ = run(capsys, "verify", "--max-n", "3")
+        assert code == 0
+        assert out.splitlines() == SEQUENCE_LINES[:4]
+        assert len(calls) == 3
 
 
 class TestCount:

@@ -52,6 +52,20 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             X ** -1
 
+    def test_pow_multiplies_by_the_base_each_step(self, monkeypatch):
+        base, _, _ = identity_polynomials()
+        operand_sizes = []
+        original = LaurentPoly.__mul__
+
+        def recording_mul(self, other):
+            operand_sizes.append((len(self), len(other)))
+            return original(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", recording_mul)
+        base ** 12
+        assert len(operand_sizes) == 12
+        assert all(min(sizes) <= 7 for sizes in operand_sizes)
+
     def test_pow_matches_iterated_multiplication(self):
         base, _, _ = identity_polynomials()
         iterated = LaurentPoly.constant(1)
@@ -142,6 +156,11 @@ class TestRingLaws:
     @given(small_polys, small_polys, small_polys)
     def test_distributivity(self, p, q, r):
         assert p * (q + r) == p * q + p * r
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_polys, st.integers(0, 3), st.integers(0, 3))
+    def test_powers_add_exponents(self, p, a, b):
+        assert p ** (a + b) == p ** a * p ** b
 
 
 class TestText:
