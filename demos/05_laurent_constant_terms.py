@@ -7,7 +7,7 @@ exponents may be negative, and p**n is n multiplications by p.
 The deal counts fall out of one polynomial identity.
 """
 
-from trideal import LaurentPoly, identity_polynomials, sequence_term
+from trideal import LaurentPoly, constant_terms, identity_polynomials, sequence_term
 
 # Build by hand: (x + 1/x)^2 = x^2 + 2 + x^-2.
 x = LaurentPoly.monomial(1, 0)
@@ -25,8 +25,11 @@ print("factor1 * factor2 == base:", factor1 * factor2 == base)
 # Because the factorization holds, base**n = factor1**n * factor2**n for
 # every n, and the constant terms of both sides count the deals.
 print("\nconstant terms of base**n:", [sequence_term(n) for n in range(6)])
+print("one truncated walk:        ", list(constant_terms(5)))
 
-# The support of base**n stays inside the box [-n, n] x [-n, n], so the
-# term count grows only quadratically.
+# The support of base**n fills the hexagon max(|ex|, |ey|, |ex + ey|) <= n,
+# 3n^2 + 3n + 1 terms, so the term count grows only quadratically.  Each
+# step by base moves that radius by at most 1, which is why constant_terms
+# may drop every term farther from (0, 0) than the steps it has left.
 power = base ** 6
 print(f"base**6 has {len(power)} terms, constant term {power.constant_term()}")

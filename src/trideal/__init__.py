@@ -39,7 +39,7 @@ from .enumeration import (
     histogram,
     subsets_lex,
 )
-from .laurent import CT_GUARD, LaurentPoly, identity_polynomials, sequence_term
+from .laurent import CT_GUARD, LaurentPoly, constant_terms, identity_polynomials, sequence_term
 from .model import (
     COLORS,
     Card,
@@ -72,6 +72,7 @@ __all__ = [
     "LaurentPoly",
     "RedSetParams",
     "binomial",
+    "constant_terms",
     "count_deals",
     "deal_from_text",
     "deal_record",

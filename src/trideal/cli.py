@@ -63,14 +63,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage(f"--max-n must be >= 0, got {max_n}")
     if max_n > laurent.CT_GUARD:
         return _usage(f"--max-n beyond {laurent.CT_GUARD} is not supported (constant-term cost)")
-    base, _, _ = laurent.identity_polynomials()
-    power = laurent.LaurentPoly.constant(1)
-    for n in range(max_n + 1):
-        if n:
-            power = power * base
+    for n, ct in enumerate(laurent.constant_terms(max_n)):
         lhs = counting.lhs_sum(n)
         rhs = counting.rhs_sum(n)
-        ct = power.constant_term()
         if not lhs == rhs == ct:
             return _mismatch(f"MISMATCH n={n} lhs={lhs} rhs={rhs} ct={ct}")
         if n <= enumeration.EXHAUSTIVE_GUARD:

@@ -12,12 +12,14 @@ a new polynomial.
 from __future__ import annotations
 
 from functools import cache
-from typing import Mapping
+from typing import Iterator, Mapping
 
-__all__ = ["CT_GUARD", "LaurentPoly", "identity_polynomials", "sequence_term"]
+__all__ = ["CT_GUARD", "LaurentPoly", "constant_terms", "identity_polynomials", "sequence_term"]
 
-#: Largest n accepted by sequence_term.  base**n has 3n**2 + 3n + 1 terms and costs
-#: O(n**3) term products: sequence_term(200) takes ~35 s (Python 3.11, 2-vCPU VM).
+#: Largest n accepted by constant_terms and sequence_term.  Their truncated walk
+#: costs O(n**3) term products: sequence_term(200) takes ~10 s (Python 3.11,
+#: 2-vCPU VM).  ``ct --poly`` still builds the full base**n, 3n**2 + 3n + 1
+#: terms, in ~35 s at n = 200.
 CT_GUARD = 200
 
 
@@ -198,15 +200,46 @@ def identity_polynomials() -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     return base, factor1, factor2
 
 
+def constant_terms(max_n: int) -> Iterator[int]:
+    """Constant terms of base**0, base**1, ..., base**max_n from one walk.
+
+    Step n multiplies the running power by the 7-term base, then drops every
+    monomial that can no longer reach x**0 * y**0 in the max_n - n steps
+    left, so the walk keeps at most 3r**2 + 3r + 1 terms for r = min(n,
+    max_n - n).  Raises ValueError, on first iteration, for max_n < 0 or
+    max_n > CT_GUARD.
+    """
+    if max_n < 0:
+        raise ValueError(f"need n >= 0, got {max_n}")
+    if max_n > CT_GUARD:
+        raise ValueError(f"n={max_n} exceeds the constant-term guard ({CT_GUARD})")
+    base, _, _ = identity_polynomials()
+    power = LaurentPoly.constant(1)
+    yield 1
+    for n in range(1, max_n + 1):
+        power = power * base
+        # Each base monomial moves ex, ey and ex+ey by at most 1, so a monomial
+        # whose hexagonal radius exceeds the steps left never returns to (0, 0):
+        # dropping it changes no coefficient read later.
+        left = max_n - n
+        power = LaurentPoly(
+            {
+                (ex, ey): c
+                for (ex, ey), c in power._coeffs.items()
+                if max(abs(ex), abs(ey), abs(ex + ey)) <= left
+            }
+        )
+        yield power.constant_term()
+
+
 def sequence_term(n: int) -> int:
     """Constant term of base**n: term n of the deal-count sequence 1, 3, 15, 93, 639, ...
 
-    Builds base**n by n multiplications by the 7-term base, O(n**3) term
-    products in all (~35 s at n = CT_GUARD = 200; Python 3.11, 2-vCPU VM).
+    The last value of constant_terms(n): n multiplications by the 7-term base
+    of a power cut to the monomials that can still reach x**0 * y**0, O(n**3)
+    term products (~10 s at n = CT_GUARD = 200; Python 3.11, 2-vCPU VM).  The
+    full base**n, as ``ct --poly`` prints it, takes ~35 s at n = 200.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if n > CT_GUARD:
-        raise ValueError(f"n={n} exceeds the constant-term guard ({CT_GUARD})")
-    base, _, _ = identity_polynomials()
-    return (base ** n).constant_term()
+    for term in constant_terms(n):
+        pass
+    return term

@@ -50,6 +50,24 @@ class TestVerify:
         assert out.splitlines() == SEQUENCE_LINES[:4]
         assert len(calls) == 3
 
+    def test_truncates_the_power_to_what_can_reach_the_constant(self, capsys, monkeypatch):
+        identity_polynomials()  # built and cached before recording starts
+        operand_sizes = []
+        original = LaurentPoly.__mul__
+
+        def recording_mul(self, other):
+            operand_sizes.append((len(self), len(other)))
+            return original(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", recording_mul)
+        code, out, _ = run(capsys, "verify", "--max-n", "10")
+        assert code == 0
+        assert out.splitlines()[:6] == SEQUENCE_LINES
+        # step n + 1 multiplies base**n, cut to hexagonal radius r = min(n, 10 - n),
+        # by the 7-term base; the largest operand has 3*25 + 3*5 + 1 = 91 terms
+        radii = [min(n, 10 - n) for n in range(10)]
+        assert operand_sizes == [(3 * r * r + 3 * r + 1, 7) for r in radii]
+
 
 class TestCount:
     def test_by_s_size(self, capsys):

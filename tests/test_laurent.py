@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trideal.laurent import CT_GUARD, LaurentPoly, identity_polynomials, sequence_term
+from trideal.laurent import (
+    CT_GUARD,
+    LaurentPoly,
+    constant_terms,
+    identity_polynomials,
+    sequence_term,
+)
 
 X = LaurentPoly.monomial(1, 0)
 X_INV = LaurentPoly.monomial(-1, 0)
@@ -111,11 +117,15 @@ class TestIdentityPolynomials:
         assert factor1 * factor2 == base
 
     def test_power_support_stays_in_box(self):
+        # constant_terms relies on every exponent of base**n lying within
+        # hexagonal radius n; the term count shows the hexagon is full.
         base, _, _ = identity_polynomials()
         for n in range(11):
+            power = base ** n
             assert all(
-                -n <= ex <= n and -n <= ey <= n for ex, ey in (base ** n).support()
+                max(abs(ex), abs(ey), abs(ex + ey)) <= n for ex, ey in power.support()
             )
+            assert len(power) == 3 * n * n + 3 * n + 1
 
 
 class TestSequenceTerm:
@@ -134,6 +144,38 @@ class TestSequenceTerm:
             sequence_term(-1)
         with pytest.raises(ValueError):
             sequence_term(CT_GUARD + 1)
+        with pytest.raises(ValueError):
+            list(constant_terms(-1))
+        with pytest.raises(ValueError):
+            list(constant_terms(CT_GUARD + 1))
+
+    def test_walk_matches_full_powers_at_every_truncation(self):
+        base, _, _ = identity_polynomials()
+        for m in range(21):
+            assert list(constant_terms(m)) == [
+                (base ** n).constant_term() for n in range(m + 1)
+            ]
+
+    def test_matches_full_power(self):
+        base, _, _ = identity_polynomials()
+        for n in range(41):
+            assert sequence_term(n) == (base ** n).constant_term()
+
+    def test_walk_keeps_only_terms_that_can_reach_the_constant(self, monkeypatch):
+        identity_polynomials()  # built and cached before recording starts
+        operand_sizes = []
+        original = LaurentPoly.__mul__
+
+        def recording_mul(self, other):
+            operand_sizes.append((len(self), len(other)))
+            return original(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", recording_mul)
+        assert sequence_term(12) == 9533639025
+        # step n + 1 multiplies base**n, cut to hexagonal radius r = min(n, 12 - n),
+        # by the 7-term base; the largest operand has 3*36 + 3*6 + 1 = 127 terms
+        radii = [min(n, 12 - n) for n in range(12)]
+        assert operand_sizes == [(3 * r * r + 3 * r + 1, 7) for r in radii]
 
 
 class TestRingLaws:
