@@ -23,6 +23,7 @@ from .counting import (
     binomial,
     franel,
     lhs_sum,
+    lhs_terms,
     red_distinct_count,
     red_prefix_sum,
     red_set_count,
@@ -93,6 +94,7 @@ __all__ = [
     "iter_full_deck_params",
     "iter_red_set_params",
     "lhs_sum",
+    "lhs_terms",
     "red_denomination_set",
     "red_distinct_count",
     "red_prefix_sum",

@@ -63,8 +63,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage(f"--max-n must be >= 0, got {max_n}")
     if max_n > laurent.CT_GUARD:
         return _usage(f"--max-n beyond {laurent.CT_GUARD} is not supported (constant-term cost)")
-    for n, ct in enumerate(laurent.constant_terms(max_n)):
-        lhs = counting.lhs_sum(n)
+    walks = zip(laurent.constant_terms(max_n), counting.lhs_terms(max_n))
+    for n, (ct, lhs) in enumerate(walks):
         rhs = counting.rhs_sum(n)
         if not lhs == rhs == ct:
             return _mismatch(f"MISMATCH n={n} lhs={lhs} rhs={rhs} ct={ct}")
@@ -129,14 +129,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _parse_denoms(text: str) -> frozenset[int]:
-    """Parse a comma-separated denomination list; the empty string means the empty set."""
+    """Parse a comma-separated list of distinct denominations; the empty string means none."""
     text = text.strip()
     if not text:
         return frozenset()
     try:
-        return frozenset(int(tok) for tok in text.split(","))
+        denoms = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"malformed denomination list: {text!r}") from None
+    if len(set(denoms)) != len(denoms):
+        raise ValueError(f"repeated denomination in --red-denoms: {text!r}")
+    return frozenset(denoms)
 
 
 def _audit_full_deck(n: int, allow_large: bool) -> int:
@@ -217,10 +220,11 @@ def cmd_ct(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each entry maps max_n to the terms a(0), ..., a(max_n).
 _SEQUENCES = {
-    "main": counting.lhs_sum,
-    "franel": counting.franel,
-    "prefix-sum": counting.red_prefix_sum,
+    "main": counting.lhs_terms,
+    "franel": lambda max_n: map(counting.franel, range(max_n + 1)),
+    "prefix-sum": lambda max_n: map(counting.red_prefix_sum, range(max_n + 1)),
 }
 
 
@@ -228,9 +232,8 @@ def cmd_bfile(args: argparse.Namespace) -> int:
     """Emit a sequence as b-file lines ``n a(n)`` starting at n=0."""
     if args.max_n < 0:
         return _usage(f"--max-n must be >= 0, got {args.max_n}")
-    term = _SEQUENCES[args.seq]
-    for n in range(args.max_n + 1):
-        print(f"{n} {term(n)}")
+    for n, term in enumerate(_SEQUENCES[args.seq](args.max_n)):
+        print(f"{n} {term}")
     return 0
 
 

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from trideal import counting
 from trideal.cli import main
 from trideal.laurent import LaurentPoly, identity_polynomials
 
@@ -68,6 +71,21 @@ class TestVerify:
         radii = [min(n, 10 - n) for n in range(10)]
         assert operand_sizes == [(3 * r * r + 3 * r + 1, 7) for r in radii]
 
+    def test_reads_lhs_from_one_walk(self, capsys, monkeypatch):
+        calls = []
+        original = counting.franel
+
+        def counting_franel(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(counting, "franel", counting_franel)
+        code, out, _ = run(capsys, "verify", "--max-n", "40")
+        assert code == 0
+        assert out.splitlines()[:6] == SEQUENCE_LINES
+        # only the enumeration cross-check for n <= 5 asks for franel(k), k <= n
+        assert sorted(calls) == sorted(k for n in range(6) for k in range(n + 1))
+
 
 class TestCount:
     def test_by_s_size(self, capsys):
@@ -133,6 +151,12 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--n", "2", "--red-denoms", "1,x")
         assert code == 2
         assert "malformed" in err
+
+    def test_red_denoms_repeated(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--n", "3", "--red-denoms", "1,1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: repeated denomination in --red-denoms: '1,1'\n"
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "1", "--format", "csv")
@@ -207,6 +231,29 @@ class TestBfile:
         code, out, _ = run(capsys, "bfile", "--seq", "prefix-sum", "--max-n", "3")
         assert code == 0
         assert out == "0 1\n1 3\n2 11\n3 45\n"
+
+    def test_main_sequence_calls_no_franel_or_comb(self, capsys, monkeypatch):
+        last = counting.rhs_sum(40)
+        calls = []
+        franel, comb = counting.franel, math.comb
+
+        def counting_franel(n):
+            calls.append("franel")
+            return franel(n)
+
+        def counting_comb(n, k):
+            calls.append("comb")
+            return comb(n, k)
+
+        monkeypatch.setattr(counting, "franel", counting_franel)
+        monkeypatch.setattr(math, "comb", counting_comb)
+        code, out, _ = run(capsys, "bfile", "--seq", "main", "--max-n", "40")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 41
+        assert lines[40] == f"40 {last}"
+        # Pascal rows come from additions, so no franel(k) or C(n, k) is recomputed
+        assert (calls.count("franel"), calls.count("comb")) == (0, 0)
 
 
 class TestTable:

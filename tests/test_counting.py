@@ -4,6 +4,7 @@ from trideal.counting import (
     binomial,
     franel,
     lhs_sum,
+    lhs_terms,
     red_distinct_count,
     red_prefix_sum,
     red_set_count,
@@ -64,9 +65,10 @@ class TestIdentity:
         assert [lhs_sum(n) for n in range(6)] == SEQUENCE
         assert [rhs_sum(n) for n in range(6)] == SEQUENCE
 
-    def test_sides_agree_up_to_30(self):
-        for n in range(31):
-            assert lhs_sum(n) == rhs_sum(n)
+    def test_sides_agree_up_to_250(self):
+        for n, lhs in enumerate(lhs_terms(250)):
+            assert lhs == rhs_sum(n)
+        assert n == 250
 
     def test_values_are_exact_beyond_machine_words(self):
         value = rhs_sum(60)
@@ -77,6 +79,21 @@ class TestIdentity:
         for n in range(21):
             assert sum(red_distinct_count(n, k) for k in range(n + 1)) == rhs_sum(n)
             assert sum(binomial(n, k) * franel(k) for k in range(n + 1)) == lhs_sum(n)
+
+
+class TestLhsTerms:
+    def test_walk_matches_direct_sum(self):
+        for m in range(31):
+            assert list(lhs_terms(m)) == [
+                sum(binomial(n, k) * franel(k) for k in range(n + 1)) for n in range(m + 1)
+            ]
+
+    def test_negative_rejected_on_first_next(self):
+        walk = lhs_terms(-1)  # the call itself does not raise
+        with pytest.raises(ValueError):
+            next(walk)
+        with pytest.raises(ValueError):
+            lhs_sum(-1)
 
 
 class TestBucketCounts:
