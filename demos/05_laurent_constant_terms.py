@@ -4,10 +4,11 @@ Laurent polynomials and the constant-term route
 
 Sparse two-variable Laurent polynomials with exact integer coefficients:
 exponents may be negative, and p**n is n multiplications by p.
-The deal counts fall out of one polynomial identity.
+The deal counts fall out of one polynomial identity, and the powers of its
+base are walked as a stencil on dense rows.
 """
 
-from trideal import LaurentPoly, constant_terms, identity_polynomials, sequence_term
+from trideal import LaurentPoly, base_power, constant_terms, identity_polynomials, sequence_term
 
 # Build by hand: (x + 1/x)^2 = x^2 + 2 + x^-2.
 x = LaurentPoly.monomial(1, 0)
@@ -33,3 +34,12 @@ print("one truncated walk:        ", list(constant_terms(5)))
 # may drop every term farther from (0, 0) than the steps it has left.
 power = base ** 6
 print(f"base**6 has {len(power)} terms, constant term {power.constant_term()}")
+
+# The walks never call the general product.  They store the power as a
+# square of dense rows, row ey + r holding the coefficients of x^ex y^ey for
+# -r <= ex <= r, and one step by base is a 7-point stencil: each new cell is
+# 3 times the old cell at the same place plus its six neighbours on the
+# triangular lattice, one per monomial of base: (ex - 1, ey), (ex + 1, ey),
+# (ex, ey - 1), (ex, ey + 1), (ex - 1, ey + 1) and (ex + 1, ey - 1).
+# base_power converts the square to a LaurentPoly once, at the end.
+print("base_power(6) == base ** 6:", base_power(6) == power)

@@ -40,7 +40,14 @@ from .enumeration import (
     histogram,
     subsets_lex,
 )
-from .laurent import CT_GUARD, LaurentPoly, constant_terms, identity_polynomials, sequence_term
+from .laurent import (
+    CT_GUARD,
+    LaurentPoly,
+    base_power,
+    constant_terms,
+    identity_polynomials,
+    sequence_term,
+)
 from .model import (
     COLORS,
     Card,
@@ -72,6 +79,7 @@ __all__ = [
     "GuardError",
     "LaurentPoly",
     "RedSetParams",
+    "base_power",
     "binomial",
     "constant_terms",
     "count_deals",

@@ -213,8 +213,7 @@ def cmd_ct(args: argparse.Namespace) -> int:
     if args.poly:
         if args.n < 0 or args.n > laurent.CT_GUARD:
             return _usage(f"--n must lie in 0..{laurent.CT_GUARD}")
-        base, _, _ = laurent.identity_polynomials()
-        print((base ** args.n).to_text())
+        print(laurent.base_power(args.n).to_text())
     else:
         print(laurent.sequence_term(args.n))
     return 0

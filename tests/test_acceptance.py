@@ -23,6 +23,7 @@ from trideal.counting import (
     binomial,
     franel,
     lhs_sum,
+    lhs_terms,
     red_distinct_count,
     red_set_count,
     rhs_sum,
@@ -73,12 +74,11 @@ def test_criterion_1_sequence_reproduction():
 
 
 def test_criterion_2_identity_at_scale():
-    with criterion("[2] triple agreement lhs=rhs=ct for n<=60"):
+    with criterion("[2] triple agreement lhs=rhs=ct for n<=100"):
         start = time.perf_counter()
-        for n in range(61):
-            assert lhs_sum(n) == rhs_sum(n)
-        for n, ct in enumerate(constant_terms(60)):
-            assert ct == lhs_sum(n)
+        for n, (ct, lhs) in enumerate(zip(constant_terms(100), lhs_terms(100))):
+            assert lhs == rhs_sum(n) == ct
+        assert n == 100
         assert time.perf_counter() - start < 30.0
 
 

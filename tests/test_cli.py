@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from trideal import counting
+from trideal import counting, laurent
 from trideal.cli import main
 from trideal.laurent import LaurentPoly, identity_polynomials
 
@@ -39,37 +39,42 @@ class TestVerify:
         assert code == 2
 
     def test_builds_no_power_beyond_max_n(self, capsys, monkeypatch):
-        identity_polynomials()  # built and cached before counting starts
-        calls = []
-        original = LaurentPoly.__mul__
+        steps, muls = [], []
+        original_step, original_mul = laurent._times_base, LaurentPoly.__mul__
+
+        def counting_step(rows):
+            steps.append(1)
+            return original_step(rows)
 
         def counting_mul(self, other):
-            calls.append(1)
-            return original(self, other)
+            muls.append(1)
+            return original_mul(self, other)
 
+        monkeypatch.setattr(laurent, "_times_base", counting_step)
         monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
         code, out, _ = run(capsys, "verify", "--max-n", "3")
         assert code == 0
         assert out.splitlines() == SEQUENCE_LINES[:4]
-        assert len(calls) == 3
+        assert len(steps) == 3
+        assert muls == []
 
     def test_truncates_the_power_to_what_can_reach_the_constant(self, capsys, monkeypatch):
-        identity_polynomials()  # built and cached before recording starts
-        operand_sizes = []
-        original = LaurentPoly.__mul__
+        sides = []
+        original = laurent._times_base
 
-        def recording_mul(self, other):
-            operand_sizes.append((len(self), len(other)))
-            return original(self, other)
+        def recording_step(rows):
+            assert all(len(row) == len(rows) for row in rows)
+            sides.append(len(rows))
+            return original(rows)
 
-        monkeypatch.setattr(LaurentPoly, "__mul__", recording_mul)
+        monkeypatch.setattr(laurent, "_times_base", recording_step)
         code, out, _ = run(capsys, "verify", "--max-n", "10")
         assert code == 0
         assert out.splitlines()[:6] == SEQUENCE_LINES
-        # step n + 1 multiplies base**n, cut to hexagonal radius r = min(n, 10 - n),
-        # by the 7-term base; the largest operand has 3*25 + 3*5 + 1 = 91 terms
+        # step n + 1 reads the square frame of base**n cropped to radius
+        # r = min(n, 10 - n); the largest has side 2*5 + 1 = 11
         radii = [min(n, 10 - n) for n in range(10)]
-        assert operand_sizes == [(3 * r * r + 3 * r + 1, 7) for r in radii]
+        assert sides == [2 * r + 1 for r in radii]
 
     def test_reads_lhs_from_one_walk(self, capsys, monkeypatch):
         calls = []
@@ -210,6 +215,22 @@ class TestCt:
         code, out, _ = run(capsys, "ct", "--n", "1", "--poly")
         assert code == 0
         assert out == "x + y + x*y^-1 + 3 + x^-1*y + y^-1 + x^-1\n"
+
+    def test_poly_is_the_full_power_without_general_products(self, capsys, monkeypatch):
+        base, _, _ = identity_polynomials()
+        expected = (base ** 30).to_text()
+        muls = []
+        original = LaurentPoly.__mul__
+
+        def counting_mul(self, other):
+            muls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+        code, out, _ = run(capsys, "ct", "--n", "30", "--poly")
+        assert code == 0
+        assert out == expected + "\n"
+        assert muls == []
 
     def test_negative_n(self, capsys):
         code, _, err = run(capsys, "ct", "--n", "-3")

@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trideal import laurent
 from trideal.laurent import (
     CT_GUARD,
     LaurentPoly,
+    base_power,
     constant_terms,
     identity_polynomials,
     sequence_term,
@@ -21,6 +23,22 @@ small_polys = st.dictionaries(
     st.integers(-9, 9),
     max_size=6,
 ).map(LaurentPoly)
+
+# square frames rows[ey + r][ex + r] of side 2r + 1, as the stencil walk stores them
+small_frames = st.integers(0, 3).flatmap(
+    lambda r: st.lists(
+        st.lists(st.integers(-9, 9), min_size=2 * r + 1, max_size=2 * r + 1),
+        min_size=2 * r + 1,
+        max_size=2 * r + 1,
+    )
+)
+
+
+def frame_poly(rows):
+    r = len(rows) // 2
+    return LaurentPoly(
+        {(ex - r, ey - r): c for ey, row in enumerate(rows) for ex, c in enumerate(row)}
+    )
 
 
 class TestArithmetic:
@@ -148,6 +166,10 @@ class TestSequenceTerm:
             list(constant_terms(-1))
         with pytest.raises(ValueError):
             list(constant_terms(CT_GUARD + 1))
+        with pytest.raises(ValueError):
+            base_power(-1)
+        with pytest.raises(ValueError):
+            base_power(CT_GUARD + 1)
 
     def test_walk_matches_full_powers_at_every_truncation(self):
         base, _, _ = identity_polynomials()
@@ -163,23 +185,35 @@ class TestSequenceTerm:
             if n:
                 power = power * base
             assert sequence_term(n) == power.constant_term()
+            assert base_power(n) == power
         assert power == base ** 40
 
     def test_walk_keeps_only_terms_that_can_reach_the_constant(self, monkeypatch):
-        identity_polynomials()  # built and cached before recording starts
-        operand_sizes = []
-        original = LaurentPoly.__mul__
+        sides = []
+        original = laurent._times_base
 
-        def recording_mul(self, other):
-            operand_sizes.append((len(self), len(other)))
-            return original(self, other)
+        def recording_step(rows):
+            assert all(len(row) == len(rows) for row in rows)
+            sides.append(len(rows))
+            return original(rows)
 
-        monkeypatch.setattr(LaurentPoly, "__mul__", recording_mul)
+        monkeypatch.setattr(laurent, "_times_base", recording_step)
         assert sequence_term(12) == 9533639025
-        # step n + 1 multiplies base**n, cut to hexagonal radius r = min(n, 12 - n),
-        # by the 7-term base; the largest operand has 3*36 + 3*6 + 1 = 127 terms
+        # step n + 1 reads the square frame of base**n cropped to radius
+        # r = min(n, 12 - n); the largest has side 2*6 + 1 = 13
         radii = [min(n, 12 - n) for n in range(12)]
-        assert operand_sizes == [(3 * r * r + 3 * r + 1, 7) for r in radii]
+        assert sides == [2 * r + 1 for r in radii]
+
+
+class TestStencil:
+    @settings(max_examples=150, deadline=None)
+    @given(small_frames)
+    def test_step_is_the_product_with_the_base(self, rows):
+        base, _, _ = identity_polynomials()
+        stepped = laurent._times_base(rows)
+        assert len(stepped) == len(rows) + 2
+        assert all(len(row) == len(stepped) for row in stepped)
+        assert frame_poly(stepped) == frame_poly(rows) * base
 
 
 class TestRingLaws:
