@@ -6,6 +6,15 @@ form pins down a deal with a prescribed red denomination set.  In both,
 ``encode`` and ``decode`` are exact inverses, and the parameter space is
 exactly as large as the deal family it maps onto (the exhaustive audits in
 the test suite and the ``audit`` CLI subcommand check this).
+
+Each bijection has one encoder from parameters to the oracle's deal form, the
+sorted denomination set plus one 3-bit routing code per denomination, and
+one decoder back.  Bit 2 of a code sends the denomination's red card to
+blue's hand (else green's), bit 1 its green card to blue's hand (else red's),
+and bit 0 its blue card to green's hand (else red's).  So ``code & 3`` says
+which cards red holds: 0 both off-color cards, 1 only the green one, 2 only
+the blue one, 3 none.  The public ``encode_*``/``decode_*`` functions wrap
+this form in ``Deal`` objects; the ``audit`` subcommand uses it directly.
 """
 
 from __future__ import annotations
@@ -14,8 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .enumeration import subsets_lex
-from .model import Card, Color, Deal, denom_set_text, require_valid
+from .enumeration import _codes, _deal, subsets_lex
+from .model import Deal, denom_set_text, require_valid
 
 __all__ = [
     "FullDeckParams",
@@ -74,20 +83,31 @@ def _check_full_deck(params: FullDeckParams) -> None:
         raise ValueError("need |red_in_blue| = |green_in_red|")
 
 
+def _full_deck_codes(params: FullDeckParams) -> tuple[int, ...]:
+    """Routing codes of the full-deck deal, one per denomination 1..n."""
+    return tuple(
+        4 * (d in params.red_in_blue)
+        + 2 * (d not in params.green_in_red)
+        + (d not in params.blue_in_red)
+        for d in range(1, params.n + 1)
+    )
+
+
+def _full_deck_params(n: int, codes: tuple[int, ...]) -> FullDeckParams:
+    """Read the three choice sets off the routing codes of a full-deck deal."""
+    routed = tuple(zip(range(1, n + 1), codes))
+    return FullDeckParams(
+        n,
+        frozenset(d for d, code in routed if not code & 2),
+        frozenset(d for d, code in routed if not code & 1),
+        frozenset(d for d, code in routed if code & 4),
+    )
+
+
 def encode_full_deck(params: FullDeckParams) -> Deal:
     """Build the unique full-deck deal realizing the given choices."""
     _check_full_deck(params)
-    universe = range(1, params.n + 1)
-    red = {Card(d, Color.GREEN) for d in params.green_in_red} | {
-        Card(d, Color.BLUE) for d in params.blue_in_red
-    }
-    blue = {Card(d, Color.GREEN) for d in universe if d not in params.green_in_red} | {
-        Card(d, Color.RED) for d in params.red_in_blue
-    }
-    green = {Card(d, Color.BLUE) for d in universe if d not in params.blue_in_red} | {
-        Card(d, Color.RED) for d in universe if d not in params.red_in_blue
-    }
-    return Deal(params.n, frozenset(universe), red, green, blue)
+    return _deal(params.n, tuple(range(1, params.n + 1)), _full_deck_codes(params))
 
 
 def decode_full_deck(deal: Deal) -> FullDeckParams:
@@ -95,12 +115,8 @@ def decode_full_deck(deal: Deal) -> FullDeckParams:
     require_valid(deal)
     if deal.s != frozenset(range(1, deal.n + 1)):
         raise ValueError("not a full-deck deal: the denomination set must be all of 1..n")
-    return FullDeckParams(
-        deal.n,
-        frozenset(c.denomination for c in deal.red if c.color is Color.GREEN),
-        frozenset(c.denomination for c in deal.red if c.color is Color.BLUE),
-        frozenset(c.denomination for c in deal.blue if c.color is Color.RED),
-    )
+    _, codes = _codes(deal)
+    return _full_deck_params(deal.n, codes)
 
 
 @dataclass(frozen=True)
@@ -166,36 +182,44 @@ def _check_red_set(params: RedSetParams) -> None:
         raise ValueError("need |red_to_blue| = |both_colors| + |green_only|")
 
 
+def _red_set_codes(params: RedSetParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The red-set deal as (sorted denomination set, routing codes)."""
+    subset = tuple(sorted(params.red_denoms | params.extra))
+    green_to_blue = params.blue_only | params.extra
+    blue_to_green = params.green_only | params.extra
+    return subset, tuple(
+        4 * (d in params.red_to_blue) + 2 * (d in green_to_blue) + (d in blue_to_green)
+        for d in subset
+    )
+
+
+def _red_set_params(n: int, subset: tuple[int, ...], codes: tuple[int, ...]) -> RedSetParams:
+    """Read the choice sets off any deal's (subset, routing codes) form."""
+    # indexed by code & 3: both_colors, green_only, blue_only, extra
+    groups: tuple[list[int], ...] = ([], [], [], [])
+    for d, code in zip(subset, codes):
+        groups[code & 3].append(d)
+    both, green_only, blue_only, extra = groups
+    return RedSetParams(
+        n,
+        frozenset(both + green_only + blue_only),
+        frozenset(both),
+        frozenset(blue_only),
+        frozenset(extra),
+        frozenset(d for d, code in zip(subset, codes) if code & 4),
+    )
+
+
 def encode_red_set(params: RedSetParams) -> Deal:
     """Build the unique deal whose red hand shows exactly ``red_denoms``."""
     _check_red_set(params)
-    s = params.red_denoms | params.extra
-    red = {Card(d, Color.GREEN) for d in params.both_colors | params.green_only} | {
-        Card(d, Color.BLUE) for d in params.both_colors | params.blue_only
-    }
-    blue = {Card(d, Color.GREEN) for d in params.blue_only | params.extra} | {
-        Card(d, Color.RED) for d in params.red_to_blue
-    }
-    green = {Card(d, Color.BLUE) for d in params.green_only | params.extra} | {
-        Card(d, Color.RED) for d in s - params.red_to_blue
-    }
-    return Deal(params.n, s, red, green, blue)
+    return _deal(params.n, *_red_set_codes(params))
 
 
 def decode_red_set(deal: Deal) -> RedSetParams:
     """Read the choice sets back off any valid deal."""
     require_valid(deal)
-    red_denoms = frozenset(c.denomination for c in deal.red)
-    greens = {c.denomination for c in deal.red if c.color is Color.GREEN}
-    blues = {c.denomination for c in deal.red if c.color is Color.BLUE}
-    return RedSetParams(
-        deal.n,
-        red_denoms,
-        frozenset(greens & blues),
-        frozenset(blues - greens),
-        deal.s - red_denoms,
-        frozenset(c.denomination for c in deal.blue if c.color is Color.RED),
-    )
+    return _red_set_params(deal.n, *_codes(deal))
 
 
 def iter_full_deck_params(n: int) -> Iterator[FullDeckParams]:

@@ -14,7 +14,7 @@ import sys
 from typing import Sequence
 
 from . import bijections, counting, enumeration, laurent
-from .model import deal_record, deal_to_text, denom_set_text, hand_text, red_denomination_set
+from .model import deal_record, deal_to_text, denom_set_text, hand_text
 
 MISMATCH = 1
 USAGE_ERROR = 2
@@ -32,8 +32,7 @@ def _mismatch(message: str) -> int:
 
 def _check_enumeration(n: int, expected_total: int) -> int:
     """Cross-check the brute-force totals and histograms against closed forms."""
-    by_size = enumeration.histogram(n, "s_size")
-    by_red = enumeration.histogram(n, "red_distinct")
+    by_size, by_red = enumeration._histograms(n, False)
     total = sum(by_size.values())
     if total != expected_total:
         return _mismatch(f"MISMATCH n={n} enumerated={total} expected={expected_total}")
@@ -98,21 +97,18 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     """Stream deals in canonical order, optionally restricted."""
     if args.full:
-        deals = list(enumeration.enumerate_full_deck_deals(args.n, allow_large=args.allow_large))
+        routings = enumeration._routings(args.n, args.allow_large, full_deck=True)
     elif args.red_denoms is not None:
         denoms = _parse_denoms(args.red_denoms)
-        deals = list(
-            enumeration.enumerate_deals_with_red_denoms(
-                args.n, denoms, allow_large=args.allow_large
-            )
-        )
+        routings = enumeration._red_set_routings(args.n, denoms, args.allow_large)
     else:
-        deals = list(enumeration.enumerate_deals(args.n, allow_large=args.allow_large))
+        routings = enumeration._routings(args.n, args.allow_large)
+    deals = list(routings)
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("s", "red", "green", "blue"))
-        for deal in deals:
-            record = deal_record(deal)
+        for subset, codes in deals:
+            record = deal_record(enumeration._deal(args.n, subset, codes))
             writer.writerow(
                 (
                     " ".join(str(d) for d in record["s"]),
@@ -123,8 +119,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             )
     else:
         print(f"n={args.n} total={len(deals)}")
-        for deal in deals:
-            print(deal_to_text(deal))
+        for subset, codes in deals:
+            print(enumeration._routing_text(subset, codes))
     return 0
 
 
@@ -143,27 +139,30 @@ def _parse_denoms(text: str) -> frozenset[int]:
 
 
 def _audit_full_deck(n: int, allow_large: bool) -> int:
+    # the oracle runs first, so the guard fires before any parameter is built
+    enumerated = [codes for _, codes in enumeration._routings(n, allow_large, full_deck=True)]
     params = list(bijections.iter_full_deck_params(n))
-    encoded = [bijections.encode_full_deck(p) for p in params]
+    encoded = [bijections._full_deck_codes(p) for p in params]
     image = set(encoded)
-    enumerated = list(enumeration.enumerate_full_deck_deals(n, allow_large=allow_large))
     expected = counting.franel(n)
     print(f"audit full-deck n={n}")
     print(f"params={len(params)} image={len(image)} enumerated={len(enumerated)} expected={expected}")
     if len(image) != len(params):
         seen: dict = {}
-        for p, d in zip(params, encoded):
-            if d in seen:
-                return _mismatch(f"FAIL encode collision: {seen[d].to_text()} and {p.to_text()}")
-            seen[d] = p
+        for p, codes in zip(params, encoded):
+            if codes in seen:
+                return _mismatch(f"FAIL encode collision: {seen[codes].to_text()} and {p.to_text()}")
+            seen[codes] = p
     if len(params) != expected or image != set(enumerated):
         return _mismatch(f"FAIL image of encode differs from enumeration at n={n}")
-    for p, d in zip(params, encoded):
-        if bijections.decode_full_deck(d) != p:
+    for p, codes in zip(params, encoded):
+        if bijections._full_deck_params(n, codes) != p:
             return _mismatch(f"FAIL decode(encode) roundtrip at {p.to_text()}")
-    for d in enumerated:
-        if bijections.encode_full_deck(bijections.decode_full_deck(d)) != d:
-            return _mismatch(f"FAIL encode(decode) roundtrip at {deal_to_text(d)}")
+    deck = tuple(range(1, n + 1))
+    for codes in enumerated:
+        if bijections._full_deck_codes(bijections._full_deck_params(n, codes)) != codes:
+            text = deal_to_text(enumeration._deal(n, deck, codes))
+            return _mismatch(f"FAIL encode(decode) roundtrip at {text}")
     print("roundtrips=OK")
     print("PASS")
     return 0
@@ -171,15 +170,15 @@ def _audit_full_deck(n: int, allow_large: bool) -> int:
 
 def _audit_red_set(n: int, allow_large: bool) -> int:
     print(f"audit red-set n={n}")
-    by_red: dict[frozenset[int], list] = {}
-    for deal in enumeration.enumerate_deals(n, allow_large=allow_large):
-        by_red.setdefault(red_denomination_set(deal), []).append(deal)
+    by_red: dict[tuple[int, ...], list] = {}
+    for routing in enumeration._routings(n, allow_large):
+        by_red.setdefault(enumeration._red_denoms(*routing), []).append(routing)
     total = 0
     for denoms in enumeration.subsets_lex(tuple(range(1, n + 1))):
         params = list(bijections.iter_red_set_params(n, denoms))
-        encoded = [bijections.encode_red_set(p) for p in params]
+        encoded = [bijections._red_set_codes(p) for p in params]
         image = set(encoded)
-        enumerated = by_red.get(frozenset(denoms), [])
+        enumerated = by_red.get(denoms, [])
         expected = counting.red_set_count(n, len(denoms))
         label = f"D={denom_set_text(denoms)}"
         if len(image) != len(params):
@@ -188,12 +187,13 @@ def _audit_red_set(n: int, allow_large: bool) -> int:
             return _mismatch(
                 f"FAIL {label}: params={len(params)} enumerated={len(enumerated)} expected={expected}"
             )
-        for p, d in zip(params, encoded):
-            if bijections.decode_red_set(d) != p:
+        for p, routing in zip(params, encoded):
+            if bijections._red_set_params(n, *routing) != p:
                 return _mismatch(f"FAIL {label}: decode(encode) roundtrip at {p.to_text()}")
-        for d in enumerated:
-            if bijections.encode_red_set(bijections.decode_red_set(d)) != d:
-                return _mismatch(f"FAIL {label}: encode(decode) roundtrip at {deal_to_text(d)}")
+        for routing in enumerated:
+            if bijections._red_set_codes(bijections._red_set_params(n, *routing)) != routing:
+                text = deal_to_text(enumeration._deal(n, *routing))
+                return _mismatch(f"FAIL {label}: encode(decode) roundtrip at {text}")
         print(f"{label} params={len(params)} image={len(image)} enumerated={len(enumerated)} roundtrips=OK")
         total += len(params)
     print(f"total={total}")
@@ -202,7 +202,11 @@ def _audit_red_set(n: int, allow_large: bool) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    """Exhaustively audit one of the two bijections at a given n."""
+    """Exhaustively audit one of the two bijections at a given n.
+
+    Both audits compare the bijections' routing-code tuples with the oracle's
+    ``_routings`` stream; a ``Deal`` is built only to name a failing one.
+    """
     if args.which == "full-deck":
         return _audit_full_deck(args.n, args.allow_large)
     return _audit_red_set(args.n, args.allow_large)

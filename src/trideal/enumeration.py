@@ -2,9 +2,10 @@
 
 One loop visits every deal as a denomination subset plus one routing code per
 denomination: subsets in lexicographic order (as sorted tuples), then codes in
-increasing numeric order.  Counts and histograms are read from the codes;
-``Deal`` objects are built only for yielded deals.  Every closed-form count in
-the package is checked against the totals and histograms computed here.
+increasing numeric order.  Counts, histograms and the text form are read from
+the codes; ``Deal`` objects are built only for the public ``enumerate_*``
+streams.  Every closed-form count in the package is checked against the totals
+and histograms computed here.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .model import COLORS, Card, Color, Deal
+from .model import COLORS, Card, Color, Deal, denom_set_text
 
 __all__ = [
     "EXHAUSTIVE_GUARD",
@@ -51,6 +52,12 @@ _RECIPIENTS: tuple[tuple[Color, Color, Color], ...] = tuple(
 # Cards each code puts in red's and in green's hand; blue's hand gets the rest.
 _RED_LOAD = tuple(recipients.count(Color.RED) for recipients in _RECIPIENTS)
 _GREEN_LOAD = tuple(recipients.count(Color.GREEN) for recipients in _RECIPIENTS)
+# For each code, the hand (by text-form position, red 0, green 1, blue 2) and
+# the letter of the red, green and blue card, in that order.
+_TEXT_ROUTES = tuple(
+    tuple((recipient.order, color.letter) for color, recipient in zip(COLORS, recipients))
+    for recipients in _RECIPIENTS
+)
 
 
 def subsets_lex(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -95,6 +102,46 @@ def _deal(n: int, subset: tuple[int, ...], codes: tuple[int, ...]) -> Deal:
     return Deal(n, subset, hands[Color.RED], hands[Color.GREEN], hands[Color.BLUE])
 
 
+def _codes(deal: Deal) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Read a valid deal back into (subset, routing codes); the inverse of ``_deal``."""
+    subset = tuple(sorted(deal.s))
+    codes = dict.fromkeys(subset, 0)
+    # code 7 sets every bit, so it names the hand each bit sends its card to
+    for bit, color, recipient in zip((4, 2, 1), COLORS, _RECIPIENTS[7]):
+        for card in deal.hand(recipient):
+            if card.color is color:
+                codes[card.denomination] |= bit
+    return subset, tuple(codes.values())
+
+
+def _routing_text(subset: tuple[int, ...], codes: tuple[int, ...]) -> str:
+    """``deal_to_text`` of ``_deal(n, subset, codes)``, without building the deal."""
+    hands: tuple[list[str], ...] = ([], [], [])
+    for denom, code in zip(subset, codes):
+        for hand, letter in _TEXT_ROUTES[code]:
+            hands[hand].append(f"{letter}{denom}")
+    red, green, blue = (",".join(hand) for hand in hands)
+    return f"S={denom_set_text(subset)};R=[{red}];G=[{green}];B=[{blue}]"
+
+
+def _red_denoms(subset: tuple[int, ...], codes: tuple[int, ...]) -> tuple[int, ...]:
+    """Denominations with a card in red's hand, in increasing order."""
+    return tuple(d for d, code in zip(subset, codes) if _RED_LOAD[code])
+
+
+def _red_set_routings(
+    n: int, denoms: Iterable[int], allow_large: bool
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The ``_routings`` stream cut to deals whose red hand shows exactly ``denoms``."""
+    wanted = frozenset(denoms)
+    if not wanted <= frozenset(range(1, n + 1)):
+        raise ValueError(f"denominations {sorted(wanted)} not within 1..{n}")
+    key = tuple(sorted(wanted))
+    for subset, codes in _routings(n, allow_large):
+        if _red_denoms(subset, codes) == key:
+            yield subset, codes
+
+
 def enumerate_deals(n: int, *, allow_large: bool = False) -> Iterator[Deal]:
     """Every deal over denominations 1..n exactly once, in canonical order.
 
@@ -115,12 +162,8 @@ def enumerate_deals_with_red_denoms(
     n: int, denoms: Iterable[int], *, allow_large: bool = False
 ) -> Iterator[Deal]:
     """Deals whose red hand shows exactly the given denominations."""
-    wanted = frozenset(denoms)
-    if not wanted <= frozenset(range(1, n + 1)):
-        raise ValueError(f"denominations {sorted(wanted)} not within 1..{n}")
-    for subset, codes in _routings(n, allow_large):
-        if {d for d, code in zip(subset, codes) if _RED_LOAD[code]} == wanted:
-            yield _deal(n, subset, codes)
+    for subset, codes in _red_set_routings(n, denoms, allow_large):
+        yield _deal(n, subset, codes)
 
 
 def histogram(n: int, statistic: str, *, allow_large: bool = False) -> dict[int, int]:
@@ -131,11 +174,18 @@ def histogram(n: int, statistic: str, *, allow_large: bool = False) -> dict[int,
     """
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; expected one of {STATISTICS}")
-    buckets = {k: 0 for k in range(n + 1)}
+    by_size, by_red = _histograms(n, allow_large)
+    return by_size if statistic == "s_size" else by_red
+
+
+def _histograms(n: int, allow_large: bool) -> tuple[dict[int, int], dict[int, int]]:
+    """Buckets by s_size and by red_distinct, both filled from one ``_routings`` pass."""
+    by_size = dict.fromkeys(range(n + 1), 0)
+    by_red = dict.fromkeys(range(n + 1), 0)
     for subset, codes in _routings(n, allow_large):
-        key = len(subset) if statistic == "s_size" else sum(1 for c in codes if _RED_LOAD[c])
-        buckets[key] += 1
-    return buckets
+        by_size[len(subset)] += 1
+        by_red[len(_red_denoms(subset, codes))] += 1
+    return by_size, by_red
 
 
 def count_deals(n: int, *, allow_large: bool = False) -> int:

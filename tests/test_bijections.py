@@ -3,6 +3,10 @@ import pytest
 from trideal.bijections import (
     FullDeckParams,
     RedSetParams,
+    _full_deck_codes,
+    _full_deck_params,
+    _red_set_codes,
+    _red_set_params,
     decode_full_deck,
     decode_red_set,
     encode_full_deck,
@@ -12,16 +16,75 @@ from trideal.bijections import (
 )
 from trideal.counting import franel, red_set_count
 from trideal.enumeration import (
+    _deal,
     enumerate_deals,
     enumerate_deals_with_red_denoms,
     enumerate_full_deck_deals,
     subsets_lex,
 )
-from trideal.model import Color, Deal, deal_from_text, validate_deal
+from trideal.model import Card, Color, Deal, deal_from_text, validate_deal
 
 
 def deal(n, text):
     return deal_from_text(text, n)
+
+
+# Readable references: each bijection built card by card from its choice sets.
+
+
+def reference_encode_full_deck(params):
+    universe = range(1, params.n + 1)
+    red = {Card(d, Color.GREEN) for d in params.green_in_red} | {
+        Card(d, Color.BLUE) for d in params.blue_in_red
+    }
+    blue = {Card(d, Color.GREEN) for d in universe if d not in params.green_in_red} | {
+        Card(d, Color.RED) for d in params.red_in_blue
+    }
+    green = {Card(d, Color.BLUE) for d in universe if d not in params.blue_in_red} | {
+        Card(d, Color.RED) for d in universe if d not in params.red_in_blue
+    }
+    return Deal(params.n, frozenset(universe), red, green, blue)
+
+
+def reference_encode_red_set(params):
+    s = params.red_denoms | params.extra
+    red = {Card(d, Color.GREEN) for d in params.both_colors | params.green_only} | {
+        Card(d, Color.BLUE) for d in params.both_colors | params.blue_only
+    }
+    blue = {Card(d, Color.GREEN) for d in params.blue_only | params.extra} | {
+        Card(d, Color.RED) for d in params.red_to_blue
+    }
+    green = {Card(d, Color.BLUE) for d in params.green_only | params.extra} | {
+        Card(d, Color.RED) for d in s - params.red_to_blue
+    }
+    return Deal(params.n, s, red, green, blue)
+
+
+class TestCodeForms:
+    def test_full_deck_codes_match_the_reference(self):
+        for n in range(6):
+            deck = tuple(range(1, n + 1))
+            for p in iter_full_deck_params(n):
+                codes = _full_deck_codes(p)
+                assert _deal(n, deck, codes) == reference_encode_full_deck(p)
+                assert _full_deck_params(n, codes) == p
+
+    def test_red_set_codes_match_the_reference(self):
+        for n in range(5):
+            for denoms in subsets_lex(tuple(range(1, n + 1))):
+                for p in iter_red_set_params(n, denoms):
+                    subset, codes = _red_set_codes(p)
+                    assert subset == tuple(sorted(p.red_denoms | p.extra))
+                    assert _deal(n, subset, codes) == reference_encode_red_set(p)
+                    assert _red_set_params(n, subset, codes) == p
+
+    def test_public_functions_wrap_the_code_forms(self):
+        for n in range(4):
+            for p in iter_full_deck_params(n):
+                assert encode_full_deck(p) == reference_encode_full_deck(p)
+            for denoms in subsets_lex(tuple(range(1, n + 1))):
+                for p in iter_red_set_params(n, denoms):
+                    assert encode_red_set(p) == reference_encode_red_set(p)
 
 
 class TestFullDeckEncode:

@@ -1,8 +1,9 @@
+import hashlib
 import math
 
 import pytest
 
-from trideal import counting, laurent
+from trideal import bijections, counting, enumeration, laurent, model
 from trideal.cli import main
 from trideal.laurent import LaurentPoly, identity_polynomials
 
@@ -90,6 +91,20 @@ class TestVerify:
         assert out.splitlines()[:6] == SEQUENCE_LINES
         # only the enumeration cross-check for n <= 5 asks for franel(k), k <= n
         assert sorted(calls) == sorted(k for n in range(6) for k in range(n + 1))
+
+    def test_one_enumeration_pass_fills_both_histograms(self, capsys, monkeypatch):
+        passes = []
+        original = enumeration._routings
+
+        def counting_routings(n, *args, **kwargs):
+            passes.append(n)
+            return original(n, *args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "_routings", counting_routings)
+        code, out, _ = run(capsys, "verify", "--max-n", "5")
+        assert code == 0
+        assert out.splitlines() == SEQUENCE_LINES
+        assert passes == list(range(6))
 
 
 class TestCount:
@@ -198,6 +213,108 @@ class TestAudit:
         with pytest.raises(SystemExit) as excinfo:
             main(["audit", "--n", "2"])
         assert excinfo.value.code == 2
+
+    def test_full_deck_guard_fires_before_any_parameter(self, capsys, monkeypatch):
+        calls = []
+
+        def spy(name):
+            def record(*args, **kwargs):
+                calls.append(name)
+                return iter(())
+
+            return record
+
+        monkeypatch.setattr(bijections, "iter_full_deck_params", spy("iter_full_deck_params"))
+        monkeypatch.setattr(bijections, "encode_full_deck", spy("encode_full_deck"))
+        code, out, err = run(capsys, "audit", "--n", "30", "--which", "full-deck")
+        assert code == 2
+        assert out == ""
+        assert err == "error: n=30 exceeds the exhaustive guard (5); rerun with --allow-large\n"
+        assert calls == []
+
+    def test_full_deck_roundtrip_failure_names_the_deal(self, capsys, monkeypatch):
+        original, calls = bijections._full_deck_codes, []
+
+        def drifting(params):
+            # honest for the franel(2) = 10 encodes, then flips the red card
+            calls.append(1)
+            codes = original(params)
+            return codes if len(calls) <= 10 else tuple(c ^ 4 for c in codes)
+
+        monkeypatch.setattr(bijections, "_full_deck_codes", drifting)
+        code, _, err = run(capsys, "audit", "--n", "2", "--which", "full-deck")
+        first = model.deal_to_text(next(enumeration.enumerate_full_deck_deals(2)))
+        assert code == 1
+        assert err == f"FAIL encode(decode) roundtrip at {first}\n"
+
+    def test_red_set_roundtrip_failure_names_the_deal(self, capsys, monkeypatch):
+        original, calls = bijections._red_set_codes, []
+
+        def drifting(params):
+            # honest through D={} and the 4 encodes of D={1}, then flips the red card
+            calls.append(1)
+            subset, codes = original(params)
+            return (subset, codes) if len(calls) <= 6 else (subset, tuple(c ^ 4 for c in codes))
+
+        monkeypatch.setattr(bijections, "_red_set_codes", drifting)
+        code, out, err = run(capsys, "audit", "--n", "2", "--which", "red-set")
+        first = model.deal_to_text(next(enumeration.enumerate_deals_with_red_denoms(2, (1,))))
+        assert code == 1
+        assert out == "audit red-set n=2\nD={} params=1 image=1 enumerated=1 roundtrips=OK\n"
+        assert err == f"FAIL D={{1}}: encode(decode) roundtrip at {first}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("audit", "--n", "4", "--which", "full-deck"),
+        ("audit", "--n", "4", "--which", "red-set"),
+        ("enumerate", "--n", "4"),
+    ],
+)
+def test_audits_and_text_enumerate_build_no_deal(argv, capsys, monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(enumeration, "_deal", counting("_deal", enumeration._deal))
+    monkeypatch.setattr(model, "validate_deal", counting("validate_deal", model.validate_deal))
+    for cls in (model.Card, model.Deal):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.endswith("PASS\n") or out.startswith("n=4 total=639\n")
+    assert calls == []
+
+
+# stdout sha256 of each command, recorded before the audits and the text
+# form of enumerate moved from Deal objects to routing codes
+GOLDEN_STDOUT = {
+    ("enumerate", "--n", "4"):
+        "a486877083262b0e33f76cfec16af42a0c2dbac68b2200040a2ecfbc1eddf69d",
+    ("enumerate", "--n", "4", "--full"):
+        "4d65b6a4f533c74ef06918ec8d466fa4cfc9ba0d8e06fa569e584dc4e92486a3",
+    ("enumerate", "--n", "4", "--red-denoms", "1,3"):
+        "803132d9ca3b9994e541b6ef5928499fdf2296eb7e3133e6ccb270598f8d33f6",
+    ("enumerate", "--n", "4", "--format", "csv"):
+        "f89e69dcc1f3f521f9a69b89bbb93655df4e30c5b8e2d99fd2fa03991f2ae169",
+    ("audit", "--n", "4", "--which", "full-deck"):
+        "f1a14bf4eea8affea36cbe6ed34f001e2e278a7977056f911762afe774ae0381",
+    ("audit", "--n", "4", "--which", "red-set"):
+        "871b4d2125bc4951b8f4b33f906b471b6c1447e6df3338426a521f94b1d67f46",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
+def test_stdout_matches_the_recorded_digest(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
 
 
 class TestCt:

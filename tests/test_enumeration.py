@@ -3,6 +3,10 @@ import pytest
 from trideal.counting import binomial, franel, red_distinct_count, red_set_count
 from trideal.enumeration import (
     EXHAUSTIVE_GUARD,
+    _codes,
+    _deal,
+    _routing_text,
+    _routings,
     GuardError,
     count_deals,
     enumerate_deals,
@@ -92,6 +96,14 @@ def test_routing_code_paths_match_the_built_deals():
             assert list(enumerate_deals_with_red_denoms(n, denoms)) == [
                 deal for deal in deals if red_denomination_set(deal) == frozenset(denoms)
             ]
+
+
+def test_code_text_and_code_reading_match_the_built_deal():
+    for n in range(6):
+        for subset, codes in _routings(n, False):
+            built = _deal(n, subset, codes)
+            assert _routing_text(subset, codes) == deal_to_text(built)
+            assert _codes(built) == (subset, codes)
 
 
 class TestFullDeckDeals:
