@@ -158,10 +158,9 @@ def _audit_full_deck(n: int, allow_large: bool) -> int:
     for p, codes in zip(params, encoded):
         if bijections._full_deck_params(n, codes) != p:
             return _mismatch(f"FAIL decode(encode) roundtrip at {p.to_text()}")
-    deck = tuple(range(1, n + 1))
     for codes in enumerated:
         if bijections._full_deck_codes(bijections._full_deck_params(n, codes)) != codes:
-            text = deal_to_text(enumeration._deal(n, deck, codes))
+            text = deal_to_text(enumeration._deal(n, tuple(range(1, n + 1)), codes))
             return _mismatch(f"FAIL encode(decode) roundtrip at {text}")
     print("roundtrips=OK")
     print("PASS")

@@ -78,14 +78,6 @@ class TestCodeForms:
                     assert _deal(n, subset, codes) == reference_encode_red_set(p)
                     assert _red_set_params(n, subset, codes) == p
 
-    def test_public_functions_wrap_the_code_forms(self):
-        for n in range(4):
-            for p in iter_full_deck_params(n):
-                assert encode_full_deck(p) == reference_encode_full_deck(p)
-            for denoms in subsets_lex(tuple(range(1, n + 1))):
-                for p in iter_red_set_params(n, denoms):
-                    assert encode_red_set(p) == reference_encode_red_set(p)
-
 
 class TestFullDeckEncode:
     def test_single_denomination_cycles(self):
