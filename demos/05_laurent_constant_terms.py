@@ -5,7 +5,7 @@ Laurent polynomials and the constant-term route
 Sparse two-variable Laurent polynomials with exact integer coefficients:
 exponents may be negative, and p**n is n multiplications by p.
 The deal counts fall out of one polynomial identity, and the powers of its
-base are walked as a stencil on dense rows.
+base are walked as a stencil on rows packed into one integer each.
 """
 
 from trideal import LaurentPoly, base_power, constant_terms, identity_polynomials, sequence_term
@@ -36,10 +36,14 @@ power = base ** 6
 print(f"base**6 has {len(power)} terms, constant term {power.constant_term()}")
 
 # The walks never call the general product.  They store the power as a
-# square of dense rows, row ey + r holding the coefficients of x^ex y^ey for
+# square of rows, row ey + r holding the coefficients of x^ex y^ey for
 # -r <= ex <= r, and one step by base is a 7-point stencil: each new cell is
 # 3 times the old cell at the same place plus its six neighbours on the
 # triangular lattice, one per monomial of base: (ex - 1, ey), (ex + 1, ey),
 # (ex, ey - 1), (ex, ey + 1), (ex - 1, ey + 1) and (ex + 1, ey - 1).
-# base_power converts the square to a LaurentPoly once, at the end.
+# Each row is one int with w bits per cell, x read as 2^w, so moving ex is a
+# shift by w and a step is a few whole-row shift-adds.  The coefficients of
+# base**n are positive and sum to base(1, 1)^n = 9^n, so w = bit length of
+# 9^n keeps every cell from spilling into the next.
+# base_power unpacks the rows into a LaurentPoly once, at the end.
 print("base_power(6) == base ** 6:", base_power(6) == power)

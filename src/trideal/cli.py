@@ -168,10 +168,11 @@ def _audit_full_deck(n: int, allow_large: bool) -> int:
 
 
 def _audit_red_set(n: int, allow_large: bool) -> int:
-    print(f"audit red-set n={n}")
+    # the oracle runs first, so a usage error leaves stdout empty
     by_red: dict[tuple[int, ...], list] = {}
     for routing in enumeration._routings(n, allow_large):
         by_red.setdefault(enumeration._red_denoms(*routing), []).append(routing)
+    print(f"audit red-set n={n}")
     total = 0
     for denoms in enumeration.subsets_lex(tuple(range(1, n + 1))):
         params = list(bijections.iter_red_set_params(n, denoms))

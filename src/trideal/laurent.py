@@ -8,15 +8,18 @@ subtraction, multiplication, nonnegative powers, and constant-term
 extraction.  Instances are immutable by convention; every operation returns
 a new polynomial.
 
-The walk behind the constant terms does not use the general product: one
-step by the 7-term base is a stencil on dense rows of ints, converted to a
-``LaurentPoly`` only when the whole power is asked for.
+The walk behind the constant terms does not use the general product: it
+packs each row of a square frame of the power into one int, w bits a cell
+(Kronecker substitution x -> 2**w), so one step by the 7-term base is a few
+shift-adds of whole rows.  All coefficients of base**n are positive and sum
+to 9**n, so a w with 9**n < 2**w keeps every cell from carrying into the
+next.  The rows are unpacked into a ``LaurentPoly`` only when the whole power
+is asked for.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from operator import add
 from typing import Iterator, Mapping
 
 __all__ = [
@@ -29,9 +32,10 @@ __all__ = [
 ]
 
 #: Largest n accepted by base_power, constant_terms and sequence_term.  Each
-#: walks n stencil steps over a square of O(n**2) cells, O(n**3) additions in
-#: all: the cropped walk to sequence_term(200) takes ~1.7 s and the whole
-#: base_power(200), as ``ct --poly`` prints it, ~5 s (Python 3.11, 2-vCPU VM).
+#: walks n stencil steps over 2n + 1 packed rows, O(n**2) whole-row shift-adds
+#: in all on ints of up to (2n + 1) * (9**n).bit_length() bits: the cropped
+#: walk to sequence_term(200) takes ~0.55 s and the whole base_power(200), as
+#: ``ct --poly`` prints it, ~2.2 s (Python 3.11, 2-vCPU VM).
 CT_GUARD = 200
 
 
@@ -219,61 +223,82 @@ def _check_exponent(n: int) -> None:
         raise ValueError(f"n={n} exceeds the constant-term guard ({CT_GUARD})")
 
 
-def _times_base(rows: list[list[int]]) -> list[list[int]]:
-    """One step of the walk: the square frame of ``power`` times the base.
+def _width(n: int) -> int:
+    """Bits per packed cell for the walk to base**n.
 
-    ``rows[ey + r][ex + r]`` is the coefficient of x**ex * y**ey in a frame of
-    side 2r + 1; the result is the frame of side 2r + 3 for ``power * base``.
+    Every coefficient of base is positive and they sum to base(1, 1) = 9, so
+    the coefficients of base**m sum to 9**m: each one, and every partial sum
+    of a stencil step toward one, is at most 9**m <= 9**n < 2**width(n).  No
+    packed field ever carries into its neighbour.
     """
-    zero = [0] * len(rows)
-    padded = [zero, zero, *rows, zero, zero]
+    return (9 ** n).bit_length()
+
+
+def _times_base(rows: list[int], w: int) -> list[int]:
+    """One step of the walk: the packed square frame of ``power`` times the base.
+
+    ``rows[ey + r]`` packs a row of the frame of side 2r + 1 into one int: the
+    coefficient of x**ex * y**ey sits in bits [(ex + r)*w, (ex + r + 1)*w).
+    The result is the frame of side 2r + 3 for ``power * base``.  Cells must
+    be non-negative and every output cell below 2**w (see ``_width``).
+    """
+    padded = [0, 0, *rows, 0, 0]
     frame = []
     # Output row ey reads input rows ey - 1, ey and ey + 1, and its cell i has
-    # the ex of input cell i - 1.  One pass per monomial of the base,
-    # ``x + y + x*y^-1 + 3 + x^-1*y + y^-1 + x^-1``, each naming the cell whose
-    # coefficient it moves to (ex, ey).
+    # the ex of input cell i - 1, so a shift by w keeps ex.  Each term carries
+    # some monomials of the base, ``x + y + x*y^-1 + 3 + x^-1*y + y^-1 + x^-1``,
+    # and names the cell each moves to (ex, ey).
     for below, same, above in zip(padded, padded[1:], padded[2:]):
-        row = [0, *map((3).__mul__, same), 0]  # 3
-        row[2:] = map(add, row[2:], same)  # x: from (ex - 1, ey)
-        row[:-2] = map(add, row[:-2], same)  # x^-1: from (ex + 1, ey)
-        row[1:-1] = map(add, row[1:-1], below)  # y: from (ex, ey - 1)
-        row[:-2] = map(add, row[:-2], below)  # x^-1*y: from (ex + 1, ey - 1)
-        row[1:-1] = map(add, row[1:-1], above)  # y^-1: from (ex, ey + 1)
-        row[2:] = map(add, row[2:], above)  # x*y^-1: from (ex - 1, ey + 1)
-        frame.append(row)
+        left = same + below
+        right = same + above
+        frame.append(
+            left  # x^-1: from (ex + 1, ey); x^-1*y: from (ex + 1, ey - 1)
+            + ((left + right + same) << w)  # 3; y: from (ex, ey - 1); y^-1: from (ex, ey + 1)
+            + (right << 2 * w)  # x: from (ex - 1, ey); x*y^-1: from (ex - 1, ey + 1)
+        )
     return frame
 
 
 def base_power(n: int) -> LaurentPoly:
     """The whole base**n, 3n**2 + 3n + 1 terms, as ``ct --poly`` prints it.
 
-    n stencil steps on an uncropped square frame, converted to a
-    ``LaurentPoly`` once; ~5 s at n = CT_GUARD = 200 (Python 3.11, 2-vCPU VM).
-    Raises ValueError for n < 0 or n > CT_GUARD.
+    n stencil steps on an uncropped square of packed rows, each cell a whole
+    number of bytes wide so that ``to_bytes`` slices unpack it, converted to
+    a ``LaurentPoly`` once; ~2.2 s at n = CT_GUARD = 200 (Python 3.11, 2-vCPU
+    VM).  Raises ValueError for n < 0 or n > CT_GUARD.
     """
     _check_exponent(n)
-    rows = [[1]]
+    size = (_width(n) + 7) // 8
+    w = 8 * size
+    rows = [1]
     for _ in range(n):
-        rows = _times_base(rows)
-    return LaurentPoly(
-        {(ex - n, ey - n): c for ey, row in enumerate(rows) for ex, c in enumerate(row)}
-    )
+        rows = _times_base(rows, w)
+    side = len(rows)
+    coeffs = {}
+    for ey, row in enumerate(rows):
+        data = row.to_bytes(side * size, "little")
+        for ex in range(side):
+            coeffs[ex - n, ey - n] = int.from_bytes(data[ex * size : (ex + 1) * size], "little")
+    return LaurentPoly(coeffs)
 
 
 def constant_terms(max_n: int) -> Iterator[int]:
     """Constant terms of base**0, base**1, ..., base**max_n from one walk.
 
-    Step n is one stencil step on a square frame of the running power, then
-    a crop of the frame to radius max_n - n whenever it is larger, so step
-    n + 1 reads a frame of side 2r + 1 for r = min(n, max_n - n).  The walk
-    to max_n = CT_GUARD = 200 takes ~1.7 s (Python 3.11, 2-vCPU VM).  Raises
+    Step n is one stencil step on a square frame of the running power, each
+    row packed into one int at ``_width(max_n)`` bits per cell, then a crop
+    of the frame to radius max_n - n whenever it is larger, so step n + 1
+    reads a frame of side 2r + 1 for r = min(n, max_n - n).  The walk to
+    max_n = CT_GUARD = 200 takes ~0.55 s (Python 3.11, 2-vCPU VM).  Raises
     ValueError, on first iteration, for max_n < 0 or max_n > CT_GUARD.
     """
     _check_exponent(max_n)
-    rows = [[1]]
+    w = _width(max_n)
+    cell = (1 << w) - 1
+    rows = [1]
     yield 1
     for n in range(1, max_n + 1):
-        rows = _times_base(rows)
+        rows = _times_base(rows, w)
         # Each base monomial moves ex, ey and ex+ey by at most 1, so a monomial
         # whose hexagonal radius exceeds the steps left never returns to (0, 0):
         # dropping it changes no coefficient read later.  The square of radius
@@ -281,18 +306,19 @@ def constant_terms(max_n: int) -> Iterator[int]:
         left = max_n - n
         cut = len(rows) // 2 - left
         if cut > 0:
-            rows = [row[cut:-cut] for row in rows[cut:-cut]]
+            keep = (1 << (2 * left + 1) * w) - 1
+            rows = [(row >> cut * w) & keep for row in rows[cut:-cut]]
         middle = len(rows) // 2
-        yield rows[middle][middle]
+        yield (rows[middle] >> middle * w) & cell
 
 
 def sequence_term(n: int) -> int:
     """Constant term of base**n: term n of the deal-count sequence 1, 3, 15, 93, 639, ...
 
     The last value of constant_terms(n): n stencil steps on a square frame
-    cropped to the monomials that can still reach x**0 * y**0, O(n**3)
-    additions (~1.7 s at n = CT_GUARD = 200; Python 3.11, 2-vCPU VM).  The
-    whole base**n, from base_power, takes ~5 s at n = 200.
+    of packed rows cropped to the monomials that can still reach x**0 * y**0,
+    O(n**2) whole-row shift-adds (~0.55 s at n = CT_GUARD = 200; Python 3.11,
+    2-vCPU VM).  The whole base**n, from base_power, takes ~2.2 s at n = 200.
     """
     for term in constant_terms(n):
         pass

@@ -43,9 +43,9 @@ class TestVerify:
         steps, muls = [], []
         original_step, original_mul = laurent._times_base, LaurentPoly.__mul__
 
-        def counting_step(rows):
+        def counting_step(rows, w):
             steps.append(1)
-            return original_step(rows)
+            return original_step(rows, w)
 
         def counting_mul(self, other):
             muls.append(1)
@@ -63,17 +63,18 @@ class TestVerify:
         sides = []
         original = laurent._times_base
 
-        def recording_step(rows):
-            assert all(len(row) == len(rows) for row in rows)
+        def recording_step(rows, w):
+            # every packed row fits the square frame: 2r + 1 cells of w bits
+            assert all(row.bit_length() <= len(rows) * w for row in rows)
             sides.append(len(rows))
-            return original(rows)
+            return original(rows, w)
 
         monkeypatch.setattr(laurent, "_times_base", recording_step)
         code, out, _ = run(capsys, "verify", "--max-n", "10")
         assert code == 0
         assert out.splitlines()[:6] == SEQUENCE_LINES
         # step n + 1 reads the square frame of base**n cropped to radius
-        # r = min(n, 10 - n); the largest has side 2*5 + 1 = 11
+        # r = min(n, 10 - n), 2r + 1 rows; the largest has 2*5 + 1 = 11
         radii = [min(n, 10 - n) for n in range(10)]
         assert sides == [2 * r + 1 for r in radii]
 
@@ -232,6 +233,18 @@ class TestAudit:
         assert err == "error: n=30 exceeds the exhaustive guard (5); rerun with --allow-large\n"
         assert calls == []
 
+    @pytest.mark.parametrize("which", ["full-deck", "red-set"])
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            ("6", "n=6 exceeds the exhaustive guard (5); rerun with --allow-large"),
+            ("-1", "need n >= 0, got -1"),
+        ],
+    )
+    def test_usage_error_prints_nothing_to_stdout(self, capsys, which, n, message):
+        code, out, err = run(capsys, "audit", "--n", n, "--which", which)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_full_deck_roundtrip_failure_names_the_deal(self, capsys, monkeypatch):
         original, calls = bijections._full_deck_codes, []
 
@@ -307,6 +320,14 @@ GOLDEN_STDOUT = {
         "f1a14bf4eea8affea36cbe6ed34f001e2e278a7977056f911762afe774ae0381",
     ("audit", "--n", "4", "--which", "red-set"):
         "871b4d2125bc4951b8f4b33f906b471b6c1447e6df3338426a521f94b1d67f46",
+    # recorded from the dense list-of-rows stencil, before each row was packed
+    # into one int; n = 100 and 200 run the packed walk at its widest cells
+    ("verify", "--max-n", "200"):
+        "6bf854655ccacd38aebdf65b40fcf5e2c304d9782ff3c710038ccd14076422af",
+    ("ct", "--n", "200"):
+        "722ac9b948cb312819996a8fd87019429c5cf6d232d556225ddd678a17af61f0",
+    ("ct", "--n", "100", "--poly"):
+        "60d317579d0f2d0e401bd09ac2c3b0e2126d9d4ff2c2a7475288268c4d32a9ba",
 }
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from trideal import counting
 from trideal.counting import (
     binomial,
     franel,
@@ -87,6 +88,19 @@ class TestLhsTerms:
             assert list(lhs_terms(m)) == [
                 sum(binomial(n, k) * franel(k) for k in range(n + 1)) for n in range(m + 1)
             ]
+
+    def test_sum_forms_only_the_last_dot_product(self, monkeypatch):
+        products = []
+        original = counting.mul
+
+        def counting_mul(a, b):
+            products.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(counting, "mul", counting_mul)
+        assert lhs_sum(10) == sum(binomial(10, k) * franel(k) for k in range(11))
+        # one C(10, k) * franel(k) per k; the lower rows' dot products are never formed
+        assert len(products) == 11
 
     def test_negative_rejected_on_first_next(self):
         walk = lhs_terms(-1)  # the call itself does not raise

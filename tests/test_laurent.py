@@ -24,21 +24,38 @@ small_polys = st.dictionaries(
     max_size=6,
 ).map(LaurentPoly)
 
-# square frames rows[ey + r][ex + r] of side 2r + 1, as the stencil walk stores them
+# Square frames cells[ey + r][ex + r] of side 2r + 1, packed w = 8 bits a
+# cell as the stencil walk stores them.  A step sums 9 weighted cells into
+# each output cell, so cells up to (2**8 - 1) // 9 = 28 let outputs reach the
+# top of their field.  Negative cells lie outside the walk's domain: the
+# powers of base have only positive coefficients, and a packed field holds
+# no sign.
+FIELD = 8
 small_frames = st.integers(0, 3).flatmap(
     lambda r: st.lists(
-        st.lists(st.integers(-9, 9), min_size=2 * r + 1, max_size=2 * r + 1),
+        st.lists(
+            st.integers(0, (2**FIELD - 1) // 9), min_size=2 * r + 1, max_size=2 * r + 1
+        ),
         min_size=2 * r + 1,
         max_size=2 * r + 1,
     )
 )
 
 
-def frame_poly(rows):
-    r = len(rows) // 2
+def frame_poly(cells):
+    r = len(cells) // 2
     return LaurentPoly(
-        {(ex - r, ey - r): c for ey, row in enumerate(rows) for ex, c in enumerate(row)}
+        {(ex - r, ey - r): c for ey, row in enumerate(cells) for ex, c in enumerate(row)}
     )
+
+
+def pack(cells):
+    return [sum(c << ex * FIELD for ex, c in enumerate(row)) for row in cells]
+
+
+def unpack(rows):
+    mask = (1 << FIELD) - 1
+    return [[(row >> ex * FIELD) & mask for ex in range(len(rows))] for row in rows]
 
 
 class TestArithmetic:
@@ -188,19 +205,33 @@ class TestSequenceTerm:
             assert base_power(n) == power
         assert power == base ** 40
 
+    def test_cells_are_wide_enough_for_every_coefficient(self):
+        # the walk packs base**n at _width(n) bits a cell and relies on no
+        # coefficient reaching 2**_width(n); they sum to base(1, 1)**n = 9**n
+        base, _, _ = identity_polynomials()
+        power = LaurentPoly.constant(1)
+        for n in range(41):
+            if n:
+                power = power * base
+            coefficients = power.coefficients.values()
+            assert sum(coefficients) == 9**n
+            assert max(coefficients) < 2 ** laurent._width(n)
+            assert sequence_term(n) == power.constant_term()
+
     def test_walk_keeps_only_terms_that_can_reach_the_constant(self, monkeypatch):
         sides = []
         original = laurent._times_base
 
-        def recording_step(rows):
-            assert all(len(row) == len(rows) for row in rows)
+        def recording_step(rows, w):
+            # every packed row fits the square frame: 2r + 1 cells of w bits
+            assert all(row.bit_length() <= len(rows) * w for row in rows)
             sides.append(len(rows))
-            return original(rows)
+            return original(rows, w)
 
         monkeypatch.setattr(laurent, "_times_base", recording_step)
         assert sequence_term(12) == 9533639025
         # step n + 1 reads the square frame of base**n cropped to radius
-        # r = min(n, 12 - n); the largest has side 2*6 + 1 = 13
+        # r = min(n, 12 - n), 2r + 1 rows; the largest has 2*6 + 1 = 13
         radii = [min(n, 12 - n) for n in range(12)]
         assert sides == [2 * r + 1 for r in radii]
 
@@ -208,12 +239,12 @@ class TestSequenceTerm:
 class TestStencil:
     @settings(max_examples=150, deadline=None)
     @given(small_frames)
-    def test_step_is_the_product_with_the_base(self, rows):
+    def test_step_is_the_product_with_the_base(self, cells):
         base, _, _ = identity_polynomials()
-        stepped = laurent._times_base(rows)
-        assert len(stepped) == len(rows) + 2
-        assert all(len(row) == len(stepped) for row in stepped)
-        assert frame_poly(stepped) == frame_poly(rows) * base
+        stepped = laurent._times_base(pack(cells), FIELD)
+        assert len(stepped) == len(cells) + 2
+        assert all(row.bit_length() <= len(stepped) * FIELD for row in stepped)
+        assert frame_poly(unpack(stepped)) == frame_poly(cells) * base
 
 
 class TestRingLaws:
