@@ -3,8 +3,10 @@ Enumerating every deal
 ======================
 
 Brute force over all routings: each denomination's three cards have two
-legal hands each, so a subset of size k yields 8**k candidates, and the
-equal-hand-size rule filters them down.  The stream is deterministic and
+legal hands each, so a subset of size k has 8**k routings, and the
+equal-hand-size rule keeps franel(k) of them.  The generator forms only
+those, by joining the first half of a routing to the second half on how
+many cards each half gives red and green.  The stream is deterministic and
 doubles as the oracle for all closed-form counts.
 """
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import partial
 from typing import Sequence
 
 from . import bijections, counting, enumeration, laurent
@@ -95,16 +96,21 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    """Stream deals in canonical order, optionally restricted."""
+    """Stream deals in canonical order, optionally restricted.
+
+    Each stream checks its arguments when it is made, so a usage error
+    leaves stdout empty.  The text form counts with one pass to print
+    ``total=`` first, then prints from a second.
+    """
     if args.full:
-        routings = enumeration._routings(args.n, args.allow_large, full_deck=True)
+        routings = partial(enumeration._routings, args.n, args.allow_large, full_deck=True)
     elif args.red_denoms is not None:
         denoms = _parse_denoms(args.red_denoms)
-        routings = enumeration._red_set_routings(args.n, denoms, args.allow_large)
+        routings = partial(enumeration._red_set_routings, args.n, denoms, args.allow_large)
     else:
-        routings = enumeration._routings(args.n, args.allow_large)
-    deals = list(routings)
+        routings = partial(enumeration._routings, args.n, args.allow_large)
     if args.format == "csv":
+        deals = routings()
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("s", "red", "green", "blue"))
         for subset, codes in deals:
@@ -118,8 +124,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 )
             )
     else:
-        print(f"n={args.n} total={len(deals)}")
-        for subset, codes in deals:
+        print(f"n={args.n} total={sum(1 for _ in routings())}")
+        for subset, codes in routings():
             print(enumeration._routing_text(subset, codes))
     return 0
 

@@ -189,6 +189,57 @@ class TestEnumerate:
         assert code == 2
         assert "--allow-large" in err
 
+    @pytest.mark.parametrize(
+        "argv, source, passes, writer",
+        [
+            ((), "_routings", 2, "_routing_text"),
+            (("--full",), "_routings", 2, "_routing_text"),
+            (("--red-denoms", "1,3"), "_red_set_routings", 2, "_routing_text"),
+            (("--format", "csv"), "_routings", 1, "_deal"),
+            (("--red-denoms", "1,3", "--format", "csv"), "_red_set_routings", 1, "_deal"),
+        ],
+    )
+    def test_streams_each_line_as_its_deal_is_formed(
+        self, capsys, monkeypatch, argv, source, passes, writer
+    ):
+        # the text form counts in one pass and prints from a second; csv
+        # prints from its only pass.  Either way no deal is formed before
+        # the line of the deal ahead of it is out.
+        original, written, seen = getattr(enumeration, source), [], []
+
+        def spy_stream(*args, **kwargs):
+            stream, when = original(*args, **kwargs), []
+            seen.append(when)
+            for routing in stream:
+                when.append(len(written))
+                yield routing
+
+        def count_writes(*args):
+            written.append(args)
+            return write(*args)
+
+        write = getattr(enumeration, writer)
+        monkeypatch.setattr(enumeration, writer, count_writes)
+        monkeypatch.setattr(enumeration, source, spy_stream)
+        code, out, _ = run(capsys, "enumerate", "--n", "3", *argv)
+        assert code == 0
+        assert len(seen) == passes
+        assert seen[-1] == list(range(len(written))) != []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--n", "6"), "n=6 exceeds the exhaustive guard (5); rerun with --allow-large"),
+            (("--n", "-1"), "need n >= 0, got -1"),
+            (("--n", "2", "--red-denoms", "3"), "denominations [3] not within 1..2"),
+            (("--n", "6", "--full"), "n=6 exceeds the exhaustive guard (5); rerun with --allow-large"),
+        ],
+    )
+    @pytest.mark.parametrize("form", ["text", "csv"])
+    def test_usage_error_prints_nothing_to_stdout(self, capsys, argv, message, form):
+        code, out, err = run(capsys, "enumerate", *argv, "--format", form)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestAudit:
     def test_full_deck(self, capsys):

@@ -1,8 +1,13 @@
+from itertools import product
+
 import pytest
 
-from trideal.counting import binomial, franel, red_distinct_count, red_set_count
+from trideal import enumeration
+from trideal.counting import binomial, franel, lhs_sum, red_distinct_count, red_set_count
 from trideal.enumeration import (
     EXHAUSTIVE_GUARD,
+    _GREEN_LOAD,
+    _RED_LOAD,
     _codes,
     _deal,
     _routing_text,
@@ -98,6 +103,53 @@ def test_routing_code_paths_match_the_built_deals():
             ]
 
 
+def reference_routings(n, full_deck=False):
+    """The readable definition: every code tuple of each subset, kept when balanced."""
+    deck = tuple(range(1, n + 1))
+    for subset in (deck,) if full_deck else subsets_lex(deck):
+        size = len(subset)
+        for codes in product(range(8), repeat=size):
+            red = sum(_RED_LOAD[code] for code in codes)
+            if red == size == sum(_GREEN_LOAD[code] for code in codes):
+                yield subset, codes
+
+
+class TestRoutings:
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("full_deck", [False, True])
+    def test_match_the_product_and_filter_reference(self, n, full_deck):
+        # element for element, in order, past the guard too
+        assert list(_routings(n, True, full_deck=full_deck)) == list(
+            reference_routings(n, full_deck)
+        )
+
+    def test_form_only_balanced_tuples(self, monkeypatch):
+        lookups = []
+
+        class CountingLoads(tuple):
+            def __getitem__(self, code):
+                lookups.append(code)
+                return tuple.__getitem__(self, code)
+
+        monkeypatch.setattr(enumeration, "_RED_LOAD", CountingLoads(_RED_LOAD))
+        assert count_deals(5) == 4653
+        # heads and tails of at most 3 codes read 2080 red loads in all;
+        # filtering all 9**5 = 59,049 candidate tuples read 262,440
+        assert 0 < len(lookups) <= 2500
+
+    def test_arguments_are_checked_before_the_stream_starts(self):
+        # so enumerate can print its first line before the stream ends
+        for full_deck in (False, True):
+            with pytest.raises(GuardError):
+                _routings(EXHAUSTIVE_GUARD + 1, False, full_deck=full_deck)
+            with pytest.raises(ValueError):
+                _routings(-1, True, full_deck=full_deck)
+        with pytest.raises(GuardError):
+            enumeration._red_set_routings(EXHAUSTIVE_GUARD + 1, (), False)
+        with pytest.raises(ValueError):
+            enumeration._red_set_routings(2, (3,), False)
+
+
 def test_code_text_and_code_reading_match_the_built_deal():
     for n in range(6):
         for subset, codes in _routings(n, False):
@@ -157,9 +209,11 @@ class TestHistogram:
         assert histogram(0, "red_distinct") == {0: 1}
 
     def test_matches_closed_forms(self):
-        for n in range(5):
-            by_size = histogram(n, "s_size")
-            by_red = histogram(n, "red_distinct")
+        # past the guard too: n = 7 is 272,835 deals
+        for n in range(8):
+            assert count_deals(n, allow_large=True) == lhs_sum(n)
+            by_size = histogram(n, "s_size", allow_large=True)
+            by_red = histogram(n, "red_distinct", allow_large=True)
             for k in range(n + 1):
                 assert by_size[k] == binomial(n, k) * franel(k)
                 assert by_red[k] == red_distinct_count(n, k)
