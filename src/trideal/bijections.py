@@ -239,6 +239,8 @@ def iter_red_set_params(n: int, denoms: Iterable[int]) -> Iterator[RedSetParams]
     The stream is ordered by (both_colors, blue_only, extra, red_to_blue) as
     sorted tuples; its length is red_set_count(n, len(denoms)).
     """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     red_denoms = tuple(sorted(set(denoms)))
     if not set(red_denoms) <= set(range(1, n + 1)):
         raise ValueError(f"denominations {list(red_denoms)} not within 1..{n}")

@@ -9,13 +9,12 @@ for a fixed invocation.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from functools import partial
 from typing import Sequence
 
 from . import bijections, counting, enumeration, laurent
-from .model import deal_record, deal_to_text, denom_set_text, hand_text
+from .model import deal_to_text, denom_set_text
 
 MISMATCH = 1
 USAGE_ERROR = 2
@@ -80,17 +79,12 @@ def cmd_count(args: argparse.Namespace) -> int:
     """Histogram the enumerated deals by one statistic."""
     statistic = args.by.replace("-", "_")
     buckets = enumeration.histogram(args.n, statistic, allow_large=args.allow_large)
-    rows = sorted(buckets.items())
+    sep = "," if args.format == "csv" else " "
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(("k", "count"))
-        writer.writerows(rows)
-    elif args.format == "bfile":
-        for k, count in rows:
-            print(f"{k} {count}")
-    else:
-        for k, count in rows:
-            print(f"{k} {count}")
+        print("k,count")
+    for k, count in sorted(buckets.items()):
+        print(f"{k}{sep}{count}")
+    if args.format == "text":
         print(f"total {sum(buckets.values())}")
     return 0
 
@@ -100,7 +94,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     Each stream checks its arguments when it is made, so a usage error
     leaves stdout empty.  The text form counts with one pass to print
-    ``total=`` first, then prints from a second.
+    ``total=`` first, then prints from a second; CSV prints from its one
+    pass.  No CSV field holds a comma, quote or newline, so plain joins
+    write what a CSV writer would.
     """
     if args.full:
         routings = partial(enumeration._routings, args.n, args.allow_large, full_deck=True)
@@ -111,18 +107,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         routings = partial(enumeration._routings, args.n, args.allow_large)
     if args.format == "csv":
         deals = routings()
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(("s", "red", "green", "blue"))
+        print("s,red,green,blue")
         for subset, codes in deals:
-            record = deal_record(enumeration._deal(args.n, subset, codes))
-            writer.writerow(
-                (
-                    " ".join(str(d) for d in record["s"]),
-                    " ".join(record["red"]),
-                    " ".join(record["green"]),
-                    " ".join(record["blue"]),
-                )
-            )
+            hands = enumeration._routing_hands(subset, codes)
+            print(",".join((" ".join(map(str, subset)), *map(" ".join, hands))))
     else:
         print(f"n={args.n} total={sum(1 for _ in routings())}")
         for subset, codes in routings():
@@ -247,29 +235,23 @@ def cmd_bfile(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    """Print every deal grouped by denomination set, largest sets first."""
-    deals = list(enumeration.enumerate_deals(args.n, allow_large=args.allow_large))
-    groups: dict[tuple[int, ...], list] = {}
-    for deal in deals:
-        groups.setdefault(tuple(sorted(deal.s)), []).append(deal)
-    ordered = sorted(groups, key=lambda s: (-len(s), s))
+    """Print every deal grouped by denomination set, largest sets first.
+
+    Hands are rendered from the oracle's routing codes.  Every row is held,
+    since all of them size the columns.
+    """
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for subset, codes in enumeration._routings(args.n, args.allow_large):
+        groups.setdefault(subset, []).append(codes)
     header = ("S", "#", "avoid red", "avoid green", "avoid blue")
-    rows: list[tuple[str, str, str, str, str]] = []
-    number = 0
-    for subset in ordered:
-        for i, deal in enumerate(groups[subset]):
-            number += 1
-            rows.append(
-                (
-                    denom_set_text(subset) if i == 0 else "",
-                    str(number),
-                    hand_text(deal.red),
-                    hand_text(deal.green),
-                    hand_text(deal.blue),
-                )
-            )
+    rows: list[tuple[str, ...]] = []
+    for subset in sorted(groups, key=lambda s: (-len(s), s)):
+        for i, codes in enumerate(groups[subset]):
+            hands = enumeration._routing_hands(subset, codes)
+            label = denom_set_text(subset) if i == 0 else ""
+            rows.append((label, str(len(rows) + 1), *(f"[{','.join(hand)}]" for hand in hands)))
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(5)]
-    print(f"n={args.n} total={len(deals)}")
+    print(f"n={args.n} total={len(rows)}")
     for row in (header, *rows):
         print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
     return 0

@@ -5,8 +5,8 @@ denomination: subsets in lexicographic order (as sorted tuples), then codes in
 increasing numeric order.  Only franel(k) of the 8**k code tuples of a size-k
 subset are deals, so the loop forms just those: it joins a head and a tail of
 the tuple on their red and green loads (meet in the middle), never a closed
-form.  Counts, histograms and the text form are read from the codes; ``Deal``
-objects are built only for the public ``enumerate_*`` streams.  Every
+form.  Counts, histograms and every printed hand are read from the codes;
+``Deal`` objects are built only for the public ``enumerate_*`` streams.  Every
 closed-form count in the package is checked against the totals and histograms
 computed here.
 """
@@ -57,6 +57,8 @@ _RECIPIENTS: tuple[tuple[Color, Color, Color], ...] = tuple(
 # Cards each code puts in red's and in green's hand; blue's hand gets the rest.
 _RED_LOAD = tuple(recipients.count(Color.RED) for recipients in _RECIPIENTS)
 _GREEN_LOAD = tuple(recipients.count(Color.GREEN) for recipients in _RECIPIENTS)
+# Codes that put no card in red's hand; each other code shows its denomination there.
+_RED_FREE = tuple(code for code, load in enumerate(_RED_LOAD) if not load)
 # For each code, the hand (by text-form position, red 0, green 1, blue 2) and
 # the letter of the red, green and blue card, in that order.
 _TEXT_ROUTES = tuple(
@@ -158,13 +160,24 @@ def _codes(deal: Deal) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return subset, tuple(codes.values())
 
 
-def _routing_text(subset: tuple[int, ...], codes: tuple[int, ...]) -> str:
-    """``deal_to_text`` of ``_deal(n, subset, codes)``, without building the deal."""
-    hands: tuple[list[str], ...] = ([], [], [])
+def _routing_hands(
+    subset: tuple[int, ...], codes: tuple[int, ...]
+) -> tuple[list[str], list[str], list[str]]:
+    """Red's, green's and blue's card tokens, each in ``hand_text`` order.
+
+    Codes run in denomination order and each routes its red, green and blue
+    card in that order, so every hand comes out sorted by (denomination, color).
+    """
+    hands: tuple[list[str], list[str], list[str]] = ([], [], [])
     for denom, code in zip(subset, codes):
         for hand, letter in _TEXT_ROUTES[code]:
             hands[hand].append(f"{letter}{denom}")
-    red, green, blue = (",".join(hand) for hand in hands)
+    return hands
+
+
+def _routing_text(subset: tuple[int, ...], codes: tuple[int, ...]) -> str:
+    """``deal_to_text`` of ``_deal(n, subset, codes)``, without building the deal."""
+    red, green, blue = (",".join(hand) for hand in _routing_hands(subset, codes))
     return f"S={denom_set_text(subset)};R=[{red}];G=[{green}];B=[{blue}]"
 
 
@@ -229,7 +242,7 @@ def _histograms(n: int, allow_large: bool) -> tuple[dict[int, int], dict[int, in
     by_red = dict.fromkeys(range(n + 1), 0)
     for subset, codes in _routings(n, allow_large):
         by_size[len(subset)] += 1
-        by_red[len(_red_denoms(subset, codes))] += 1
+        by_red[len(codes) - sum(map(codes.count, _RED_FREE))] += 1
     return by_size, by_red
 
 

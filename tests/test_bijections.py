@@ -234,6 +234,11 @@ class TestRedSetBijection:
         with pytest.raises(ValueError):
             next(iter_red_set_params(2, (5,)))
 
+    def test_rejects_negative_n_like_the_full_deck_stream(self):
+        for params in (iter_red_set_params(-1, ()), iter_full_deck_params(-1)):
+            with pytest.raises(ValueError, match=r"^need n >= 0, got -1$"):
+                next(params)
+
 
 def test_param_text_rendering():
     p = RedSetParams(2, {1}, {1}, (), {2}, {1})

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -10,8 +11,10 @@ from trideal.enumeration import (
     _RED_LOAD,
     _codes,
     _deal,
+    _routing_hands,
     _routing_text,
     _routings,
+    STATISTICS,
     GuardError,
     count_deals,
     enumerate_deals,
@@ -24,6 +27,7 @@ from trideal.model import (
     deal_from_text,
     deal_stats,
     deal_to_text,
+    hand_text,
     red_denomination_set,
     validate_deal,
 )
@@ -155,6 +159,9 @@ def test_code_text_and_code_reading_match_the_built_deal():
         for subset, codes in _routings(n, False):
             built = _deal(n, subset, codes)
             assert _routing_text(subset, codes) == deal_to_text(built)
+            tokens = _routing_hands(subset, codes)
+            hands = (built.red, built.green, built.blue)
+            assert [f"[{','.join(t)}]" for t in tokens] == [hand_text(h) for h in hands]
             assert _codes(built) == (subset, codes)
 
 
@@ -217,6 +224,15 @@ class TestHistogram:
             for k in range(n + 1):
                 assert by_size[k] == binomial(n, k) * franel(k)
                 assert by_red[k] == red_distinct_count(n, k)
+
+    def test_matches_the_readable_definition(self):
+        # each bucket counts the built deals whose deal_stats give that value
+        for n in range(6):
+            stats = [deal_stats(d) for d in enumerate_deals(n)]
+            for statistic in STATISTICS:
+                buckets = histogram(n, statistic)
+                assert list(buckets) == list(range(n + 1))
+                assert Counter(buckets) == Counter(getattr(s, statistic) for s in stats)
 
     def test_empty_red_hand_bucket_is_the_empty_deal_alone(self):
         # equal hand sizes force s to be empty whenever red's hand is
