@@ -9,6 +9,7 @@ for a fixed invocation.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from functools import partial
 from typing import Sequence
@@ -98,13 +99,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     pass.  No CSV field holds a comma, quote or newline, so plain joins
     write what a CSV writer would.
     """
-    if args.full:
-        routings = partial(enumeration._routings, args.n, args.allow_large, full_deck=True)
-    elif args.red_denoms is not None:
-        denoms = _parse_denoms(args.red_denoms)
-        routings = partial(enumeration._red_set_routings, args.n, denoms, args.allow_large)
-    else:
-        routings = partial(enumeration._routings, args.n, args.allow_large)
+    denoms = None if args.red_denoms is None else _parse_denoms(args.red_denoms)
+    routings = partial(
+        enumeration._routings, args.n, args.allow_large, full_deck=args.full, red_denoms=denoms
+    )
     if args.format == "csv":
         deals = routings()
         print("s,red,green,blue")
@@ -119,14 +117,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _parse_denoms(text: str) -> frozenset[int]:
-    """Parse a comma-separated list of distinct denominations; the empty string means none."""
-    text = text.strip()
-    if not text:
-        return frozenset()
-    try:
-        denoms = [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ValueError(f"malformed denomination list: {text!r}") from None
+    """Parse a comma-separated list of distinct denominations; the empty string means none.
+
+    Each denomination is written as ``str`` writes an int: no sign, space,
+    underscore or leading zero.
+    """
+    tokens = text.split(",") if text else []
+    if not all(re.fullmatch(r"0|[1-9][0-9]*", tok) for tok in tokens):
+        raise ValueError(f"malformed denomination list: {text!r}")
+    denoms = list(map(int, tokens))
     if len(set(denoms)) != len(denoms):
         raise ValueError(f"repeated denomination in --red-denoms: {text!r}")
     return frozenset(denoms)
@@ -162,17 +161,18 @@ def _audit_full_deck(n: int, allow_large: bool) -> int:
 
 
 def _audit_red_set(n: int, allow_large: bool) -> int:
-    # the oracle runs first, so a usage error leaves stdout empty
-    by_red: dict[tuple[int, ...], list] = {}
-    for routing in enumeration._routings(n, allow_large):
-        by_red.setdefault(enumeration._red_denoms(*routing), []).append(routing)
+    # every stream checks its arguments when made, so a usage error leaves stdout empty
+    streams = [
+        (denoms, enumeration._routings(n, allow_large, red_denoms=denoms))
+        for denoms in enumeration.subsets_lex(tuple(range(1, n + 1)))
+    ]
     print(f"audit red-set n={n}")
     total = 0
-    for denoms in enumeration.subsets_lex(tuple(range(1, n + 1))):
+    for denoms, stream in streams:
         params = list(bijections.iter_red_set_params(n, denoms))
         encoded = [bijections._red_set_codes(p) for p in params]
         image = set(encoded)
-        enumerated = by_red.get(denoms, [])
+        enumerated = list(stream)
         expected = counting.red_set_count(n, len(denoms))
         label = f"D={denom_set_text(denoms)}"
         if len(image) != len(params):

@@ -5,7 +5,10 @@ denomination: subsets in lexicographic order (as sorted tuples), then codes in
 increasing numeric order.  Only franel(k) of the 8**k code tuples of a size-k
 subset are deals, so the loop forms just those: it joins a head and a tail of
 the tuple on their red and green loads (meet in the middle), never a closed
-form.  Counts, histograms and every printed hand are read from the codes;
+form.  The deals whose red hand shows a given set of denominations are formed
+the same way, not filtered from the whole stream: the set fixes, for each
+denomination, whether its code puts a card in red's hand.  Counts, histograms
+and every printed hand are read from the codes;
 ``Deal`` objects are built only for the public ``enumerate_*`` streams.  Every
 closed-form count in the package is checked against the totals and histograms
 computed here.
@@ -46,19 +49,23 @@ STATISTICS = ("s_size", "red_distinct")
 # matching their own color), so a 3-bit code routes them: bit 2 sends the
 # red card (0 -> green, 1 -> blue), bit 1 the green card (0 -> red,
 # 1 -> blue), bit 0 the blue card (0 -> red, 1 -> green).
+_CODES = tuple(range(8))
 _RECIPIENTS: tuple[tuple[Color, Color, Color], ...] = tuple(
     (
         Color.BLUE if code & 4 else Color.GREEN,
         Color.BLUE if code & 2 else Color.RED,
         Color.GREEN if code & 1 else Color.RED,
     )
-    for code in range(8)
+    for code in _CODES
 )
 # Cards each code puts in red's and in green's hand; blue's hand gets the rest.
 _RED_LOAD = tuple(recipients.count(Color.RED) for recipients in _RECIPIENTS)
 _GREEN_LOAD = tuple(recipients.count(Color.GREEN) for recipients in _RECIPIENTS)
-# Codes that put no card in red's hand; each other code shows its denomination there.
-_RED_FREE = tuple(code for code, load in enumerate(_RED_LOAD) if not load)
+# Codes that put no card in red's hand, and the codes that show their denomination there.
+_RED_FREE = tuple(code for code in _CODES if not _RED_LOAD[code])
+_RED_SHOWN = tuple(code for code in _CODES if _RED_LOAD[code])
+# The codes each position of a code tuple may take, one alphabet per position.
+_Alphabets = tuple[tuple[int, ...], ...]
 # For each code, the hand (by text-form position, red 0, green 1, blue 2) and
 # the letter of the red, green and blue card, in that order.
 _TEXT_ROUTES = tuple(
@@ -82,60 +89,71 @@ def subsets_lex(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def _routings(
-    n: int, allow_large: bool, *, full_deck: bool = False
+    n: int, allow_large: bool, *, full_deck: bool = False, red_denoms: Iterable[int] | None = None
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every deal over 1..n as (subset, routing codes), in canonical order.
 
-    The arguments are checked at the call, before the stream starts.
+    With ``red_denoms``, only the deals whose red hand shows exactly those
+    denominations: the subsets holding them, with codes outside ``_RED_FREE``
+    on those denominations and codes in it on the others.  The arguments are
+    checked at the call, before the stream starts.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
+    red_set = frozenset(red_denoms or ())
+    if not red_set <= frozenset(range(1, n + 1)):
+        raise ValueError(f"denominations {sorted(red_set)} not within 1..{n}")
     if n > EXHAUSTIVE_GUARD and not allow_large:
         raise GuardError(
             f"n={n} exceeds the exhaustive guard ({EXHAUSTIVE_GUARD}); "
             "pass allow_large=True to enumerate anyway"
         )
     deck = tuple(range(1, n + 1))
-    return _balanced((deck,) if full_deck else subsets_lex(deck))
+    off_red, on_red = (_CODES, _CODES) if red_denoms is None else (_RED_FREE, _RED_SHOWN)
+    return _balanced(
+        (subset, tuple(on_red if d in red_set else off_red for d in subset))
+        for subset in ((deck,) if full_deck else subsets_lex(deck))
+        if red_set.issubset(subset)
+    )
 
 
 def _balanced(
-    subsets: Iterable[tuple[int, ...]],
+    subsets: Iterable[tuple[tuple[int, ...], _Alphabets]],
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each subset with every balanced code tuple of its size, in increasing order."""
-    joins: dict[int, list] = {}
-    for subset in subsets:
-        size = len(subset)
-        if size not in joins:
-            joins[size] = _joins(size)
-        for head, tails in joins[size]:
+    """Each subset with every balanced code tuple its alphabets allow, in increasing order."""
+    joins: dict[_Alphabets, list] = {}
+    for subset, alphabets in subsets:
+        if alphabets not in joins:
+            joins[alphabets] = _joins(alphabets)
+        for head, tails in joins[alphabets]:
             for tail in tails:
                 yield subset, head + tail
 
 
-def _joins(size: int) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """Each head of ``size // 2`` codes with the tails that balance it.
+def _joins(alphabets: _Alphabets) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """Each head, drawn from the first ``size // 2`` alphabets, with the tails that balance it.
 
     A code tuple is balanced, and so a deal, when red's and green's loads both
-    equal ``size``; blue's then does too.  Tails (the other codes) are grouped
-    by load, so a head with loads (r, g) meets the group (size - r, size - g).
-    Heads and each group keep increasing order, so head + tail runs through
-    the balanced tuples in increasing order.
+    equal its size; blue's then does too.  Tails (drawn from the other
+    alphabets) are grouped by load, so a head with loads (r, g) meets the group
+    (size - r, size - g).  Heads and each group keep increasing order, so
+    head + tail runs through the balanced tuples in increasing order.
     """
+    size = len(alphabets)
     tails: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for tail, load in _loads(size - size // 2):
+    for tail, load in _loads(alphabets[size // 2 :]):
         tails.setdefault(load, []).append(tail)
     joins = []
-    for head, (red, green) in _loads(size // 2):
+    for head, (red, green) in _loads(alphabets[: size // 2]):
         group = tails.get((size - red, size - green))
         if group:
             joins.append((head, group))
     return joins
 
 
-def _loads(length: int) -> Iterator[tuple[tuple[int, ...], tuple[int, int]]]:
-    """Every code tuple of ``length`` in increasing order, with its red and green loads."""
-    for codes in product(range(8), repeat=length):
+def _loads(alphabets: _Alphabets) -> Iterator[tuple[tuple[int, ...], tuple[int, int]]]:
+    """Every code tuple ``alphabets`` allow, in increasing order, with its red and green loads."""
+    for codes in product(*alphabets):
         red = sum(map(_RED_LOAD.__getitem__, codes))
         yield codes, (red, sum(map(_GREEN_LOAD.__getitem__, codes)))
 
@@ -181,25 +199,6 @@ def _routing_text(subset: tuple[int, ...], codes: tuple[int, ...]) -> str:
     return f"S={denom_set_text(subset)};R=[{red}];G=[{green}];B=[{blue}]"
 
 
-def _red_denoms(subset: tuple[int, ...], codes: tuple[int, ...]) -> tuple[int, ...]:
-    """Denominations with a card in red's hand, in increasing order."""
-    return tuple(d for d, code in zip(subset, codes) if _RED_LOAD[code])
-
-
-def _red_set_routings(
-    n: int, denoms: Iterable[int], allow_large: bool
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The ``_routings`` stream cut to deals whose red hand shows exactly ``denoms``.
-
-    Like ``_routings``, the arguments are checked at the call.
-    """
-    wanted = frozenset(denoms)
-    if not wanted <= frozenset(range(1, n + 1)):
-        raise ValueError(f"denominations {sorted(wanted)} not within 1..{n}")
-    key = tuple(sorted(wanted))
-    return (routing for routing in _routings(n, allow_large) if _red_denoms(*routing) == key)
-
-
 def enumerate_deals(n: int, *, allow_large: bool = False) -> Iterator[Deal]:
     """Every deal over denominations 1..n exactly once, in canonical order.
 
@@ -220,7 +219,7 @@ def enumerate_deals_with_red_denoms(
     n: int, denoms: Iterable[int], *, allow_large: bool = False
 ) -> Iterator[Deal]:
     """Deals whose red hand shows exactly the given denominations."""
-    for subset, codes in _red_set_routings(n, denoms, allow_large):
+    for subset, codes in _routings(n, allow_large, red_denoms=denoms):
         yield _deal(n, subset, codes)
 
 

@@ -56,7 +56,7 @@ _COLOR_BY_LETTER = {c.value: c for c in Color}
 #: The three players/colors in canonical order.
 COLORS: tuple[Color, Color, Color] = (Color.RED, Color.GREEN, Color.BLUE)
 
-_TOKEN_RE = re.compile(r"([rgb])([0-9]+)")
+_TOKEN_RE = re.compile(r"([rgb])(0|[1-9][0-9]*)")
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,12 @@ class TestEnumerate:
         assert code == 2
         assert "malformed" in err
 
+    @pytest.mark.parametrize("text", ["1_0", "01", "+1", " 1"])
+    def test_red_denoms_must_be_written_as_plain_ints(self, capsys, text):
+        # int() would read each of these; only the form str() prints is taken
+        code, out, err = run(capsys, "enumerate", "--n", "3", "--red-denoms", text)
+        assert (code, out, err) == (2, "", f"error: malformed denomination list: {text!r}\n")
+
     def test_red_denoms_repeated(self, capsys):
         code, out, err = run(capsys, "enumerate", "--n", "3", "--red-denoms", "1,1")
         assert code == 2
@@ -194,9 +200,9 @@ class TestEnumerate:
         [
             ((), "_routings", 2, "_routing_text"),
             (("--full",), "_routings", 2, "_routing_text"),
-            (("--red-denoms", "1,3"), "_red_set_routings", 2, "_routing_text"),
+            (("--red-denoms", "1,3"), "_routings", 2, "_routing_text"),
             (("--format", "csv"), "_routings", 1, "_routing_hands"),
-            (("--red-denoms", "1,3", "--format", "csv"), "_red_set_routings", 1, "_routing_hands"),
+            (("--red-denoms", "1,3", "--format", "csv"), "_routings", 1, "_routing_hands"),
         ],
     )
     def test_streams_each_line_as_its_deal_is_formed(
@@ -233,6 +239,8 @@ class TestEnumerate:
             (("--n", "-1"), "need n >= 0, got -1"),
             (("--n", "2", "--red-denoms", "3"), "denominations [3] not within 1..2"),
             (("--n", "6", "--full"), "n=6 exceeds the exhaustive guard (5); rerun with --allow-large"),
+            # n is checked before the denominations lie within 1..n
+            (("--n", "-1", "--red-denoms", "1"), "need n >= 0, got -1"),
         ],
     )
     @pytest.mark.parametrize("form", ["text", "csv"])

@@ -8,6 +8,7 @@ from trideal.counting import binomial, franel, lhs_sum, red_distinct_count, red_
 from trideal.enumeration import (
     EXHAUSTIVE_GUARD,
     _GREEN_LOAD,
+    _RECIPIENTS,
     _RED_LOAD,
     _codes,
     _deal,
@@ -24,6 +25,7 @@ from trideal.enumeration import (
     subsets_lex,
 )
 from trideal.model import (
+    Color,
     deal_from_text,
     deal_stats,
     deal_to_text,
@@ -92,7 +94,7 @@ class TestEnumerateDeals:
 
 
 def test_routing_code_paths_match_the_built_deals():
-    # counts, histograms and the red-set filter never build a Deal; check
+    # counts, histograms and the red-set streams never build a Deal; check
     # each against the statistics of the deals enumerate_deals yields
     for n in range(5):
         deals = list(enumerate_deals(n))
@@ -118,6 +120,25 @@ def reference_routings(n, full_deck=False):
                 yield subset, codes
 
 
+def reference_red_set(subset, codes):
+    """The readable definition: the denominations with a card routed to red's hand."""
+    return tuple(d for d, code in zip(subset, codes) if Color.RED in _RECIPIENTS[code])
+
+
+@pytest.fixture
+def red_load_lookups(monkeypatch):
+    """Every code whose red load is read from ``_RED_LOAD``, in order."""
+    lookups = []
+
+    class CountingLoads(tuple):
+        def __getitem__(self, code):
+            lookups.append(code)
+            return tuple.__getitem__(self, code)
+
+    monkeypatch.setattr(enumeration, "_RED_LOAD", CountingLoads(_RED_LOAD))
+    return lookups
+
+
 class TestRoutings:
     @pytest.mark.parametrize("n", range(7))
     @pytest.mark.parametrize("full_deck", [False, True])
@@ -127,19 +148,29 @@ class TestRoutings:
             reference_routings(n, full_deck)
         )
 
-    def test_form_only_balanced_tuples(self, monkeypatch):
-        lookups = []
+    @pytest.mark.parametrize("n", range(7))
+    def test_red_set_streams_match_the_filtered_reference(self, n):
+        # element for element, in order, for every red set, past the guard too
+        by_red_set = {}
+        for routing in reference_routings(n):
+            by_red_set.setdefault(reference_red_set(*routing), []).append(routing)
+        for denoms in subsets_lex(tuple(range(1, n + 1))):
+            assert list(_routings(n, True, red_denoms=denoms)) == by_red_set.get(denoms, [])
 
-        class CountingLoads(tuple):
-            def __getitem__(self, code):
-                lookups.append(code)
-                return tuple.__getitem__(self, code)
-
-        monkeypatch.setattr(enumeration, "_RED_LOAD", CountingLoads(_RED_LOAD))
+    def test_form_only_balanced_tuples(self, red_load_lookups):
         assert count_deals(5) == 4653
         # heads and tails of at most 3 codes read 2080 red loads in all;
         # filtering all 9**5 = 59,049 candidate tuples read 262,440
-        assert 0 < len(lookups) <= 2500
+        assert 0 < len(red_load_lookups) <= 2500
+
+    def test_form_each_red_set_directly(self, red_load_lookups):
+        # a red set fixes which codes each denomination may take, so no red
+        # set reads more than 830 loads; filtering a whole pass read 22,150
+        for denoms in subsets_lex((1, 2, 3, 4, 5)):
+            red_load_lookups.clear()
+            deals = sum(1 for _ in enumerate_deals_with_red_denoms(5, denoms))
+            assert deals == red_set_count(5, len(denoms))
+            assert 0 < len(red_load_lookups) <= 1000
 
     def test_arguments_are_checked_before_the_stream_starts(self):
         # so enumerate can print its first line before the stream ends
@@ -149,9 +180,11 @@ class TestRoutings:
             with pytest.raises(ValueError):
                 _routings(-1, True, full_deck=full_deck)
         with pytest.raises(GuardError):
-            enumeration._red_set_routings(EXHAUSTIVE_GUARD + 1, (), False)
-        with pytest.raises(ValueError):
-            enumeration._red_set_routings(2, (3,), False)
+            _routings(EXHAUSTIVE_GUARD + 1, False, red_denoms=())
+        with pytest.raises(ValueError, match="not within"):
+            _routings(2, False, red_denoms=(3,))
+        with pytest.raises(ValueError, match="need n >= 0"):
+            _routings(-1, False, red_denoms=(1,))
 
 
 def test_code_text_and_code_reading_match_the_built_deal():

@@ -24,7 +24,7 @@ class TestCard:
         for tok in ("r1", "g3", "b12"):
             assert Card.from_token(tok).token == tok
 
-    @pytest.mark.parametrize("bad", ["x1", "g", "3g", "g-1", "", "g1 "])
+    @pytest.mark.parametrize("bad", ["x1", "g", "3g", "g-1", "", "g1 ", "r01", "g007"])
     def test_malformed_token_rejected(self, bad):
         with pytest.raises(ValueError):
             Card.from_token(bad)

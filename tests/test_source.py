@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trideal"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 # __init__.py imports names only to re-export them
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -26,9 +27,50 @@ def unused_imports(source: str) -> list[str]:
     return unused
 
 
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions, classes and constants that no source reads.
+
+    A name counts as read when any source loads it by name or as an attribute.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            private = [d for d in defined if d.startswith("_") and not d.startswith("__")]
+            unread += [f"{d} ({name} line {node.lineno})" for d in private if d not in read]
+    return unread
+
+
 def test_finds_an_unused_import():
     source = "import csv\nimport os.path\nfrom x import a, b as c\nos.sep\nc()\n"
     assert unused_imports(source) == ["csv (line 1)", "a (line 3)"]
+
+
+def test_finds_an_unread_private_name():
+    sources = {
+        "a.py": "__all__ = []\n_LIMIT = 3\n_A, _B = 1, 2\ndef _kept():\n    return _A\n"
+        "def _dead():\n    return _LIMIT\nclass _Gone:\n    pass\n",
+        "b.py": "from . import a\na._kept()\n",
+    }
+    assert unread_private_names(sources) == [
+        "_B (a.py line 3)",
+        "_dead (a.py line 6)",
+        "_Gone (a.py line 8)",
+    ]
 
 
 def test_every_module_is_checked():
@@ -38,3 +80,9 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_private_name_is_read_by_the_package():
+    # tests may reach private helpers, but a helper only tests read is dead code
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert unread_private_names(sources) == []
