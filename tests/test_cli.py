@@ -39,6 +39,42 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--max-n", "5000")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            # one deal too many: by_size and by_red both read {0: 1, 1: 2} at n = 1
+            (lambda by_size, by_red: by_size.update({0: 2}), "MISMATCH n=1 enumerated=4 expected=3"),
+            # one deal moved to another bucket keeps the total
+            (
+                lambda by_size, by_red: by_size.update({0: 0, 1: 3}),
+                "MISMATCH n=1 k=0 statistic=s_size expected=1 actual=0",
+            ),
+            (
+                lambda by_size, by_red: by_red.update({0: 0, 1: 3}),
+                "MISMATCH n=1 k=0 statistic=red_distinct expected=1 actual=0",
+            ),
+        ],
+    )
+    def test_enumeration_mismatch_names_the_histogram(self, capsys, monkeypatch, corrupt, message):
+        original = enumeration._histograms
+
+        def corrupted(n, allow_large):
+            by_size, by_red = original(n, allow_large)
+            if n == 1:
+                corrupt(by_size, by_red)
+            return by_size, by_red
+
+        monkeypatch.setattr(enumeration, "_histograms", corrupted)
+        code, out, err = run(capsys, "verify", "--max-n", "5")
+        assert (code, out, err) == (1, "n=0 lhs=rhs=ct=1 OK\n", f"{message}\n")
+
+    def test_route_mismatch_names_all_three_values(self, capsys, monkeypatch):
+        original = counting.rhs_sum
+        monkeypatch.setattr(counting, "rhs_sum", lambda n: original(n) + (n == 3))
+        code, out, err = run(capsys, "verify", "--max-n", "5")
+        assert (code, out) == (1, "\n".join(SEQUENCE_LINES[:3]) + "\n")
+        assert err == "MISMATCH n=3 lhs=93 rhs=94 ct=93\n"
+
     def test_builds_no_power_beyond_max_n(self, capsys, monkeypatch):
         steps, muls = [], []
         original_step, original_mul = laurent._times_base, LaurentPoly.__mul__
@@ -315,9 +351,8 @@ class TestAudit:
 
         monkeypatch.setattr(bijections, "_full_deck_codes", drifting)
         code, _, err = run(capsys, "audit", "--n", "2", "--which", "full-deck")
-        first = model.deal_to_text(next(enumeration.enumerate_full_deck_deals(2)))
         assert code == 1
-        assert err == f"FAIL encode(decode) roundtrip at {first}\n"
+        assert err == "FAIL encode(decode) roundtrip at S={1,2};R=[g1,b1];G=[r1,b2];B=[r2,g2]\n"
 
     def test_red_set_roundtrip_failure_names_the_deal(self, capsys, monkeypatch):
         original, calls = bijections._red_set_codes, []
@@ -330,10 +365,60 @@ class TestAudit:
 
         monkeypatch.setattr(bijections, "_red_set_codes", drifting)
         code, out, err = run(capsys, "audit", "--n", "2", "--which", "red-set")
-        first = model.deal_to_text(next(enumeration.enumerate_deals_with_red_denoms(2, (1,))))
         assert code == 1
         assert out == "audit red-set n=2\nD={} params=1 image=1 enumerated=1 roundtrips=OK\n"
-        assert err == f"FAIL D={{1}}: encode(decode) roundtrip at {first}\n"
+        assert err == "FAIL D={1}: encode(decode) roundtrip at S={1};R=[b1];G=[r1];B=[g1]\n"
+
+    @pytest.mark.parametrize(
+        "which, message",
+        [
+            ("full-deck", "FAIL image of encode differs from enumeration at n=2"),
+            ("red-set", "FAIL D={}: params=1 enumerated=2 expected=1"),
+        ],
+    )
+    def test_a_repeated_deal_fails(self, capsys, monkeypatch, which, message):
+        original = enumeration._routings
+
+        def repeating(*args, **kwargs):
+            stream = original(*args, **kwargs)
+            first = next(stream)
+            return iter((first, first, *stream))
+
+        monkeypatch.setattr(enumeration, "_routings", repeating)
+        code, _, err = run(capsys, "audit", "--n", "2", "--which", which)
+        # the image still equals the set of enumerated deals; only the count tells
+        assert (code, err) == (1, f"{message}\n")
+
+    @pytest.mark.parametrize(
+        "which, name, fake, message",
+        [
+            (
+                "full-deck",
+                "_full_deck_codes",
+                lambda params: (),
+                "FAIL encode collision: green_in_red={};blue_in_red={1,2};red_in_blue={} and "
+                "green_in_red={1};blue_in_red={1};red_in_blue={1}",
+            ),
+            (
+                "full-deck",
+                "_full_deck_params",
+                lambda n, codes: None,
+                "FAIL decode(encode) roundtrip at green_in_red={};blue_in_red={1,2};red_in_blue={}",
+            ),
+            # D={} has the one empty routing, so this fake passes it and fails D={1}
+            ("red-set", "_red_set_codes", lambda params: ((), ()), "FAIL D={1}: encode is not injective"),
+            (
+                "red-set",
+                "_red_set_params",
+                lambda n, subset, codes: None,
+                "FAIL D={}: decode(encode) roundtrip at D={};A={};B={};E={};R={}",
+            ),
+        ],
+    )
+    def test_each_failure_names_what_broke(self, capsys, monkeypatch, which, name, fake, message):
+        monkeypatch.setattr(bijections, name, fake)
+        code, _, err = run(capsys, "audit", "--n", "2", "--which", which)
+        assert (code, err) == (1, f"{message}\n")
 
 
 @pytest.mark.parametrize(
@@ -438,6 +523,10 @@ class TestCt:
         code, _, err = run(capsys, "ct", "--n", "-3")
         assert code == 2
 
+    def test_poly_beyond_the_guard_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "ct", "--n", "201", "--poly")
+        assert (code, out, err) == (2, "", "error: --n must lie in 0..200\n")
+
 
 class TestBfile:
     def test_main_sequence(self, capsys):
@@ -455,8 +544,12 @@ class TestBfile:
         assert code == 0
         assert out == "0 1\n1 3\n2 11\n3 45\n"
 
+    def test_negative_max_n_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bfile", "--seq", "main", "--max-n", "-1")
+        assert (code, out, err) == (2, "", "error: --max-n must be >= 0, got -1\n")
+
     def test_main_sequence_calls_no_franel_or_comb(self, capsys, monkeypatch):
-        last = counting.rhs_sum(40)
+        lasts = {"main": counting.rhs_sum(40), "franel": counting.franel(40)}
         calls = []
         franel, comb = counting.franel, math.comb
 
@@ -470,11 +563,12 @@ class TestBfile:
 
         monkeypatch.setattr(counting, "franel", counting_franel)
         monkeypatch.setattr(math, "comb", counting_comb)
-        code, out, _ = run(capsys, "bfile", "--seq", "main", "--max-n", "40")
-        assert code == 0
-        lines = out.splitlines()
-        assert len(lines) == 41
-        assert lines[40] == f"40 {last}"
+        for seq, last in lasts.items():
+            code, out, _ = run(capsys, "bfile", "--seq", seq, "--max-n", "40")
+            assert code == 0
+            lines = out.splitlines()
+            assert len(lines) == 41
+            assert lines[40] == f"40 {last}"
         # Pascal rows come from additions, so no franel(k) or C(n, k) is recomputed
         assert (calls.count("franel"), calls.count("comb")) == (0, 0)
 

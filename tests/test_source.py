@@ -1,14 +1,19 @@
 """Static checks on the package source, read with the standard library's ``ast``."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import trideal
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trideal"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 # __init__.py imports names only to re-export them
 MODULES = [path for path in SOURCES if path.name != "__init__.py"]
+# the modules whose public names the package re-exports
+LIBRARY = ("bijections", "counting", "enumeration", "laurent", "model")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -86,3 +91,24 @@ def test_every_private_name_is_read_by_the_package():
     # tests may reach private helpers, but a helper only tests read is dead code
     sources = {path.name: path.read_text() for path in SOURCES}
     assert unread_private_names(sources) == []
+
+
+def test_the_package_reexports_each_module_list_and_names_nothing_itself():
+    owners = {
+        name: module
+        for module in map(importlib.import_module, (f"trideal.{m}" for m in LIBRARY))
+        for name in module.__all__
+    }
+    assert trideal.__all__ == sorted(owners)
+    assert all(getattr(trideal, name) is getattr(owners[name], name) for name in owners)
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imports = [
+        f"from {'.' * node.level}{node.module or ''} import {alias.name}"
+        if isinstance(node, ast.ImportFrom)
+        else f"import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    expected = [f"from . import {m}" for m in LIBRARY] + [f"from .{m} import *" for m in LIBRARY]
+    assert sorted(imports) == sorted(expected)
