@@ -19,12 +19,11 @@ this form in ``Deal`` objects; the ``audit`` subcommand uses it directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .enumeration import _codes, _deal, subsets_lex
-from .model import Deal, denom_set_text, require_valid
+from .model import Deal, _Value, denom_set_text, require_valid
 
 __all__ = [
     "FullDeckParams",
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FullDeckParams:
+class FullDeckParams(_Value):
     """Free choices that pin down a deal using every denomination 1..n.
 
     Red's hand is the green cards of ``green_in_red`` plus the blue cards of
@@ -48,18 +46,24 @@ class FullDeckParams:
     freedom is which red cards blue takes (``red_in_blue``); green gets the
     rest.  Equal hand sizes force |blue_in_red| = n - |green_in_red| and
     |red_in_blue| = |green_in_red|, giving C(n, j)**3 choices for each size
-    j of ``green_in_red`` and franel(n) tuples in total.
+    j of ``green_in_red`` and franel(n) tuples in total.  The constructor
+    coerces the set fields to frozensets.  Immutable: assigning or deleting
+    an attribute raises AttributeError.
     """
 
-    n: int
-    green_in_red: frozenset[int]
-    blue_in_red: frozenset[int]
-    red_in_blue: frozenset[int]
+    __slots__ = ("n", "green_in_red", "blue_in_red", "red_in_blue")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "green_in_red", frozenset(self.green_in_red))
-        object.__setattr__(self, "blue_in_red", frozenset(self.blue_in_red))
-        object.__setattr__(self, "red_in_blue", frozenset(self.red_in_blue))
+    def __init__(
+        self,
+        n: int,
+        green_in_red: Iterable[int],
+        blue_in_red: Iterable[int],
+        red_in_blue: Iterable[int],
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "green_in_red", frozenset(green_in_red))
+        object.__setattr__(self, "blue_in_red", frozenset(blue_in_red))
+        object.__setattr__(self, "red_in_blue", frozenset(red_in_blue))
 
     def to_text(self) -> str:
         return (
@@ -119,8 +123,7 @@ def decode_full_deck(deal: Deal) -> FullDeckParams:
     return _full_deck_params(deal.n, codes)
 
 
-@dataclass(frozen=True)
-class RedSetParams:
+class RedSetParams(_Value):
     """Free choices that pin down a deal with a prescribed red denomination set.
 
     ``red_denoms`` is exactly the set of denominations in red's hand.
@@ -132,19 +135,28 @@ class RedSetParams:
     ``red_denoms`` into play.  The green cards of ``blue_only`` and
     ``extra`` denominations are forced into blue's hand, which is topped up
     with the red cards of ``red_to_blue`` (|red_to_blue| = |both_colors| +
-    |green_only|); green's hand takes everything left.
+    |green_only|); green's hand takes everything left.  The constructor
+    coerces the set fields to frozensets.  Immutable: assigning or deleting
+    an attribute raises AttributeError.
     """
 
-    n: int
-    red_denoms: frozenset[int]
-    both_colors: frozenset[int]
-    blue_only: frozenset[int]
-    extra: frozenset[int]
-    red_to_blue: frozenset[int]
+    __slots__ = ("n", "red_denoms", "both_colors", "blue_only", "extra", "red_to_blue")
 
-    def __post_init__(self) -> None:
-        for name in ("red_denoms", "both_colors", "blue_only", "extra", "red_to_blue"):
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
+    def __init__(
+        self,
+        n: int,
+        red_denoms: Iterable[int],
+        both_colors: Iterable[int],
+        blue_only: Iterable[int],
+        extra: Iterable[int],
+        red_to_blue: Iterable[int],
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "red_denoms", frozenset(red_denoms))
+        object.__setattr__(self, "both_colors", frozenset(both_colors))
+        object.__setattr__(self, "blue_only", frozenset(blue_only))
+        object.__setattr__(self, "extra", frozenset(extra))
+        object.__setattr__(self, "red_to_blue", frozenset(red_to_blue))
 
     @property
     def green_only(self) -> frozenset[int]:

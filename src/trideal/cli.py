@@ -220,8 +220,8 @@ def cmd_ct(args: argparse.Namespace) -> int:
 # Each entry maps max_n to the terms a(0), ..., a(max_n).
 _SEQUENCES = {
     "main": counting.lhs_terms,
-    "franel": lambda max_n: (franels[-1] for _, franels in counting._pascal_rows(max_n)),
-    "prefix-sum": lambda max_n: map(counting.red_prefix_sum, range(max_n + 1)),
+    "franel": lambda max_n: (franels[-1] for _, franels in counting._franel_rows(max_n)),
+    "prefix-sum": counting._red_prefix_terms,
 }
 
 

@@ -48,19 +48,27 @@ def franel(n: int) -> int:
     return sum(binomial(n, j) ** 3 for j in range(n + 1))
 
 
-def _pascal_rows(max_n: int) -> Iterator[tuple[list[int], list[int]]]:
-    """Rows 0..max_n of Pascal's triangle, each with franel(0), ..., franel(n).
+def _pascal_rows(max_n: int) -> Iterator[list[int]]:
+    """Rows 0..max_n of Pascal's triangle, row n built by addition from row n - 1.
 
-    Step n builds row n by addition from row n - 1 and appends
-    franel(n) = sum_j C(n, j)**3 to the running list it yields beside the row.
     Raises ValueError, on first iteration, for max_n < 0.
     """
     _require_nonneg(max_n)
     row = [1]
-    franels: list[int] = []
     for n in range(max_n + 1):
         if n:
             row = [1, *map(add, row, row[1:]), 1]
+        yield row
+
+
+def _franel_rows(max_n: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Rows 0..max_n of Pascal's triangle, each with franel(0), ..., franel(n).
+
+    Step n appends franel(n) = sum_j C(n, j)**3 to the running list it
+    yields beside row n.  Raises ValueError, on first iteration, for max_n < 0.
+    """
+    franels: list[int] = []
+    for row in _pascal_rows(max_n):
         franels.append(sum(c ** 3 for c in row))
         yield row, franels
 
@@ -74,7 +82,7 @@ def lhs_terms(max_n: int) -> Iterator[int]:
     them (~1.6 s to n = 1000; Python 3.11, 2-vCPU VM).  Raises ValueError, on
     first iteration, for max_n < 0.
     """
-    for row, franels in _pascal_rows(max_n):
+    for row, franels in _franel_rows(max_n):
         yield sum(map(mul, row, franels))
 
 
@@ -84,7 +92,7 @@ def lhs_sum(n: int) -> int:
     The same walk as lhs_terms(n), O(n**2) big-integer additions and cubes,
     with only the last row's n + 1 products (~11 s at n = 2000).
     """
-    for row, franels in _pascal_rows(n):
+    for row, franels in _franel_rows(n):
         pass
     return sum(map(mul, row, franels))
 
@@ -118,3 +126,18 @@ def red_prefix_sum(n: int) -> int:
     """sum_k C(n, k) * C(2k, k): deals whose red denominations are a prefix 1..k."""
     _require_nonneg(n)
     return sum(red_set_count(n, k) for k in range(n + 1))
+
+
+def _red_prefix_terms(max_n: int) -> Iterator[int]:
+    """red_prefix_sum(0), ..., red_prefix_sum(max_n) from one walk down Pascal's triangle.
+
+    Step n takes row n from the walk, gets C(2n, n) from C(2n - 2, n - 1)
+    by one exact multiply and divide, and yields sum_k C(n, k) * C(2k, k),
+    so no binomial is computed afresh.  Raises ValueError, on first
+    iteration, for max_n < 0.
+    """
+    central = [1]
+    for n, row in enumerate(_pascal_rows(max_n)):
+        if n:
+            central.append(central[-1] * (4 * n - 2) // n)
+        yield sum(map(mul, row, central))

@@ -158,12 +158,29 @@ def _loads(alphabets: _Alphabets) -> Iterator[tuple[tuple[int, ...], tuple[int, 
         yield codes, (red, sum(map(_GREEN_LOAD.__getitem__, codes)))
 
 
+def _deals(
+    n: int, routings: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]
+) -> Iterator[Deal]:
+    """Each (subset, routing codes) pair as a ``Deal`` over 1..n.
+
+    The deals share one ``Card`` per (denomination, color), made the first
+    time a routing deals that denomination.
+    """
+    cards: dict[int, tuple[Card, Card, Card]] = {}
+    for subset, codes in routings:
+        hands: dict[Color, list[Card]] = {color: [] for color in COLORS}
+        for denom, code in zip(subset, codes):
+            triple = cards.get(denom)
+            if triple is None:
+                triple = cards[denom] = tuple(Card(denom, color) for color in COLORS)
+            for card, recipient in zip(triple, _RECIPIENTS[code]):
+                hands[recipient].append(card)
+        yield Deal(n, subset, hands[Color.RED], hands[Color.GREEN], hands[Color.BLUE])
+
+
 def _deal(n: int, subset: tuple[int, ...], codes: tuple[int, ...]) -> Deal:
-    hands: dict[Color, list[Card]] = {color: [] for color in COLORS}
-    for denom, code in zip(subset, codes):
-        for color, recipient in zip(COLORS, _RECIPIENTS[code]):
-            hands[recipient].append(Card(denom, color))
-    return Deal(n, subset, hands[Color.RED], hands[Color.GREEN], hands[Color.BLUE])
+    (deal,) = _deals(n, [(subset, codes)])
+    return deal
 
 
 def _codes(deal: Deal) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -205,22 +222,19 @@ def enumerate_deals(n: int, *, allow_large: bool = False) -> Iterator[Deal]:
     Only routings that give every hand the same size are formed, so each
     yielded deal is valid by construction.
     """
-    for subset, codes in _routings(n, allow_large):
-        yield _deal(n, subset, codes)
+    yield from _deals(n, _routings(n, allow_large))
 
 
 def enumerate_full_deck_deals(n: int, *, allow_large: bool = False) -> Iterator[Deal]:
     """Deals whose denomination set is all of 1..n."""
-    for subset, codes in _routings(n, allow_large, full_deck=True):
-        yield _deal(n, subset, codes)
+    yield from _deals(n, _routings(n, allow_large, full_deck=True))
 
 
 def enumerate_deals_with_red_denoms(
     n: int, denoms: Iterable[int], *, allow_large: bool = False
 ) -> Iterator[Deal]:
     """Deals whose red hand shows exactly the given denominations."""
-    for subset, codes in _routings(n, allow_large, red_denoms=denoms):
-        yield _deal(n, subset, codes)
+    yield from _deals(n, _routings(n, allow_large, red_denoms=denoms))
 
 
 def histogram(n: int, statistic: str, *, allow_large: bool = False) -> dict[int, int]:

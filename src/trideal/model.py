@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -59,12 +59,65 @@ COLORS: tuple[Color, Color, Color] = (Color.RED, Color.GREEN, Color.BLUE)
 _TOKEN_RE = re.compile(r"([rgb])(0|[1-9][0-9]*)")
 
 
-@dataclass(frozen=True)
-class Card:
-    """One card: a denomination wearing a color.  Text token 'g3' = green 3."""
+class _Value:
+    """Base of the package's immutable values: fields in ``__slots__``, set once by ``__init__``.
 
-    denomination: int
-    color: Color
+    Two values are equal when they are of the same class and their field
+    tuples are equal; a value hashes as its field tuple, prints as
+    ``Name(field=value, ...)`` and pickles and copies by calling its class
+    with the fields.  Assigning or deleting any attribute raises
+    AttributeError, so a subclass's ``__init__`` sets each field with
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._astuple = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._astuple(self))
+        return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._astuple(self)
+
+
+class Card(_Value):
+    """One card: a denomination wearing a color.  Text token 'g3' = green 3.
+
+    Immutable: assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ("denomination", "color")
+
+    def __init__(self, denomination: int, color: Color) -> None:
+        object.__setattr__(self, "denomination", denomination)
+        object.__setattr__(self, "color", color)
+
+    # Every frozenset of cards calls these once per card, so they skip the
+    # generic field getter.
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.denomination, self.color) == (other.denomination, other.color)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.denomination, self.color))
 
     @property
     def token(self) -> str:
@@ -81,26 +134,30 @@ class Card:
         return (self.denomination, self.color.order)
 
 
-@dataclass(frozen=True)
-class Deal:
+class Deal(_Value):
     """A denomination set plus the three hands covering its cards.
 
     Hands are keyed by the avoiding player: ``red`` is red's hand and must
     hold no red cards, and so on.  The constructor coerces all set fields to
-    frozensets, so deals are hashable and compare by value.
+    frozensets, so deals are hashable and compare by value.  Immutable:
+    assigning or deleting an attribute raises AttributeError.
     """
 
-    n: int
-    s: frozenset[int]
-    red: frozenset[Card]
-    green: frozenset[Card]
-    blue: frozenset[Card]
+    __slots__ = ("n", "s", "red", "green", "blue")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s", frozenset(self.s))
-        object.__setattr__(self, "red", frozenset(self.red))
-        object.__setattr__(self, "green", frozenset(self.green))
-        object.__setattr__(self, "blue", frozenset(self.blue))
+    def __init__(
+        self,
+        n: int,
+        s: Iterable[int],
+        red: Iterable[Card],
+        green: Iterable[Card],
+        blue: Iterable[Card],
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "s", frozenset(s))
+        object.__setattr__(self, "red", frozenset(red))
+        object.__setattr__(self, "green", frozenset(green))
+        object.__setattr__(self, "blue", frozenset(blue))
 
     def hand(self, color: Color) -> frozenset[Card]:
         if color is Color.RED:

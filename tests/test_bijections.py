@@ -245,3 +245,36 @@ def test_param_text_rendering():
     assert p.to_text() == "D={1};A={1};B={};E={2};R={1}"
     q = FullDeckParams(2, {1}, {2}, {2})
     assert q.to_text() == "green_in_red={1};blue_in_red={2};red_in_blue={2}"
+
+
+@pytest.mark.parametrize(
+    "value, fields, loose, other, text",
+    [
+        (
+            FullDeckParams(2, {1}, {2}, {2}),
+            (2, frozenset({1}), frozenset({2}), frozenset({2})),
+            {"n": 2, "green_in_red": [1], "blue_in_red": (2,), "red_in_blue": {2}},
+            FullDeckParams(2, {1}, {2}, {1}),
+            "FullDeckParams(n=2, green_in_red=frozenset({1}), blue_in_red=frozenset({2}),"
+            " red_in_blue=frozenset({2}))",
+        ),
+        (
+            RedSetParams(2, {1}, {1}, (), {2}, {1}),
+            (2, frozenset({1}), frozenset({1}), frozenset(), frozenset({2}), frozenset({1})),
+            {
+                "n": 2,
+                "red_denoms": [1],
+                "both_colors": (1,),
+                "blue_only": [],
+                "extra": {2},
+                "red_to_blue": range(1, 2),
+            },
+            RedSetParams(2, {1}, {1}, (), {2}, {2}),
+            "RedSetParams(n=2, red_denoms=frozenset({1}), both_colors=frozenset({1}),"
+            " blue_only=frozenset(), extra=frozenset({2}), red_to_blue=frozenset({1}))",
+        ),
+    ],
+    ids=["FullDeckParams", "RedSetParams"],
+)
+def test_params_are_immutable_values(value_contract, value, fields, loose, other, text):
+    value_contract(value, fields, loose, other, text)

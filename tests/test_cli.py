@@ -549,7 +549,11 @@ class TestBfile:
         assert (code, out, err) == (2, "", "error: --max-n must be >= 0, got -1\n")
 
     def test_main_sequence_calls_no_franel_or_comb(self, capsys, monkeypatch):
-        lasts = {"main": counting.rhs_sum(40), "franel": counting.franel(40)}
+        lasts = {
+            "main": counting.rhs_sum(40),
+            "franel": counting.franel(40),
+            "prefix-sum": counting.red_prefix_sum(40),
+        }
         calls = []
         franel, comb = counting.franel, math.comb
 
@@ -569,7 +573,8 @@ class TestBfile:
             lines = out.splitlines()
             assert len(lines) == 41
             assert lines[40] == f"40 {last}"
-        # Pascal rows come from additions, so no franel(k) or C(n, k) is recomputed
+        # Pascal rows come from additions and C(2k, k) from C(2k - 2, k - 1), so no
+        # franel(k) or C(n, k) is recomputed
         assert (calls.count("franel"), calls.count("comb")) == (0, 0)
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from trideal import counting
 from trideal.counting import (
+    _red_prefix_terms,
     binomial,
     franel,
     lhs_sum,
@@ -160,3 +161,11 @@ class TestPrefixSum:
     def test_definition(self):
         for n in range(10):
             assert red_prefix_sum(n) == sum(red_set_count(n, k) for k in range(n + 1))
+
+    def test_walk_matches_the_sum(self):
+        assert list(_red_prefix_terms(120)) == [red_prefix_sum(n) for n in range(121)]
+
+    def test_walk_rejects_negative_on_first_next(self):
+        walk = _red_prefix_terms(-1)  # the call itself does not raise
+        with pytest.raises(ValueError):
+            next(walk)

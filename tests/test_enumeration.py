@@ -25,6 +25,7 @@ from trideal.enumeration import (
     subsets_lex,
 )
 from trideal.model import (
+    Card,
     Color,
     deal_from_text,
     deal_stats,
@@ -196,6 +197,33 @@ def test_code_text_and_code_reading_match_the_built_deal():
             hands = (built.red, built.green, built.blue)
             assert [f"[{','.join(t)}]" for t in tokens] == [hand_text(h) for h in hands]
             assert _codes(built) == (subset, codes)
+
+
+@pytest.mark.parametrize(
+    "stream, options",
+    [
+        (enumerate_deals, {}),
+        (enumerate_full_deck_deals, {"full_deck": True}),
+        (lambda n: enumerate_deals_with_red_denoms(n, (1, 3)), {"red_denoms": (1, 3)}),
+    ],
+    ids=["all", "full-deck", "red-set"],
+)
+def test_a_deal_stream_makes_each_card_once(stream, options, monkeypatch):
+    n = 4
+    # the same deals, each read back from its text form with cards of its own
+    expected = [
+        deal_from_text(_routing_text(*routing), n) for routing in _routings(n, False, **options)
+    ]
+    made = []
+    init = Card.__init__
+
+    def counting_init(self, denomination, color):
+        made.append((denomination, color))
+        init(self, denomination, color)
+
+    monkeypatch.setattr(Card, "__init__", counting_init)
+    assert list(stream(n)) == expected
+    assert len(made) <= 3 * n
 
 
 class TestFullDeckDeals:

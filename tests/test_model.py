@@ -164,3 +164,33 @@ class TestHandLaws:
         b = Deal(1, [1], [Card.from_token("g1")], [Card.from_token("b1")], [Card.from_token("r1")])
         assert a == b
         assert len({a, b}) == 1
+
+
+G1, B1, R1 = Card(1, Color.GREEN), Card(1, Color.BLUE), Card(1, Color.RED)
+
+
+@pytest.mark.parametrize(
+    "value, fields, loose, other, text",
+    [
+        (
+            Card(3, Color.GREEN),
+            (3, Color.GREEN),
+            {"denomination": 3, "color": Color.GREEN},
+            Card(3, Color.BLUE),
+            "Card(denomination=3, color=<Color.GREEN: 'g'>)",
+        ),
+        (
+            Deal(1, {1}, {G1}, {B1}, {R1}),
+            (1, frozenset({1}), frozenset({G1}), frozenset({B1}), frozenset({R1})),
+            {"n": 1, "s": [1], "red": [G1], "green": (B1,), "blue": {R1}},
+            Deal(2, {1}, {G1}, {B1}, {R1}),
+            "Deal(n=1, s=frozenset({1}),"
+            " red=frozenset({Card(denomination=1, color=<Color.GREEN: 'g'>)}),"
+            " green=frozenset({Card(denomination=1, color=<Color.BLUE: 'b'>)}),"
+            " blue=frozenset({Card(denomination=1, color=<Color.RED: 'r'>)}))",
+        ),
+    ],
+    ids=["Card", "Deal"],
+)
+def test_is_an_immutable_value(value_contract, value, fields, loose, other, text):
+    value_contract(value, fields, loose, other, text)

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,3 +115,14 @@ def test_the_package_reexports_each_module_list_and_names_nothing_itself():
     ]
     expected = [f"from . import {m}" for m in LIBRARY] + [f"from .{m} import *" for m in LIBRARY]
     assert sorted(imports) == sorted(expected)
+
+
+def test_the_cli_starts_without_the_introspection_modules():
+    # -S skips site, so only what ``import trideal.cli`` pulls in is counted
+    slow = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    script = f"import sys, trideal.cli; print(sorted(set({slow!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
