@@ -43,7 +43,11 @@ print(f"base**6 has {len(power)} terms, constant term {power.constant_term()}")
 # (ex, ey - 1), (ex, ey + 1), (ex - 1, ey + 1) and (ex + 1, ey - 1).
 # Each row is one int with w bits per cell, x read as 2^w, so moving ex is a
 # shift by w and a step is a few whole-row shift-adds.  The coefficients of
-# base**n are positive and sum to base(1, 1)^n = 9^n, so w = bit length of
-# 9^n keeps every cell from spilling into the next.
+# base**n are positive and sum to base(1, 1)^n = 9^n, so any w with
+# 9^n < 2^w keeps every cell from spilling into the next.  The walk keeps w
+# a whole number of bytes and only as large as the step needs: when 9^n
+# outgrows it, every row is widened once to the width of twice the steps.
+# constant_terms also builds, once the square is larger than what can still
+# return to (0, 0), only the cells of the smaller square.
 # base_power unpacks the rows into a LaurentPoly once, at the end.
 print("base_power(6) == base ** 6:", base_power(6) == power)

@@ -63,9 +63,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage(f"--max-n must be >= 0, got {max_n}")
     if max_n > laurent.CT_GUARD:
         return _usage(f"--max-n beyond {laurent.CT_GUARD} is not supported (constant-term cost)")
-    walks = zip(laurent.constant_terms(max_n), counting.lhs_terms(max_n))
-    for n, (ct, lhs) in enumerate(walks):
-        rhs = counting.rhs_sum(n)
+    walks = zip(
+        laurent.constant_terms(max_n), counting.lhs_terms(max_n), counting.rhs_terms(max_n)
+    )
+    for n, (ct, lhs, rhs) in enumerate(walks):
         if not lhs == rhs == ct:
             return _mismatch(f"MISMATCH n={n} lhs={lhs} rhs={rhs} ct={ct}")
         if n <= enumeration.EXHAUSTIVE_GUARD:

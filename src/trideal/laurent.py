@@ -13,13 +13,18 @@ packs each row of a square frame of the power into one int, w bits a cell
 (Kronecker substitution x -> 2**w), so one step by the 7-term base is a few
 shift-adds of whole rows.  All coefficients of base**n are positive and sum
 to 9**n, so a w with 9**n < 2**w keeps every cell from carrying into the
-next.  The rows are unpacked into a ``LaurentPoly`` only when the whole power
-is asked for.
+next.  The cells are whole bytes and only as wide as the step needs: the
+walk widens them, O(log n) times, whenever 9**n outgrows them, to the width
+of twice as many steps (the multipoint refinement of Kronecker substitution,
+Harvey, J. Symbolic Comput. 44, 2009).  The walk for the constant terms
+builds only the cells that can still reach x**0 * y**0.  The rows are
+unpacked into a ``LaurentPoly`` only when the whole power is asked for.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from operator import add
 from typing import Iterator, Mapping
 
 __all__ = [
@@ -32,10 +37,11 @@ __all__ = [
 ]
 
 #: Largest n accepted by base_power, constant_terms and sequence_term.  Each
-#: walks n stencil steps over 2n + 1 packed rows, O(n**2) whole-row shift-adds
-#: in all on ints of up to (2n + 1) * (9**n).bit_length() bits: the cropped
-#: walk to sequence_term(200) takes ~0.55 s and the whole base_power(200), as
-#: ``ct --poly`` prints it, ~2.2 s (Python 3.11, 2-vCPU VM).
+#: walks n stencil steps over at most 2n + 1 packed rows, O(n**2) whole-row
+#: shift-adds in all on ints of at most 2n + 1 cells, each cell the whole
+#: bytes that 9**n needs: the cropped walk to sequence_term(200) takes ~0.3 s
+#: and the whole base_power(200), as ``ct --poly`` prints it, ~2.3 s
+#: (Python 3.11, 2-vCPU VM).
 CT_GUARD = 200
 
 
@@ -259,20 +265,89 @@ def _times_base(rows: list[int], w: int) -> list[int]:
     return frame
 
 
+def _times_base_cropped(rows: list[int], w: int, radius: int) -> list[int]:
+    """``_times_base(rows, w)`` cropped to the square of ``radius``, built only inside it.
+
+    The input frame has radius r, and ``radius`` is r - 1 or r: the crop
+    cuts two cells or one off each side of the frame ``_times_base`` would
+    build.  A one-cell cut is first padded by a zero cell all round, so the
+    step always cuts two.  Output row j then reads input rows j, j + 1 and
+    j + 2, none padded, and cell i reads input cells i, i + 1 and i + 2,
+    so the crop's shift by 2w is folded into downward shifts and its mask
+    into one ``&`` a row.  No cell of a partial sum below exceeds the output
+    cell it feeds, so none carries, and dropping low cells term by term
+    drops the same cells of the sum.
+    """
+    if radius == len(rows) // 2:
+        rows = [0, *(row << w for row in rows), 0]
+    keep = (1 << (2 * radius + 1) * w) - 1
+    # Row j's left, below + same, is row j - 1's right, same + above: each is
+    # summed once, with its own cells shifted down by w added.
+    sides = [pair + (pair >> w) for pair in map(add, rows, rows[1:])]
+    # ((left + (left >> w) + same) >> w) + right + (right >> w) is
+    # (left >> 2w) + ((left + right + same) >> w) + right: the three terms of
+    # _times_base, each shifted down by the 2w the crop cuts.
+    return [
+        (((left + same) >> w) + right) & keep
+        for left, same, right in zip(sides, rows[1:], sides[1:])
+    ]
+
+
+def _widen(row: int, cells: int, size: int, wider: int) -> int:
+    """A packed row of ``cells`` cells, ``size`` bytes each, repacked at ``wider`` bytes a cell.
+
+    Byte b of every cell moves in one strided slice assignment, so a row is
+    widened in ``size`` copies whatever its number of cells.
+    """
+    old = row.to_bytes(cells * size, "little")
+    new = bytearray(cells * wider)
+    for b in range(size):
+        new[b::wider] = old[b::size]
+    return int.from_bytes(new, "little")
+
+
+def _walk(max_n: int, crop: bool) -> Iterator[tuple[list[int], int]]:
+    """The packed square frames of base**0, ..., base**max_n, each with its cell width w.
+
+    Cells are whole bytes, only as wide as the coefficients they can hold so
+    far: before step n, if 9**n no longer fits in a cell, every row is widened
+    once to the byte width of step min(max_n, 2n), so a walk widens
+    O(log max_n) times.  With ``crop``, the frame of base**n has radius
+    min(n, max_n - n): once that falls below n, each step builds only the
+    cells of that square (``_times_base_cropped``).  Raises ValueError, on
+    first iteration, for max_n < 0 or max_n > CT_GUARD.
+    """
+    _check_exponent(max_n)
+    rows, size = [1], 1
+    yield rows, 8 * size
+    for n in range(1, max_n + 1):
+        if _width(n) > 8 * size:
+            wider = (_width(min(max_n, 2 * n)) + 7) // 8
+            rows = [_widen(row, len(rows), size, wider) for row in rows]
+            size = wider
+        w = 8 * size
+        # Each base monomial moves ex, ey and ex+ey by at most 1, so a monomial
+        # whose hexagonal radius exceeds the steps left never returns to (0, 0):
+        # dropping it changes no coefficient read later.  The square of radius
+        # max_n - n holds that hexagon, so cropping to it is exact too.
+        radius = min(n, max_n - n) if crop else n
+        rows = _times_base(rows, w) if radius == n else _times_base_cropped(rows, w, radius)
+        yield rows, w
+
+
 def base_power(n: int) -> LaurentPoly:
     """The whole base**n, 3n**2 + 3n + 1 terms, as ``ct --poly`` prints it.
 
-    n stencil steps on an uncropped square of packed rows, each cell a whole
-    number of bytes wide so that ``to_bytes`` slices unpack it, converted to
-    a ``LaurentPoly`` once; ~2.2 s at n = CT_GUARD = 200 (Python 3.11, 2-vCPU
-    VM).  Raises ValueError for n < 0 or n > CT_GUARD.
+    The uncropped walk to n, its cells widened as the coefficients grow,
+    ends on a square of packed rows whose whole-byte cells ``to_bytes``
+    slices unpack, converted to a ``LaurentPoly`` once; ~2.3 s at
+    n = CT_GUARD = 200, about nine tenths of it the walk (Python 3.11,
+    2-vCPU VM).
+    Raises ValueError for n < 0 or n > CT_GUARD.
     """
-    _check_exponent(n)
-    size = (_width(n) + 7) // 8
-    w = 8 * size
-    rows = [1]
-    for _ in range(n):
-        rows = _times_base(rows, w)
+    for rows, w in _walk(n, crop=False):
+        pass
+    size = w // 8
     side = len(rows)
     coeffs = {}
     for ey, row in enumerate(rows):
@@ -285,31 +360,17 @@ def base_power(n: int) -> LaurentPoly:
 def constant_terms(max_n: int) -> Iterator[int]:
     """Constant terms of base**0, base**1, ..., base**max_n from one walk.
 
-    Step n is one stencil step on a square frame of the running power, each
-    row packed into one int at ``_width(max_n)`` bits per cell, then a crop
-    of the frame to radius max_n - n whenever it is larger, so step n + 1
-    reads a frame of side 2r + 1 for r = min(n, max_n - n).  The walk to
-    max_n = CT_GUARD = 200 takes ~0.55 s (Python 3.11, 2-vCPU VM).  Raises
-    ValueError, on first iteration, for max_n < 0 or max_n > CT_GUARD.
+    The cropped walk: step n builds the square frame of base**n only to
+    radius min(n, max_n - n), which holds every monomial that can still
+    reach x**0 * y**0, each cell whole bytes, widened only when 9**n
+    outgrows it (see ``_walk``).  The walk to max_n = 100 packs 76 M output
+    bits in ~22 ms, and the walk to CT_GUARD = 200 packs 1.2 G in ~0.3 s
+    (Python 3.11, 2-vCPU VM).  Raises ValueError, on first iteration, for
+    max_n < 0 or max_n > CT_GUARD.
     """
-    _check_exponent(max_n)
-    w = _width(max_n)
-    cell = (1 << w) - 1
-    rows = [1]
-    yield 1
-    for n in range(1, max_n + 1):
-        rows = _times_base(rows, w)
-        # Each base monomial moves ex, ey and ex+ey by at most 1, so a monomial
-        # whose hexagonal radius exceeds the steps left never returns to (0, 0):
-        # dropping it changes no coefficient read later.  The square of radius
-        # left holds that hexagon, so cropping to it is exact too.
-        left = max_n - n
-        cut = len(rows) // 2 - left
-        if cut > 0:
-            keep = (1 << (2 * left + 1) * w) - 1
-            rows = [(row >> cut * w) & keep for row in rows[cut:-cut]]
+    for rows, w in _walk(max_n, crop=True):
         middle = len(rows) // 2
-        yield (rows[middle] >> middle * w) & cell
+        yield (rows[middle] >> middle * w) & ((1 << w) - 1)
 
 
 def sequence_term(n: int) -> int:
@@ -317,8 +378,9 @@ def sequence_term(n: int) -> int:
 
     The last value of constant_terms(n): n stencil steps on a square frame
     of packed rows cropped to the monomials that can still reach x**0 * y**0,
-    O(n**2) whole-row shift-adds (~0.55 s at n = CT_GUARD = 200; Python 3.11,
-    2-vCPU VM).  The whole base**n, from base_power, takes ~2.2 s at n = 200.
+    with cells only as wide as each step needs, O(n**2) whole-row shift-adds
+    (~0.3 s at n = CT_GUARD = 200; Python 3.11, 2-vCPU VM).  The whole
+    base**n, from base_power, takes ~2.3 s at n = 200.
     """
     for term in constant_terms(n):
         pass

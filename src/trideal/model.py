@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import re
+from functools import cache
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -56,7 +57,17 @@ _COLOR_BY_LETTER = {c.value: c for c in Color}
 #: The three players/colors in canonical order.
 COLORS: tuple[Color, Color, Color] = (Color.RED, Color.GREEN, Color.BLUE)
 
-_TOKEN_RE = re.compile(r"([rgb])(0|[1-9][0-9]*)")
+
+# The two parsers' patterns are compiled on first use, not at import: no CLI
+# command parses a card token or a deal.
+@cache
+def _token_re() -> re.Pattern[str]:
+    return re.compile(r"([rgb])(0|[1-9][0-9]*)")
+
+
+@cache
+def _deal_re() -> re.Pattern[str]:
+    return re.compile(r"S=\{([^}]*)\};R=\[([^\]]*)\];G=\[([^\]]*)\];B=\[([^\]]*)\]")
 
 
 class _Value:
@@ -125,7 +136,7 @@ class Card(_Value):
 
     @classmethod
     def from_token(cls, token: str) -> "Card":
-        m = _TOKEN_RE.fullmatch(token)
+        m = _token_re().fullmatch(token)
         if m is None:
             raise ValueError(f"malformed card token: {token!r}")
         return cls(int(m.group(2)), _COLOR_BY_LETTER[m.group(1)])
@@ -250,9 +261,6 @@ def deal_to_text(deal: Deal) -> str:
     )
 
 
-_DEAL_RE = re.compile(r"S=\{([^}]*)\};R=\[([^\]]*)\];G=\[([^\]]*)\];B=\[([^\]]*)\]")
-
-
 def deal_from_text(text: str, n: int) -> Deal:
     """Parse the canonical text form back into a Deal.
 
@@ -261,7 +269,7 @@ def deal_from_text(text: str, n: int) -> Deal:
     or unsorted items, leading zeros, stray commas or whitespace) raises
     ValueError.  No validity check is performed; pair with validate_deal.
     """
-    m = _DEAL_RE.fullmatch(text.strip())
+    m = _deal_re().fullmatch(text.strip())
     if m is None:
         raise ValueError(f"malformed deal text: {text!r}")
     s = frozenset(int(tok) for tok in m.group(1).split(",") if tok)

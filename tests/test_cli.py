@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from trideal import bijections, counting, enumeration, laurent, model
+from trideal import bijections, cli, counting, enumeration, laurent, model
 from trideal.cli import main
 from trideal.laurent import LaurentPoly, identity_polynomials
 
@@ -69,25 +69,34 @@ class TestVerify:
         assert (code, out, err) == (1, "n=0 lhs=rhs=ct=1 OK\n", f"{message}\n")
 
     def test_route_mismatch_names_all_three_values(self, capsys, monkeypatch):
-        original = counting.rhs_sum
-        monkeypatch.setattr(counting, "rhs_sum", lambda n: original(n) + (n == 3))
+        original = counting.rhs_terms
+
+        def off_at_3(max_n):
+            return (rhs + (n == 3) for n, rhs in enumerate(original(max_n)))
+
+        monkeypatch.setattr(counting, "rhs_terms", off_at_3)
         code, out, err = run(capsys, "verify", "--max-n", "5")
         assert (code, out) == (1, "\n".join(SEQUENCE_LINES[:3]) + "\n")
         assert err == "MISMATCH n=3 lhs=93 rhs=94 ct=93\n"
 
     def test_builds_no_power_beyond_max_n(self, capsys, monkeypatch):
         steps, muls = [], []
-        original_step, original_mul = laurent._times_base, LaurentPoly.__mul__
+        original_mul = LaurentPoly.__mul__
 
-        def counting_step(rows, w):
-            steps.append(1)
-            return original_step(rows, w)
+        def counting(step):
+            def counting_step(rows, w, *radius):
+                steps.append(1)
+                return step(rows, w, *radius)
+
+            return counting_step
 
         def counting_mul(self, other):
             muls.append(1)
             return original_mul(self, other)
 
-        monkeypatch.setattr(laurent, "_times_base", counting_step)
+        # the walk's steps: uncropped while the frame grows, cropped after
+        for name in ("_times_base", "_times_base_cropped"):
+            monkeypatch.setattr(laurent, name, counting(getattr(laurent, name)))
         monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
         code, out, _ = run(capsys, "verify", "--max-n", "3")
         assert code == 0
@@ -97,15 +106,18 @@ class TestVerify:
 
     def test_truncates_the_power_to_what_can_reach_the_constant(self, capsys, monkeypatch):
         sides = []
-        original = laurent._times_base
 
-        def recording_step(rows, w):
-            # every packed row fits the square frame: 2r + 1 cells of w bits
-            assert all(row.bit_length() <= len(rows) * w for row in rows)
-            sides.append(len(rows))
-            return original(rows, w)
+        def recording(step):
+            def recording_step(rows, w, *radius):
+                # every packed row fits the square frame: 2r + 1 cells of w bits
+                assert all(row.bit_length() <= len(rows) * w for row in rows)
+                sides.append(len(rows))
+                return step(rows, w, *radius)
 
-        monkeypatch.setattr(laurent, "_times_base", recording_step)
+            return recording_step
+
+        for name in ("_times_base", "_times_base_cropped"):
+            monkeypatch.setattr(laurent, name, recording(getattr(laurent, name)))
         code, out, _ = run(capsys, "verify", "--max-n", "10")
         assert code == 0
         assert out.splitlines()[:6] == SEQUENCE_LINES
@@ -128,6 +140,33 @@ class TestVerify:
         assert out.splitlines()[:6] == SEQUENCE_LINES
         # only the enumeration cross-check for n <= 5 asks for franel(k), k <= n
         assert sorted(calls) == sorted(k for n in range(6) for k in range(n + 1))
+
+    def test_reads_rhs_from_one_walk(self, capsys, monkeypatch):
+        combs, checked, checking = [], [], []
+        comb, check = math.comb, cli._check_enumeration
+
+        def counting_comb(n, k):
+            if not checking:
+                combs.append((n, k))
+            return comb(n, k)
+
+        def cross_check(n, expected_total):
+            checked.append(n)
+            checking.append(n)
+            try:
+                return check(n, expected_total)
+            finally:
+                checking.pop()
+
+        monkeypatch.setattr(math, "comb", counting_comb)
+        monkeypatch.setattr(cli, "_check_enumeration", cross_check)
+        code, out, _ = run(capsys, "verify", "--max-n", "40")
+        assert code == 0
+        assert out.splitlines()[:6] == SEQUENCE_LINES
+        # C(n, k) comes from Pascal rows and C(2k, k) from C(2k - 2, k - 1): only
+        # the enumeration cross-check for n <= 5 computes a binomial
+        assert checked == list(range(6))
+        assert combs == []
 
     def test_one_enumeration_pass_fills_both_histograms(self, capsys, monkeypatch):
         passes = []

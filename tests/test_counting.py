@@ -11,6 +11,7 @@ from trideal.counting import (
     red_prefix_sum,
     red_set_count,
     rhs_sum,
+    rhs_terms,
     vandermonde_inner,
 )
 
@@ -109,6 +110,16 @@ class TestLhsTerms:
             next(walk)
         with pytest.raises(ValueError):
             lhs_sum(-1)
+
+
+class TestRhsTerms:
+    def test_walk_matches_the_sum(self):
+        assert list(rhs_terms(120)) == [rhs_sum(n) for n in range(121)]
+
+    def test_negative_rejected_on_first_next(self):
+        walk = rhs_terms(-1)  # the call itself does not raise
+        with pytest.raises(ValueError):
+            next(walk)
 
 
 class TestBucketCounts:

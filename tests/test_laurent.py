@@ -42,6 +42,23 @@ small_frames = st.integers(0, 3).flatmap(
 )
 
 
+# A frame of radius r with the radius a cropped step keeps, r - 1 or r.
+cropped_frames = small_frames.flatmap(
+    lambda cells: st.tuples(
+        st.just(cells), st.integers(max(len(cells) // 2 - 1, 0), len(cells) // 2)
+    )
+)
+
+# Packed rows of 1..9 cells, each cell ``size`` bytes, with a wider byte width.
+widenings = st.tuples(st.integers(1, 4), st.integers(0, 4)).flatmap(
+    lambda sizes: st.tuples(
+        st.just(sizes[0]),
+        st.just(sum(sizes)),
+        st.lists(st.integers(0, 2 ** (8 * sizes[0]) - 1), min_size=1, max_size=9),
+    )
+)
+
+
 def frame_poly(cells):
     r = len(cells) // 2
     return LaurentPoly(
@@ -220,15 +237,18 @@ class TestSequenceTerm:
 
     def test_walk_keeps_only_terms_that_can_reach_the_constant(self, monkeypatch):
         sides = []
-        original = laurent._times_base
 
-        def recording_step(rows, w):
-            # every packed row fits the square frame: 2r + 1 cells of w bits
-            assert all(row.bit_length() <= len(rows) * w for row in rows)
-            sides.append(len(rows))
-            return original(rows, w)
+        def recording(step):
+            def recording_step(rows, w, *radius):
+                # every packed row fits the square frame: 2r + 1 cells of w bits
+                assert all(row.bit_length() <= len(rows) * w for row in rows)
+                sides.append(len(rows))
+                return step(rows, w, *radius)
 
-        monkeypatch.setattr(laurent, "_times_base", recording_step)
+            return recording_step
+
+        for name in ("_times_base", "_times_base_cropped"):
+            monkeypatch.setattr(laurent, name, recording(getattr(laurent, name)))
         assert sequence_term(12) == 9533639025
         # step n + 1 reads the square frame of base**n cropped to radius
         # r = min(n, 12 - n), 2r + 1 rows; the largest has 2*6 + 1 = 13
@@ -245,6 +265,50 @@ class TestStencil:
         assert len(stepped) == len(cells) + 2
         assert all(row.bit_length() <= len(stepped) * FIELD for row in stepped)
         assert frame_poly(unpack(stepped)) == frame_poly(cells) * base
+
+    @settings(max_examples=150, deadline=None)
+    @given(cropped_frames)
+    def test_cropped_step_is_the_product_with_the_base_cropped_to_the_square(self, case):
+        cells, radius = case
+        base, _, _ = identity_polynomials()
+        stepped = laurent._times_base_cropped(pack(cells), FIELD, radius)
+        assert len(stepped) == 2 * radius + 1
+        assert all(row.bit_length() <= len(stepped) * FIELD for row in stepped)
+        product = (frame_poly(cells) * base).coefficients
+        assert frame_poly(unpack(stepped)) == LaurentPoly(
+            {(ex, ey): c for (ex, ey), c in product.items() if max(abs(ex), abs(ey)) <= radius}
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(widenings)
+    def test_widening_keeps_every_cell(self, case):
+        size, wider, cells = case
+        row = sum(c << 8 * size * i for i, c in enumerate(cells))
+        widened = laurent._widen(row, len(cells), size, wider)
+        assert widened.bit_length() <= 8 * wider * len(cells)
+        mask = (1 << 8 * wider) - 1
+        assert [(widened >> 8 * wider * i) & mask for i in range(len(cells))] == cells
+
+
+class TestWalk:
+    def test_cells_are_whole_bytes_only_as_wide_as_each_step_needs(self):
+        for max_n in [*range(41), 77, 100]:
+            for crop in (True, False):
+                widths = [w for _, w in laurent._walk(max_n, crop)]
+                for n, w in enumerate(widths):
+                    assert w % 8 == 0
+                    assert 9**n < 2**w
+                    # widened at most to the bytes that base**min(max_n, 2n) needs
+                    assert w <= 8 * -(-laurent._width(min(max_n, 2 * n)) // 8)
+                # each widening at least doubles the steps the cells cover
+                assert len(set(widths)) <= max_n.bit_length() + 1
+
+    def test_walk_to_100_packs_at_most_80_million_output_bits(self):
+        # each step n >= 1 packs a square of 2r + 1 rows of 2r + 1 cells, w bits
+        # a cell; at the last step's width throughout, with each cropped frame
+        # built two cells wider each side, it would pack 115,483,100
+        frames = list(laurent._walk(100, crop=True))[1:]
+        assert sum(len(rows) ** 2 * w for rows, w in frames) <= 80_000_000
 
 
 class TestRingLaws:

@@ -126,3 +126,41 @@ def test_the_cli_starts_without_the_introspection_modules():
         [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\n"
+
+
+def test_the_cli_starts_without_compiling_the_parsers_patterns():
+    # no CLI command parses a card token or a deal, so importing it compiles neither pattern
+    script = (
+        "import re\n"
+        "compiled, compile = [], re.compile\n"
+        "re.compile = lambda pattern, flags=0: compiled.append(pattern) or compile(pattern, flags)\n"
+        "import trideal.cli\n"
+        "at_import = set(compiled)\n"
+        "from trideal import model\n"
+        "patterns = {model._token_re().pattern, model._deal_re().pattern}\n"
+        "print(len(patterns), sorted(patterns & at_import))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "2 []\n"
+
+
+def test_laurent_has_one_walk_that_both_powers_step_through():
+    # the steps by the base are taken in _walk alone, so no second loop over them
+    # (a fixed-width one, say) can survive beside it
+    tree = ast.parse((PACKAGE / "laurent.py").read_text())
+    calls = {
+        node.name: {
+            call.func.id
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        }
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    steps = {"_times_base", "_times_base_cropped", "_widen"}
+    assert steps <= set(calls)
+    assert [name for name, called in calls.items() if called & steps] == ["_walk"]
+    assert "_walk" in calls["base_power"] and "_walk" in calls["constant_terms"]
