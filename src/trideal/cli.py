@@ -95,25 +95,24 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     """Stream deals in canonical order, optionally restricted.
 
     Each stream checks its arguments when it is made, so a usage error
-    leaves stdout empty.  The text form counts with one pass to print
-    ``total=`` first, then prints from a second; CSV prints from its one
-    pass.  No CSV field holds a comma, quote or newline, so plain joins
-    write what a CSV writer would.
+    leaves stdout empty.  The text form sums the join groups of a second
+    stream to print ``total=`` first.  Each head's lines go out in one
+    write.  No CSV field
+    holds a comma, quote or newline, so plain joins write what a CSV writer
+    would.
     """
     denoms = None if args.red_denoms is None else _parse_denoms(args.red_denoms)
-    routings = partial(
-        enumeration._routings, args.n, args.allow_large, full_deck=args.full, red_denoms=denoms
+    groups = partial(
+        enumeration._join_groups, args.n, args.allow_large, full_deck=args.full, red_denoms=denoms
     )
+    stream, write = groups(), sys.stdout.write
     if args.format == "csv":
-        deals = routings()
-        print("s,red,green,blue")
-        for subset, codes in deals:
-            hands = enumeration._routing_hands(subset, codes)
-            print(",".join((" ".join(map(str, subset)), *map(" ".join, hands))))
+        write("s,red,green,blue\n")
     else:
-        print(f"n={args.n} total={sum(1 for _ in routings())}")
-        for subset, codes in routings():
-            print(enumeration._routing_text(subset, codes))
+        total = sum(len(tails) for _, joins in groups() for _, tails in joins)
+        write(f"n={args.n} total={total}\n")
+    for block in enumeration._lines(stream, args.format):
+        write(block)
     return 0
 
 
@@ -238,19 +237,19 @@ def cmd_bfile(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     """Print every deal grouped by denomination set, largest sets first.
 
-    Hands are rendered from the oracle's routing codes.  Every row is held,
-    since all of them size the columns.
+    Hands are rendered from the oracle's join groups, a head and a tail
+    part at a time.  Every row is held, since all of them size the columns.
     """
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for subset, codes in enumeration._routings(args.n, args.allow_large):
-        groups.setdefault(subset, []).append(codes)
+    groups = dict(enumeration._join_groups(args.n, args.allow_large))
     header = ("S", "#", "avoid red", "avoid green", "avoid blue")
     rows: list[tuple[str, ...]] = []
     for subset in sorted(groups, key=lambda s: (-len(s), s)):
-        for i, codes in enumerate(groups[subset]):
-            hands = enumeration._routing_hands(subset, codes)
-            label = denom_set_text(subset) if i == 0 else ""
-            rows.append((label, str(len(rows) + 1), *(f"[{','.join(hand)}]" for hand in hands)))
+        label = denom_set_text(subset)
+        for heads, tails in enumeration._hand_parts(subset, groups[subset], ","):
+            for tail in tails:
+                hands = (f"[{head}{part}]" for head, part in zip(heads, tail))
+                rows.append((label, str(len(rows) + 1), *hands))
+                label = ""
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(5)]
     print(f"n={args.n} total={len(rows)}")
     for row in (header, *rows):

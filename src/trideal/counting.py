@@ -70,7 +70,7 @@ def _franel_rows(max_n: int) -> Iterator[tuple[list[int], list[int]]]:
     """
     franels: list[int] = []
     for row in _pascal_rows(max_n):
-        franels.append(sum(c ** 3 for c in row))
+        franels.append(sum(map(mul, map(mul, row, row), row)))
         yield row, franels
 
 

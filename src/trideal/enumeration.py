@@ -1,23 +1,26 @@
 """Exhaustive generation of every deal; the brute-force oracle for all counts.
 
-One loop visits every deal as a denomination subset plus one routing code per
+One loop forms every deal as a denomination subset plus one routing code per
 denomination: subsets in lexicographic order (as sorted tuples), then codes in
 increasing numeric order.  Only franel(k) of the 8**k code tuples of a size-k
 subset are deals, so the loop forms just those: it joins a head and a tail of
 the tuple on their red and green loads (meet in the middle), never a closed
 form.  The deals whose red hand shows a given set of denominations are formed
 the same way, not filtered from the whole stream: the set fixes, for each
-denomination, whether its code puts a card in red's hand.  Counts, histograms
-and every printed hand are read from the codes;
-``Deal`` objects are built only for the public ``enumerate_*`` streams.  Every
-closed-form count in the package is checked against the totals and histograms
-computed here.
+denomination, whether its code puts a card in red's hand.  The stream yields
+each subset's join, heads with their groups of tails, and its readers take
+it a group at a time: counts add group sizes, the histograms add tallies of
+each tail group, and every printed line is a head's part of each hand
+followed by a tail's, parts formed once a head and once a tail a subset.
+``Deal`` objects are built only for the public ``enumerate_*`` streams.
+Every closed-form count in the package is checked against the totals and
+histograms computed here.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .model import COLORS, Card, Color, Deal, denom_set_text
 
@@ -33,9 +36,10 @@ __all__ = [
     "subsets_lex",
 ]
 
-#: Default ceiling for exhaustive enumeration.  A pass visits every deal:
-#: 4653 at n = 5 in ~2 ms, 272,835 at n = 7 in ~0.06 s, 2,157,759 at n = 8 in
-#: ~0.3 s (in-process, Python 3.11).
+#: Default ceiling for exhaustive enumeration.  A pass that visits every deal
+#: takes ~2 ms for 4653 at n = 5, ~0.05 s for 272,835 at n = 7 and ~0.4 s for
+#: 2,157,759 at n = 8; both histograms, read a join group at a time, take
+#: ~0.015 s at n = 7 and ~0.05 s at n = 8 (in-process, Python 3.11, 2 vCPUs).
 EXHAUSTIVE_GUARD = 5
 
 
@@ -66,6 +70,8 @@ _RED_FREE = tuple(code for code in _CODES if not _RED_LOAD[code])
 _RED_SHOWN = tuple(code for code in _CODES if _RED_LOAD[code])
 # The codes each position of a code tuple may take, one alphabet per position.
 _Alphabets = tuple[tuple[int, ...], ...]
+# Each head of routing codes with the tails that balance it, heads in increasing order.
+_Join = list[tuple[tuple[int, ...], list[tuple[int, ...]]]]
 # For each code, the hand (by text-form position, red 0, green 1, blue 2) and
 # the letter of the red, green and blue card, in that order.
 _TEXT_ROUTES = tuple(
@@ -88,15 +94,18 @@ def subsets_lex(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
     return walk((), 0)
 
 
-def _routings(
+def _join_groups(
     n: int, allow_large: bool, *, full_deck: bool = False, red_denoms: Iterable[int] | None = None
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every deal over 1..n as (subset, routing codes), in canonical order.
+) -> Iterator[tuple[tuple[int, ...], _Join]]:
+    """Every deal over 1..n, a join group at a time, in canonical order.
 
-    With ``red_denoms``, only the deals whose red hand shows exactly those
-    denominations: the subsets holding them, with codes outside ``_RED_FREE``
-    on those denominations and codes in it on the others.  The arguments are
-    checked at the call, before the stream starts.
+    Yields each subset with its join: each head of routing codes with the
+    tails that balance it (see ``_joins``), so head + tail, taken in order,
+    runs through the subset's deals.  With ``red_denoms``, only the deals
+    whose red hand shows exactly those denominations: the subsets holding
+    them, with codes outside ``_RED_FREE`` on those denominations and codes
+    in it on the others.  The arguments are checked at the call, before the
+    stream starts.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -110,34 +119,33 @@ def _routings(
         )
     deck = tuple(range(1, n + 1))
     off_red, on_red = (_CODES, _CODES) if red_denoms is None else (_RED_FREE, _RED_SHOWN)
-    return _balanced(
+    return _grouped(
         (subset, tuple(on_red if d in red_set else off_red for d in subset))
         for subset in ((deck,) if full_deck else subsets_lex(deck))
         if red_set.issubset(subset)
     )
 
 
-def _balanced(
+def _grouped(
     subsets: Iterable[tuple[tuple[int, ...], _Alphabets]],
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each subset with every balanced code tuple its alphabets allow, in increasing order."""
-    joins: dict[_Alphabets, list] = {}
+) -> Iterator[tuple[tuple[int, ...], _Join]]:
+    """Each subset with the join of its alphabets, formed once per alphabet tuple."""
+    joins: dict[_Alphabets, _Join] = {}
     for subset, alphabets in subsets:
         if alphabets not in joins:
             joins[alphabets] = _joins(alphabets)
-        for head, tails in joins[alphabets]:
-            for tail in tails:
-                yield subset, head + tail
+        yield subset, joins[alphabets]
 
 
-def _joins(alphabets: _Alphabets) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+def _joins(alphabets: _Alphabets) -> _Join:
     """Each head, drawn from the first ``size // 2`` alphabets, with the tails that balance it.
 
     A code tuple is balanced, and so a deal, when red's and green's loads both
     equal its size; blue's then does too.  Tails (drawn from the other
     alphabets) are grouped by load, so a head with loads (r, g) meets the group
     (size - r, size - g).  Heads and each group keep increasing order, so
-    head + tail runs through the balanced tuples in increasing order.
+    head + tail runs through the balanced tuples in increasing order.  Heads
+    with the same loads share one group, and no two groups share a tail.
     """
     size = len(alphabets)
     tails: dict[tuple[int, int], list[tuple[int, ...]]] = {}
@@ -156,6 +164,22 @@ def _loads(alphabets: _Alphabets) -> Iterator[tuple[tuple[int, ...], tuple[int, 
     for codes in product(*alphabets):
         red = sum(map(_RED_LOAD.__getitem__, codes))
         yield codes, (red, sum(map(_GREEN_LOAD.__getitem__, codes)))
+
+
+def _routings(
+    n: int, allow_large: bool, **options: Any
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every deal over 1..n as (subset, routing codes): ``_join_groups`` flattened.
+
+    Takes the options of ``_join_groups`` and, like it, checks the arguments
+    at the call.
+    """
+    return (
+        (subset, head + tail)
+        for subset, joins in _join_groups(n, allow_large, **options)
+        for head, tails in joins
+        for tail in tails
+    )
 
 
 def _deals(
@@ -196,24 +220,63 @@ def _codes(deal: Deal) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _routing_hands(
-    subset: tuple[int, ...], codes: tuple[int, ...]
+    denoms: tuple[int, ...], codes: tuple[int, ...]
 ) -> tuple[list[str], list[str], list[str]]:
-    """Red's, green's and blue's card tokens, each in ``hand_text`` order.
+    """Red's, green's and blue's tokens of the cards ``codes`` route, in ``hand_text`` order.
 
     Codes run in denomination order and each routes its red, green and blue
     card in that order, so every hand comes out sorted by (denomination, color).
     """
     hands: tuple[list[str], list[str], list[str]] = ([], [], [])
-    for denom, code in zip(subset, codes):
+    for denom, code in zip(denoms, codes):
         for hand, letter in _TEXT_ROUTES[code]:
             hands[hand].append(f"{letter}{denom}")
     return hands
 
 
-def _routing_text(subset: tuple[int, ...], codes: tuple[int, ...]) -> str:
-    """``deal_to_text`` of ``_deal(n, subset, codes)``, without building the deal."""
-    red, green, blue = (",".join(hand) for hand in _routing_hands(subset, codes))
-    return f"S={denom_set_text(subset)};R=[{red}];G=[{green}];B=[{blue}]"
+def _hand_parts(
+    subset: tuple[int, ...], joins: _Join, sep: str
+) -> Iterator[tuple[tuple[str, str, str], list[tuple[str, str, str]]]]:
+    """Per head of ``subset``'s join, its part of each hand and each of its tails' parts.
+
+    A part is the cards that half of the code tuple routes to red's, green's
+    and blue's hand, joined by ``sep``; a hand of a deal is its head part
+    then its tail part.  Every hand holds ``len(subset)`` cards, so a head
+    knows which hands its tail adds to, and its part of those ends in
+    ``sep``.  Each head's parts are formed once, and each tail's once per
+    subset.
+    """
+    size = len(subset)
+    head_denoms, tail_denoms = subset[: size // 2], subset[size // 2 :]
+    tail_parts: dict[tuple[int, ...], list[tuple[str, str, str]]] = {}
+    for head, tails in joins:
+        hands = _routing_hands(head_denoms, head)
+        heads = tuple(sep.join(hand) + sep * (0 < len(hand) < size) for hand in hands)
+        # a group is never empty and shares no tail with another, so its first tail names it
+        if tails[0] not in tail_parts:
+            tail_parts[tails[0]] = [
+                tuple(map(sep.join, _routing_hands(tail_denoms, tail))) for tail in tails
+            ]
+        yield heads, tail_parts[tails[0]]
+
+
+def _lines(groups: Iterable[tuple[tuple[int, ...], _Join]], form: str) -> Iterator[str]:
+    """The lines ``enumerate`` prints for ``groups``, each head's deals in one string.
+
+    ``form`` is "text", each deal as ``deal_to_text`` writes it, or "csv":
+    the subset and each hand, numbers and cards joined by spaces.  A
+    subset's line has a ``%s`` slot per hand; each head fills its parts in
+    ahead of a fresh slot, and each of its tails fills those.
+    """
+    sep = "," if form == "text" else " "
+    for subset, joins in groups:
+        if form == "text":
+            line = f"S={denom_set_text(subset)};R=[%s];G=[%s];B=[%s]\n"
+        else:
+            line = f"{' '.join(map(str, subset))},%s,%s,%s\n"
+        for heads, tails in _hand_parts(subset, joins, sep):
+            deal = line % tuple(f"{part}%s" for part in heads)
+            yield "".join(map(deal.__mod__, tails))
 
 
 def enumerate_deals(n: int, *, allow_large: bool = False) -> Iterator[Deal]:
@@ -250,15 +313,50 @@ def histogram(n: int, statistic: str, *, allow_large: bool = False) -> dict[int,
 
 
 def _histograms(n: int, allow_large: bool) -> tuple[dict[int, int], dict[int, int]]:
-    """Buckets by s_size and by red_distinct, both filled from one ``_routings`` pass."""
+    """Buckets by s_size and by red_distinct, both filled from one pass over the join groups.
+
+    Every code may sit at every position, so every subset of one size has
+    the same join: each size's deals are tallied by red-distinct once
+    (``_red_distinct_tally``), and the tally is added for each subset.
+    """
     by_size = dict.fromkeys(range(n + 1), 0)
     by_red = dict.fromkeys(range(n + 1), 0)
-    for subset, codes in _routings(n, allow_large):
-        by_size[len(subset)] += 1
-        by_red[len(codes) - sum(map(codes.count, _RED_FREE))] += 1
+    tallies: dict[int, dict[int, int]] = {}
+    for subset, joins in _join_groups(n, allow_large):
+        size = len(subset)
+        if size not in tallies:
+            tallies[size] = _red_distinct_tally(joins)
+        for red, deals in tallies[size].items():
+            by_size[size] += deals
+            by_red[red] += deals
     return by_size, by_red
+
+
+def _red_distinct_tally(joins: _Join) -> dict[int, int]:
+    """The deals of one join counted by red-distinct, read a head and a tail group at a time.
+
+    A deal's red-distinct is its head's plus its tail's, so each tail group
+    is tallied once and each head adds that tally, shifted by its own.
+    """
+    tally: dict[int, int] = {}
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for head, tails in joins:
+        # a group is never empty and shares no tail with another, so its first tail names it
+        if tails[0] not in groups:
+            group = groups[tails[0]] = {}
+            for red in map(_red_distinct, tails):
+                group[red] = group.get(red, 0) + 1
+        shift = _red_distinct(head)
+        for red, deals in groups[tails[0]].items():
+            tally[shift + red] = tally.get(shift + red, 0) + deals
+    return tally
+
+
+def _red_distinct(codes: tuple[int, ...]) -> int:
+    """How many of the codes show their denomination in red's hand."""
+    return len(codes) - sum(map(codes.count, _RED_FREE))
 
 
 def count_deals(n: int, *, allow_large: bool = False) -> int:
     """Total number of deals over denominations 1..n."""
-    return sum(1 for _ in _routings(n, allow_large))
+    return sum(len(tails) for _, joins in _join_groups(n, allow_large) for _, tails in joins)

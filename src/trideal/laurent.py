@@ -40,7 +40,7 @@ __all__ = [
 #: walks n stencil steps over at most 2n + 1 packed rows, O(n**2) whole-row
 #: shift-adds in all on ints of at most 2n + 1 cells, each cell the whole
 #: bytes that 9**n needs: the cropped walk to sequence_term(200) takes ~0.3 s
-#: and the whole base_power(200), as ``ct --poly`` prints it, ~2.3 s
+#: and the whole base_power(200), as ``ct --poly`` prints it, ~1.9 s
 #: (Python 3.11, 2-vCPU VM).
 CT_GUARD = 200
 
@@ -249,20 +249,18 @@ def _times_base(rows: list[int], w: int) -> list[int]:
     be non-negative and every output cell below 2**w (see ``_width``).
     """
     padded = [0, 0, *rows, 0, 0]
-    frame = []
-    # Output row ey reads input rows ey - 1, ey and ey + 1, and its cell i has
-    # the ex of input cell i - 1, so a shift by w keeps ex.  Each term carries
-    # some monomials of the base, ``x + y + x*y^-1 + 3 + x^-1*y + y^-1 + x^-1``,
-    # and names the cell each moves to (ex, ey).
-    for below, same, above in zip(padded, padded[1:], padded[2:]):
-        left = same + below
-        right = same + above
-        frame.append(
-            left  # x^-1: from (ex + 1, ey); x^-1*y: from (ex + 1, ey - 1)
-            + ((left + right + same) << w)  # 3; y: from (ex, ey - 1); y^-1: from (ex, ey + 1)
-            + (right << 2 * w)  # x: from (ex - 1, ey); x*y^-1: from (ex - 1, ey + 1)
-        )
-    return frame
+    # Output row ey reads input rows ey - 1, ey and ey + 1 (below, same and
+    # above), and its cell i has the ex of input cell i - 1, so a shift by w
+    # keeps ex.  With left = below + same and right = same + above, the row is
+    # left + ((left + right + same) << w) + (right << 2w), the terms carrying
+    # the base's x^-1 and x^-1*y, its 3, y and y^-1, and its x and x*y^-1.
+    # Row ey's left is row ey - 1's right, so each pair of adjacent rows is
+    # summed once, with its own cells shifted up by w added (``sides``), and
+    # the row is sides[ey] + ((same + sides[ey + 1]) << w).
+    sides = [pair + (pair << w) for pair in map(add, padded, padded[1:])]
+    return [
+        left + ((same + right) << w) for left, same, right in zip(sides, padded[1:], sides[1:])
+    ]
 
 
 def _times_base_cropped(rows: list[int], w: int, radius: int) -> list[int]:
@@ -340,7 +338,7 @@ def base_power(n: int) -> LaurentPoly:
 
     The uncropped walk to n, its cells widened as the coefficients grow,
     ends on a square of packed rows whose whole-byte cells ``to_bytes``
-    slices unpack, converted to a ``LaurentPoly`` once; ~2.3 s at
+    slices unpack, converted to a ``LaurentPoly`` once; ~1.9 s at
     n = CT_GUARD = 200, about nine tenths of it the walk (Python 3.11,
     2-vCPU VM).
     Raises ValueError for n < 0 or n > CT_GUARD.
@@ -380,7 +378,7 @@ def sequence_term(n: int) -> int:
     of packed rows cropped to the monomials that can still reach x**0 * y**0,
     with cells only as wide as each step needs, O(n**2) whole-row shift-adds
     (~0.3 s at n = CT_GUARD = 200; Python 3.11, 2-vCPU VM).  The whole
-    base**n, from base_power, takes ~2.3 s at n = 200.
+    base**n, from base_power, takes ~1.9 s at n = 200.
     """
     for term in constant_terms(n):
         pass

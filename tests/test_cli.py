@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import pytest
 
@@ -15,6 +16,20 @@ SEQUENCE_LINES = [
     "n=4 lhs=rhs=ct=639 OK",
     "n=5 lhs=rhs=ct=4653 OK",
 ]
+
+
+class Recorder:
+    """A stdout that keeps each string written to it, in order, and passes it on."""
+
+    def __init__(self, stream, written):
+        self.stream, self.written = stream, written
+
+    def write(self, text):
+        self.written.append(text)
+        return self.stream.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
 
 
 def run(capsys, *argv):
@@ -170,13 +185,13 @@ class TestVerify:
 
     def test_one_enumeration_pass_fills_both_histograms(self, capsys, monkeypatch):
         passes = []
-        original = enumeration._routings
+        original = enumeration._join_groups
 
-        def counting_routings(n, *args, **kwargs):
+        def counting_groups(n, *args, **kwargs):
             passes.append(n)
             return original(n, *args, **kwargs)
 
-        monkeypatch.setattr(enumeration, "_routings", counting_routings)
+        monkeypatch.setattr(enumeration, "_join_groups", counting_groups)
         code, out, _ = run(capsys, "verify", "--max-n", "5")
         assert code == 0
         assert out.splitlines() == SEQUENCE_LINES
@@ -271,41 +286,50 @@ class TestEnumerate:
         assert "--allow-large" in err
 
     @pytest.mark.parametrize(
-        "argv, source, passes, writer",
+        "argv, passes",
         [
-            ((), "_routings", 2, "_routing_text"),
-            (("--full",), "_routings", 2, "_routing_text"),
-            (("--red-denoms", "1,3"), "_routings", 2, "_routing_text"),
-            (("--format", "csv"), "_routings", 1, "_routing_hands"),
-            (("--red-denoms", "1,3", "--format", "csv"), "_routings", 1, "_routing_hands"),
+            ((), 2),
+            (("--full",), 2),
+            (("--red-denoms", "1,3"), 2),
+            (("--format", "csv"), 1),
+            (("--red-denoms", "1,3", "--format", "csv"), 1),
         ],
     )
-    def test_streams_each_line_as_its_deal_is_formed(
-        self, capsys, monkeypatch, argv, source, passes, writer
-    ):
-        # the text form counts in one pass and prints from a second; csv
-        # prints from its only pass.  Either way no deal is formed before
-        # the line of the deal ahead of it is out.
-        original, written, seen = getattr(enumeration, source), [], []
+    def test_streams_each_line_as_its_deal_is_formed(self, capsys, monkeypatch, argv, passes):
+        # the stream printed from is made first, and the text form sums the
+        # groups of a second for its total.  Each head's lines are out in one
+        # write before the next head is read.
+        original, written, seen = enumeration._join_groups, [], []
 
         def spy_stream(*args, **kwargs):
             stream, when = original(*args, **kwargs), []
             seen.append(when)
-            for routing in stream:
-                when.append(len(written))
-                yield routing
 
-        def count_writes(*args):
-            written.append(args)
-            return write(*args)
+            def spy_join(joins):
+                for head in joins:
+                    when.append(len(written))
+                    yield head
 
-        write = getattr(enumeration, writer)
-        monkeypatch.setattr(enumeration, writer, count_writes)
-        monkeypatch.setattr(enumeration, source, spy_stream)
+            return ((subset, spy_join(joins)) for subset, joins in stream)
+
+        monkeypatch.setattr(enumeration, "_join_groups", spy_stream)
+        monkeypatch.setattr(sys, "stdout", Recorder(sys.stdout, written))
         code, out, _ = run(capsys, "enumerate", "--n", "3", *argv)
         assert code == 0
         assert len(seen) == passes
-        assert seen[-1] == list(range(len(written))) != []
+        # head k is read once the header and k blocks are out, and its block follows it
+        assert seen[0] == list(range(1, len(written))) != []
+        assert "".join(written) == out
+
+    def test_writes_each_heads_lines_at_once(self, capsys, monkeypatch):
+        written = []
+        monkeypatch.setattr(sys, "stdout", Recorder(sys.stdout, written))
+        code, out, _ = run(capsys, "enumerate", "--n", "5")
+        assert code == 0
+        assert out.startswith("n=5 total=4653\n") and out.count("\n") == 4654
+        # the header and one write for each of the 550 heads; a print per
+        # line would make 4654 calls, each two writes
+        assert len(written) <= 551
 
     @pytest.mark.parametrize(
         "argv, message",

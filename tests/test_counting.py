@@ -62,6 +62,11 @@ class TestFranel:
         with pytest.raises(ValueError):
             franel(-2)
 
+    def test_walk_matches_the_definition(self):
+        # the walk cubes each Pascal row by products; franel() is the readable sum
+        walk = [franels[-1] for _, franels in counting._franel_rows(120)]
+        assert walk == [franel(n) for n in range(121)]
+
 
 class TestIdentity:
     def test_sequence_values(self):
@@ -101,8 +106,9 @@ class TestLhsTerms:
 
         monkeypatch.setattr(counting, "mul", counting_mul)
         assert lhs_sum(10) == sum(binomial(10, k) * franel(k) for k in range(11))
-        # one C(10, k) * franel(k) per k; the lower rows' dot products are never formed
-        assert len(products) == 11
+        # two products for each cube of rows 0..10 (66 entries), then one
+        # C(10, k) * franel(k) per k; the lower rows' 55 dot products are never formed
+        assert len(products) == 2 * 66 + 11
 
     def test_negative_rejected_on_first_next(self):
         walk = lhs_terms(-1)  # the call itself does not raise

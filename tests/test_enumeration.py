@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import product
 
@@ -7,13 +8,17 @@ from trideal import enumeration
 from trideal.counting import binomial, franel, lhs_sum, red_distinct_count, red_set_count
 from trideal.enumeration import (
     EXHAUSTIVE_GUARD,
+    _CODES,
     _GREEN_LOAD,
     _RECIPIENTS,
     _RED_LOAD,
     _codes,
     _deal,
+    _histograms,
+    _join_groups,
+    _joins,
+    _lines,
     _routing_hands,
-    _routing_text,
     _routings,
     STATISTICS,
     GuardError,
@@ -192,7 +197,6 @@ def test_code_text_and_code_reading_match_the_built_deal():
     for n in range(6):
         for subset, codes in _routings(n, False):
             built = _deal(n, subset, codes)
-            assert _routing_text(subset, codes) == deal_to_text(built)
             tokens = _routing_hands(subset, codes)
             hands = (built.red, built.green, built.blue)
             assert [f"[{','.join(t)}]" for t in tokens] == [hand_text(h) for h in hands]
@@ -211,9 +215,8 @@ def test_code_text_and_code_reading_match_the_built_deal():
 def test_a_deal_stream_makes_each_card_once(stream, options, monkeypatch):
     n = 4
     # the same deals, each read back from its text form with cards of its own
-    expected = [
-        deal_from_text(_routing_text(*routing), n) for routing in _routings(n, False, **options)
-    ]
+    text = "".join(_lines(_join_groups(n, False, **options), "text"))
+    expected = [deal_from_text(line, n) for line in text.splitlines()]
     made = []
     init = Card.__init__
 
@@ -224,6 +227,57 @@ def test_a_deal_stream_makes_each_card_once(stream, options, monkeypatch):
     monkeypatch.setattr(Card, "__init__", counting_init)
     assert list(stream(n)) == expected
     assert len(made) <= 3 * n
+
+
+def csv_line(text):
+    """A deal's text form as ``enumerate --format csv`` writes it: each field's commas as spaces."""
+    fields = re.fullmatch(r"S=\{(.*)\};R=\[(.*)\];G=\[(.*)\];B=\[(.*)\]", text).groups()
+    return ",".join(field.replace(",", " ") for field in fields)
+
+
+def every_stream():
+    """Each stream as (n, options): all deals and the full deck to n = 6, every red set to 5."""
+    for n in range(7):
+        yield n, {}
+        yield n, {"full_deck": True}
+    for n in range(6):
+        for denoms in subsets_lex(tuple(range(1, n + 1))):
+            yield n, {"red_denoms": denoms}
+
+
+class TestLines:
+    def test_each_line_is_its_deals_text(self):
+        for n, options in every_stream():
+            deals = enumeration._deals(n, _routings(n, True, **options))
+            texts = list(map(deal_to_text, deals))
+            heads = sum(len(joins) for _, joins in _join_groups(n, True, **options))
+            for form, lines in (("text", texts), ("csv", list(map(csv_line, texts)))):
+                blocks = list(_lines(_join_groups(n, True, **options), form))
+                assert "".join(blocks).splitlines() == lines
+                # one string per head, each ending its last line
+                assert len(blocks) == heads
+                assert all(block.endswith("\n") for block in blocks)
+
+    def test_renders_each_head_once_and_each_tail_once_a_subset(self, monkeypatch):
+        rendered = []
+        original = enumeration._routing_hands
+
+        def counting_hands(denoms, codes):
+            rendered.append((denoms, codes))
+            return original(denoms, codes)
+
+        monkeypatch.setattr(enumeration, "_routing_hands", counting_hands)
+        groups = list(_join_groups(5, False))
+        assert sum(1 for _ in _lines(groups, "text")) == 550
+        # per subset, its heads and the distinct tails of its join
+        expected = Counter()
+        for subset, joins in groups:
+            head, tail = subset[: len(subset) // 2], subset[len(subset) // 2 :]
+            expected.update((head, h) for h, _ in joins)
+            expected.update((tail, t) for t in {t for _, tails in joins for t in tails})
+        assert Counter(rendered) == expected
+        # rendering every deal whole would take 4653 calls
+        assert len(rendered) < 4653
 
 
 class TestFullDeckDeals:
@@ -303,6 +357,36 @@ class TestHistogram:
     def test_buckets_sum_to_total(self):
         for n in range(5):
             assert sum(histogram(n, "s_size").values()) == TOTALS[n]
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_join_groups_match_the_per_deal_reference(self, n):
+        # per deal: its subset's size, and how many denominations red's hand shows
+        by_size = dict.fromkeys(range(n + 1), 0)
+        by_red = dict.fromkeys(range(n + 1), 0)
+        for routing in _routings(n, True):
+            by_size[len(routing[0])] += 1
+            by_red[len(reference_red_set(*routing))] += 1
+        assert _histograms(n, True) == (by_size, by_red)
+
+    def test_reads_each_red_distinct_once_per_alphabet(self, monkeypatch):
+        n, reads = 7, []
+        original = enumeration._red_distinct
+
+        def counting_red_distinct(codes):
+            reads.append(codes)
+            return original(codes)
+
+        monkeypatch.setattr(enumeration, "_red_distinct", counting_red_distinct)
+        _histograms(n, True)
+        # one alphabet tuple per size: each head once, and each tail once
+        allowed = Counter()
+        for size in range(n + 1):
+            joins = _joins((_CODES,) * size)
+            allowed.update(head for head, _ in joins)
+            allowed.update({tail for _, tails in joins for tail in tails})
+        assert Counter(reads) <= allowed
+        # one read per deal would be 272,835
+        assert len(reads) <= 8000
 
     def test_unknown_statistic_rejected(self):
         with pytest.raises(ValueError):

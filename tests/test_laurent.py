@@ -59,6 +59,34 @@ widenings = st.tuples(st.integers(1, 4), st.integers(0, 4)).flatmap(
 )
 
 
+# Packed frames of radius 0..6 at a cell width of one to 40 bytes, each cell
+# small enough that the step's nine-cell sums stay inside it.
+wide_frames = st.tuples(st.integers(0, 6), st.sampled_from([8, 16, 64, 320])).flatmap(
+    lambda case: st.tuples(
+        st.lists(
+            st.lists(
+                st.integers(0, (2 ** case[1] - 1) // 9),
+                min_size=2 * case[0] + 1,
+                max_size=2 * case[0] + 1,
+            ),
+            min_size=2 * case[0] + 1,
+            max_size=2 * case[0] + 1,
+        ).map(lambda cells: [sum(c << ex * case[1] for ex, c in enumerate(row)) for row in cells]),
+        st.just(case[1]),
+    )
+)
+
+
+def readable_step(rows, w):
+    """The uncropped step with each output row summing its own three input rows."""
+    padded = [0, 0, *rows, 0, 0]
+    frame = []
+    for below, same, above in zip(padded, padded[1:], padded[2:]):
+        left, right = below + same, same + above
+        frame.append(left + ((left + right + same) << w) + (right << 2 * w))
+    return frame
+
+
 def frame_poly(cells):
     r = len(cells) // 2
     return LaurentPoly(
@@ -265,6 +293,16 @@ class TestStencil:
         assert len(stepped) == len(cells) + 2
         assert all(row.bit_length() <= len(stepped) * FIELD for row in stepped)
         assert frame_poly(unpack(stepped)) == frame_poly(cells) * base
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_frames)
+    def test_step_sums_each_row_pair_once_to_the_readable_rows(self, case):
+        rows, w = case
+        assert laurent._times_base(rows, w) == readable_step(rows, w)
+
+    def test_step_matches_the_readable_rows_along_the_walk(self):
+        for rows, w in laurent._walk(40, crop=False):
+            assert laurent._times_base(rows, w) == readable_step(rows, w)
 
     @settings(max_examples=150, deadline=None)
     @given(cropped_frames)

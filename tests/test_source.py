@@ -164,3 +164,36 @@ def test_laurent_has_one_walk_that_both_powers_step_through():
     assert steps <= set(calls)
     assert [name for name, called in calls.items() if called & steps] == ["_walk"]
     assert "_walk" in calls["base_power"] and "_walk" in calls["constant_terms"]
+
+
+def test_the_oracle_has_one_join_loop_that_every_consumer_reads():
+    # code tuples are joined in _joins alone, behind the grouped stream, so no
+    # second enumeration loop (a per-deal one, say) can survive beside it
+    reads = {}
+    for module in ("enumeration", "cli"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                reads[f"{module}.{node.name}"] = {
+                    n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(node)
+                    if isinstance(n, (ast.Name, ast.Attribute))
+                }
+
+    def readers(name):
+        return sorted(function for function, read in reads.items() if name in read)
+
+    assert readers("product") == ["enumeration._loads"]
+    assert readers("_loads") == ["enumeration._joins"]
+    assert readers("_joins") == ["enumeration._grouped"]
+    assert readers("_grouped") == ["enumeration._join_groups"]
+    assert readers("_join_groups") == [
+        "cli.cmd_enumerate",
+        "cli.cmd_table",
+        "enumeration._histograms",
+        "enumeration._routings",
+        "enumeration.count_deals",
+    ]
+    # the renderer reads the groups it is given, a head and a tail part at a time
+    assert readers("_lines") == ["cli.cmd_enumerate"]
+    assert readers("_hand_parts") == ["cli.cmd_table", "enumeration._lines"]
