@@ -47,7 +47,16 @@ print(f"base**6 has {len(power)} terms, constant term {power.constant_term()}")
 # 9^n < 2^w keeps every cell from spilling into the next.  The walk keeps w
 # a whole number of bytes and only as large as the step needs: when 9^n
 # outgrows it, every row is widened once to the width of twice the steps.
+# The walks store only the rows ey >= 0.  The reflection
+# (ex, ey) -> (ex + ey, -ey) maps the seven monomials of base onto
+# themselves, so every power of base is symmetric under it: row -1, the one
+# row below the middle a step reads, is row 1 shifted up one cell (checked
+# below).  That halves the cells packed: 38.7 M output bits for the walk to
+# n = 100, against 76 M for the whole square.
 # constant_terms also builds, once the square is larger than what can still
 # return to (0, 0), only the cells of the smaller square.
-# base_power unpacks the rows into a LaurentPoly once, at the end.
+# base_power unpacks the rows into a LaurentPoly once, at the end, each
+# coefficient of a row ey > 0 also filling its mirror image in row -ey.
+mirrored = LaurentPoly({(ex + ey, -ey): c for (ex, ey), c in power.coefficients.items()})
+print("base**6 is its own mirror image:", mirrored == power)
 print("base_power(6) == base ** 6:", base_power(6) == power)

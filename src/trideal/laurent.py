@@ -16,9 +16,15 @@ to 9**n, so a w with 9**n < 2**w keeps every cell from carrying into the
 next.  The cells are whole bytes and only as wide as the step needs: the
 walk widens them, O(log n) times, whenever 9**n outgrows them, to the width
 of twice as many steps (the multipoint refinement of Kronecker substitution,
-Harvey, J. Symbolic Comput. 44, 2009).  The walk for the constant terms
+Harvey, J. Symbolic Comput. 44, 2009).  The walk stores only the rows
+ey >= 0.  The base's Newton polygon is the hexagon of the A2 lattice
+(Samol and van Straten, arXiv:0911.0797), and the reflection
+(ex, ey) -> (ex + ey, -ey) maps its seven monomials onto themselves, so
+every power is symmetric under it: row -1, the one row below the middle a
+step reads, is row 1 shifted up one cell.  The walk for the constant terms
 builds only the cells that can still reach x**0 * y**0.  The rows are
-unpacked into a ``LaurentPoly`` only when the whole power is asked for.
+unpacked into a ``LaurentPoly``, each with its mirror image, only when the
+whole power is asked for.
 """
 
 from __future__ import annotations
@@ -37,11 +43,12 @@ __all__ = [
 ]
 
 #: Largest n accepted by base_power, constant_terms and sequence_term.  Each
-#: walks n stencil steps over at most 2n + 1 packed rows, O(n**2) whole-row
-#: shift-adds in all on ints of at most 2n + 1 cells, each cell the whole
-#: bytes that 9**n needs: the cropped walk to sequence_term(200) takes ~0.3 s
-#: and the whole base_power(200), as ``ct --poly`` prints it, ~1.9 s
-#: (Python 3.11, 2-vCPU VM).
+#: walks n stencil steps over the n + 1 packed rows ey >= 0 at most, the rows
+#: below read from their mirror images, O(n**2) whole-row shift-adds in all on
+#: ints of at most 2n + 1 cells, each cell the whole bytes that 9**n needs:
+#: the cropped walk to sequence_term(200) takes ~0.17 s and the whole
+#: base_power(200), as ``ct --poly`` unpacks it, ~0.75 s (Python 3.11,
+#: 2-vCPU VM, where the whole square took ~0.37 s and ~1.6 s).
 CT_GUARD = 200
 
 
@@ -240,15 +247,32 @@ def _width(n: int) -> int:
     return (9 ** n).bit_length()
 
 
-def _times_base(rows: list[int], w: int) -> list[int]:
-    """One step of the walk: the packed square frame of ``power`` times the base.
+def _below(rows: list[int], w: int) -> int:
+    """Row ey = -1 of the square frame whose rows ey >= 0 are ``rows``: row 1 moved up a cell.
 
-    ``rows[ey + r]`` packs a row of the frame of side 2r + 1 into one int: the
-    coefficient of x**ex * y**ey sits in bits [(ex + r)*w, (ex + r + 1)*w).
-    The result is the frame of side 2r + 3 for ``power * base``.  Cells must
-    be non-negative and every output cell below 2**w (see ``_width``).
+    The reflection M(ex, ey) = (ex + ey, -ey) maps the base's seven monomials
+    onto themselves, so every power of the base is M-invariant, and M sends
+    (ex - 1, 1) to (ex, -1).  The mask drops the cell shifted past the frame
+    and the cell at ex = -r is left 0: both have |ex + ey| = r + 1, outside the
+    hexagon the frame's cells can hold or still need.  A frame of radius 0 has
+    no row 1, and its row -1 is 0.
     """
-    padded = [0, 0, *rows, 0, 0]
+    if len(rows) == 1:
+        return 0
+    return (rows[1] << w) & ((1 << (2 * len(rows) - 1) * w) - 1)
+
+
+def _times_base(rows: list[int], w: int) -> list[int]:
+    """One step of the walk: the packed half frame of ``power`` times the base.
+
+    ``rows[ey]``, for ey = 0..r, packs row ey of the square frame of radius
+    r = len(rows) - 1 into one int: the coefficient of x**ex * y**ey sits in
+    bits [(ex + r)*w, (ex + r + 1)*w).  The rows ey < 0 are not stored; a
+    step reads row -1 from row 1 (``_below``).  The result is the half frame
+    of radius r + 1 for ``power * base``.  Cells must be non-negative and
+    every output cell below 2**w (see ``_width``).
+    """
+    padded = [_below(rows, w), *rows, 0, 0]
     # Output row ey reads input rows ey - 1, ey and ey + 1 (below, same and
     # above), and its cell i has the ex of input cell i - 1, so a shift by w
     # keeps ex.  With left = below + same and right = same + above, the row is
@@ -266,18 +290,22 @@ def _times_base(rows: list[int], w: int) -> list[int]:
 def _times_base_cropped(rows: list[int], w: int, radius: int) -> list[int]:
     """``_times_base(rows, w)`` cropped to the square of ``radius``, built only inside it.
 
-    The input frame has radius r, and ``radius`` is r - 1 or r: the crop
-    cuts two cells or one off each side of the frame ``_times_base`` would
-    build.  A one-cell cut is first padded by a zero cell all round, so the
-    step always cuts two.  Output row j then reads input rows j, j + 1 and
-    j + 2, none padded, and cell i reads input cells i, i + 1 and i + 2,
-    so the crop's shift by 2w is folded into downward shifts and its mask
-    into one ``&`` a row.  No cell of a partial sum below exceeds the output
-    cell it feeds, so none carries, and dropping low cells term by term
-    drops the same cells of the sum.
+    The input half frame has radius r, and ``radius`` is r - 1 or r: the
+    crop cuts two cells or one off each end of the rows ``_times_base`` would
+    build, and keeps output rows 0..radius.  A one-cell cut is first padded by
+    a zero cell at each end and a zero row on top, so the step always cuts
+    two.  Output row j then reads input rows j - 1, j and j + 1, with row -1
+    from ``_below``, and cell i reads input cells i, i + 1 and i + 2, so the
+    crop's shift by 2w is folded into downward shifts and its mask into one
+    ``&`` a row.  No cell of a partial sum below exceeds the output cell it
+    feeds, so none carries, and dropping low cells term by term drops the
+    same cells of the sum.
     """
-    if radius == len(rows) // 2:
-        rows = [0, *(row << w for row in rows), 0]
+    below = _below(rows, w)
+    if radius == len(rows) - 1:
+        rows = [below << w, *(row << w for row in rows), 0]
+    else:
+        rows = [below, *rows]
     keep = (1 << (2 * radius + 1) * w) - 1
     # Row j's left, below + same, is row j - 1's right, same + above: each is
     # summed once, with its own cells shifted down by w added.
@@ -305,15 +333,17 @@ def _widen(row: int, cells: int, size: int, wider: int) -> int:
 
 
 def _walk(max_n: int, crop: bool) -> Iterator[tuple[list[int], int]]:
-    """The packed square frames of base**0, ..., base**max_n, each with its cell width w.
+    """The packed half frames of base**0, ..., base**max_n, each with its cell width w.
 
-    Cells are whole bytes, only as wide as the coefficients they can hold so
-    far: before step n, if 9**n no longer fits in a cell, every row is widened
-    once to the byte width of step min(max_n, 2n), so a walk widens
-    O(log max_n) times.  With ``crop``, the frame of base**n has radius
-    min(n, max_n - n): once that falls below n, each step builds only the
-    cells of that square (``_times_base_cropped``).  Raises ValueError, on
-    first iteration, for max_n < 0 or max_n > CT_GUARD.
+    A half frame of radius r is rows ey = 0..r of the square frame, 2r + 1
+    cells each; the rows below are their mirror images (``_below``), which a
+    step reads and never stores.  Cells are whole bytes, only as wide as the
+    coefficients they can hold so far: before step n, if 9**n no longer fits
+    in a cell, every row is widened once to the byte width of step
+    min(max_n, 2n), so a walk widens O(log max_n) times.  With ``crop``, the
+    frame of base**n has radius min(n, max_n - n): once that falls below n,
+    each step builds only the cells of that square (``_times_base_cropped``).
+    Raises ValueError, on first iteration, for max_n < 0 or max_n > CT_GUARD.
     """
     _check_exponent(max_n)
     rows, size = [1], 1
@@ -321,13 +351,16 @@ def _walk(max_n: int, crop: bool) -> Iterator[tuple[list[int], int]]:
     for n in range(1, max_n + 1):
         if _width(n) > 8 * size:
             wider = (_width(min(max_n, 2 * n)) + 7) // 8
-            rows = [_widen(row, len(rows), size, wider) for row in rows]
+            rows = [_widen(row, 2 * len(rows) - 1, size, wider) for row in rows]
             size = wider
         w = 8 * size
         # Each base monomial moves ex, ey and ex+ey by at most 1, so a monomial
         # whose hexagonal radius exceeds the steps left never returns to (0, 0):
         # dropping it changes no coefficient read later.  The square of radius
-        # max_n - n holds that hexagon, so cropping to it is exact too.
+        # max_n - n holds that hexagon, so cropping to it is exact too.  The
+        # mirror keeps the hexagonal radius, so a mirrored cell is exact
+        # wherever it can still reach (0, 0); every other stored cell is at most
+        # its true coefficient, so none carries.
         radius = min(n, max_n - n) if crop else n
         rows = _times_base(rows, w) if radius == n else _times_base_cropped(rows, w, radius)
         yield rows, w
@@ -337,48 +370,52 @@ def base_power(n: int) -> LaurentPoly:
     """The whole base**n, 3n**2 + 3n + 1 terms, as ``ct --poly`` prints it.
 
     The uncropped walk to n, its cells widened as the coefficients grow,
-    ends on a square of packed rows whose whole-byte cells ``to_bytes``
-    slices unpack, converted to a ``LaurentPoly`` once; ~1.9 s at
-    n = CT_GUARD = 200, about nine tenths of it the walk (Python 3.11,
+    ends on the half frame of rows ey = 0..n.  Row ey holds the hexagon's
+    cells ex = -n..n - ey, which ``to_bytes`` slices unpack; each also fills
+    its mirror image (ex + ey, -ey), so the rows ey < 0 are never built.  The
+    coefficients are converted to a ``LaurentPoly`` once; ~0.75 s at
+    n = CT_GUARD = 200, about four fifths of it the walk (Python 3.11,
     2-vCPU VM).
     Raises ValueError for n < 0 or n > CT_GUARD.
     """
     for rows, w in _walk(n, crop=False):
         pass
     size = w // 8
-    side = len(rows)
     coeffs = {}
     for ey, row in enumerate(rows):
-        data = row.to_bytes(side * size, "little")
-        for ex in range(side):
-            coeffs[ex - n, ey - n] = int.from_bytes(data[ex * size : (ex + 1) * size], "little")
+        data = row.to_bytes((2 * n + 1) * size, "little")
+        for i in range(2 * n + 1 - ey):
+            c = int.from_bytes(data[i * size : (i + 1) * size], "little")
+            coeffs[i - n, ey] = coeffs[i - n + ey, -ey] = c
     return LaurentPoly(coeffs)
 
 
 def constant_terms(max_n: int) -> Iterator[int]:
     """Constant terms of base**0, base**1, ..., base**max_n from one walk.
 
-    The cropped walk: step n builds the square frame of base**n only to
-    radius min(n, max_n - n), which holds every monomial that can still
-    reach x**0 * y**0, each cell whole bytes, widened only when 9**n
-    outgrows it (see ``_walk``).  The walk to max_n = 100 packs 76 M output
-    bits in ~22 ms, and the walk to CT_GUARD = 200 packs 1.2 G in ~0.3 s
-    (Python 3.11, 2-vCPU VM).  Raises ValueError, on first iteration, for
-    max_n < 0 or max_n > CT_GUARD.
+    The cropped walk: step n builds the half frame of base**n, rows ey >= 0,
+    only to radius min(n, max_n - n), which holds every monomial of those
+    rows that can still reach x**0 * y**0, each cell whole bytes, widened only
+    when 9**n outgrows it (see ``_walk``).  The constant term is the middle
+    cell of row 0.  The walk to max_n = 100 packs 38.7 M output bits in
+    ~15 ms, and the walk to CT_GUARD = 200 packs 0.60 G in ~0.17 s, half the
+    bits and about half the time of the whole square (Python 3.11, 2-vCPU
+    VM).  Raises ValueError, on first iteration, for max_n < 0 or
+    max_n > CT_GUARD.
     """
     for rows, w in _walk(max_n, crop=True):
-        middle = len(rows) // 2
-        yield (rows[middle] >> middle * w) & ((1 << w) - 1)
+        yield (rows[0] >> (len(rows) - 1) * w) & ((1 << w) - 1)
 
 
 def sequence_term(n: int) -> int:
     """Constant term of base**n: term n of the deal-count sequence 1, 3, 15, 93, 639, ...
 
-    The last value of constant_terms(n): n stencil steps on a square frame
-    of packed rows cropped to the monomials that can still reach x**0 * y**0,
-    with cells only as wide as each step needs, O(n**2) whole-row shift-adds
-    (~0.3 s at n = CT_GUARD = 200; Python 3.11, 2-vCPU VM).  The whole
-    base**n, from base_power, takes ~1.9 s at n = 200.
+    The last value of constant_terms(n): n stencil steps on the rows ey >= 0
+    of a square frame of packed rows, row -1 read from row 1 by the base's
+    mirror symmetry, cropped to the monomials that can still reach
+    x**0 * y**0, with cells only as wide as each step needs, O(n**2)
+    whole-row shift-adds (~0.17 s at n = CT_GUARD = 200; Python 3.11, 2-vCPU
+    VM).  The whole base**n, from base_power, takes ~0.75 s at n = 200.
     """
     for term in constant_terms(n):
         pass

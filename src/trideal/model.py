@@ -48,14 +48,18 @@ class Color(enum.Enum):
     @property
     def order(self) -> int:
         """Canonical position: red < green < blue."""
-        return _COLOR_ORDER[self]
+        return _ORDER_BY_LETTER[self._value_]
 
-
-_COLOR_ORDER = {Color.RED: 0, Color.GREEN: 1, Color.BLUE: 2}
-_COLOR_BY_LETTER = {c.value: c for c in Color}
 
 #: The three players/colors in canonical order.
 COLORS: tuple[Color, Color, Color] = (Color.RED, Color.GREEN, Color.BLUE)
+
+# Each color's canonical position, keyed by its letter.  Code that reads a
+# color once a card reads its letter as ``color._value_``, a plain attribute:
+# enum's ``value`` property, and its Python-level ``__hash__`` behind any dict
+# keyed by the members, cost more than the rest of the card's work.
+_ORDER_BY_LETTER = {color.value: order for order, color in enumerate(COLORS)}
+_COLOR_BY_LETTER = {c.value: c for c in Color}
 
 
 # The two parsers' patterns are compiled on first use, not at import: no CLI
@@ -132,7 +136,7 @@ class Card(_Value):
 
     @property
     def token(self) -> str:
-        return f"{self.color.letter}{self.denomination}"
+        return f"{self.color._value_}{self.denomination}"
 
     @classmethod
     def from_token(cls, token: str) -> "Card":
@@ -142,7 +146,7 @@ class Card(_Value):
         return cls(int(m.group(2)), _COLOR_BY_LETTER[m.group(1)])
 
     def sort_key(self) -> tuple[int, int]:
-        return (self.denomination, self.color.order)
+        return (self.denomination, _ORDER_BY_LETTER[self.color._value_])
 
 
 class Deal(_Value):
@@ -238,12 +242,23 @@ def red_denomination_set(deal: Deal) -> frozenset[int]:
 
 def denom_set_text(denoms: Iterable[int]) -> str:
     """Render a denomination set as ``{1,2}``; the empty set is ``{}``."""
-    return "{" + ",".join(str(d) for d in sorted(denoms)) + "}"
+    return "{" + ",".join(map(str, sorted(denoms))) + "}"
+
+
+def _hand_tokens(hand: Iterable[Card]) -> list[str]:
+    """The tokens of a hand's cards, sorted by (denomination, color)."""
+    keys = sorted(
+        [
+            (card.denomination, _ORDER_BY_LETTER[letter := card.color._value_], letter)
+            for card in hand
+        ]
+    )
+    return [f"{letter}{denomination}" for denomination, _, letter in keys]
 
 
 def hand_text(hand: Iterable[Card]) -> str:
     """Render a hand as ``[g1,b1]``, cards sorted by (denomination, color)."""
-    return "[" + ",".join(card.token for card in sorted(hand, key=Card.sort_key)) + "]"
+    return "[" + ",".join(_hand_tokens(hand)) + "]"
 
 
 def deal_to_text(deal: Deal) -> str:
@@ -287,7 +302,7 @@ def deal_record(deal: Deal) -> dict[str, list]:
     """Structured mirror of the text form's fields, for machine output."""
     return {
         "s": sorted(deal.s),
-        "red": [card.token for card in sorted(deal.red, key=Card.sort_key)],
-        "green": [card.token for card in sorted(deal.green, key=Card.sort_key)],
-        "blue": [card.token for card in sorted(deal.blue, key=Card.sort_key)],
+        "red": _hand_tokens(deal.red),
+        "green": _hand_tokens(deal.green),
+        "blue": _hand_tokens(deal.blue),
     }

@@ -120,13 +120,13 @@ class TestVerify:
         assert muls == []
 
     def test_truncates_the_power_to_what_can_reach_the_constant(self, capsys, monkeypatch):
-        sides = []
+        heights = []
 
         def recording(step):
             def recording_step(rows, w, *radius):
-                # every packed row fits the square frame: 2r + 1 cells of w bits
-                assert all(row.bit_length() <= len(rows) * w for row in rows)
-                sides.append(len(rows))
+                # r + 1 packed rows, ey = 0..r, each within 2r + 1 cells of w bits
+                assert all(row.bit_length() <= (2 * len(rows) - 1) * w for row in rows)
+                heights.append(len(rows))
                 return step(rows, w, *radius)
 
             return recording_step
@@ -136,10 +136,10 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-n", "10")
         assert code == 0
         assert out.splitlines()[:6] == SEQUENCE_LINES
-        # step n + 1 reads the square frame of base**n cropped to radius
-        # r = min(n, 10 - n), 2r + 1 rows; the largest has 2*5 + 1 = 11
+        # step n + 1 reads rows ey >= 0 of the square frame of base**n cropped
+        # to radius r = min(n, 10 - n), r + 1 rows; the largest has 5 + 1 = 6
         radii = [min(n, 10 - n) for n in range(10)]
-        assert sides == [2 * r + 1 for r in radii]
+        assert heights == [r + 1 for r in radii]
 
     def test_reads_lhs_from_one_walk(self, capsys, monkeypatch):
         calls = []

@@ -24,29 +24,33 @@ small_polys = st.dictionaries(
     max_size=6,
 ).map(LaurentPoly)
 
-# Square frames cells[ey + r][ex + r] of side 2r + 1, packed w = 8 bits a
-# cell as the stencil walk stores them.  A step sums 9 weighted cells into
-# each output cell, so cells up to (2**8 - 1) // 9 = 28 let outputs reach the
-# top of their field.  Negative cells lie outside the walk's domain: the
-# powers of base have only positive coefficients, and a packed field holds
-# no sign.
+# Half frames cells[ey][ex + r], rows ey = 0..r of the square frame of side
+# 2r + 1, as the stencil walk stores them, drawn with every cell outside the
+# hexagon max(|ex|, |ey|, |ex + ey|) <= r zero, as in a power of the base: cell
+# ex of row ey is drawn only for ex <= r - ey.  They are packed w bits a cell.
+# A step sums 9 weighted cells into each output cell, so cells up to
+# (2**w - 1) // 9 let outputs reach the top of their field.  Negative cells
+# lie outside the walk's domain: the powers of base have only positive
+# coefficients, and a packed field holds no sign.
 FIELD = 8
-small_frames = st.integers(0, 3).flatmap(
-    lambda r: st.lists(
-        st.lists(
-            st.integers(0, (2**FIELD - 1) // 9), min_size=2 * r + 1, max_size=2 * r + 1
-        ),
-        min_size=2 * r + 1,
-        max_size=2 * r + 1,
-    )
-)
 
 
-# A frame of radius r with the radius a cropped step keeps, r - 1 or r.
+def half_frames(r, w):
+    return st.tuples(
+        *(
+            st.lists(
+                st.integers(0, (2**w - 1) // 9), min_size=2 * r + 1 - ey, max_size=2 * r + 1 - ey
+            ).map(lambda row, ey=ey: row + [0] * ey)
+            for ey in range(r + 1)
+        )
+    ).map(list)
+
+
+small_frames = st.integers(0, 3).flatmap(lambda r: half_frames(r, FIELD))
+
+# A half frame of radius r with the radius a cropped step keeps, r - 1 or r.
 cropped_frames = small_frames.flatmap(
-    lambda cells: st.tuples(
-        st.just(cells), st.integers(max(len(cells) // 2 - 1, 0), len(cells) // 2)
-    )
+    lambda cells: st.tuples(st.just(cells), st.integers(max(len(cells) - 2, 0), len(cells) - 1))
 )
 
 # Packed rows of 1..9 cells, each cell ``size`` bytes, with a wider byte width.
@@ -59,32 +63,38 @@ widenings = st.tuples(st.integers(1, 4), st.integers(0, 4)).flatmap(
 )
 
 
-# Packed frames of radius 0..6 at a cell width of one to 40 bytes, each cell
-# small enough that the step's nine-cell sums stay inside it.
+# Packed half frames of radius 0..6 at a cell width of one to 40 bytes, each
+# cell small enough that the step's nine-cell sums stay inside it.
 wide_frames = st.tuples(st.integers(0, 6), st.sampled_from([8, 16, 64, 320])).flatmap(
     lambda case: st.tuples(
-        st.lists(
-            st.lists(
-                st.integers(0, (2 ** case[1] - 1) // 9),
-                min_size=2 * case[0] + 1,
-                max_size=2 * case[0] + 1,
-            ),
-            min_size=2 * case[0] + 1,
-            max_size=2 * case[0] + 1,
-        ).map(lambda cells: [sum(c << ex * case[1] for ex, c in enumerate(row)) for row in cells]),
-        st.just(case[1]),
+        half_frames(*case).map(lambda cells: pack(cells, case[1])), st.just(case[1])
     )
 )
 
 
+def mirrored(half):
+    """The square frame whose rows ey >= 0 are ``half``, with each row -ey their mirror.
+
+    (ex, ey) -> (ex + ey, -ey) maps the base onto itself, so cell ex of row
+    -ey of a power is its cell ex - ey of row ey.
+    """
+    side = 2 * len(half) - 1
+    return [[0] * ey + half[ey][: side - ey] for ey in range(len(half) - 1, 0, -1)] + half
+
+
 def readable_step(rows, w):
-    """The uncropped step with each output row summing its own three input rows."""
+    """The uncropped step on a square frame, each output row summing its own three input rows."""
     padded = [0, 0, *rows, 0, 0]
     frame = []
     for below, same, above in zip(padded, padded[1:], padded[2:]):
         left, right = below + same, same + above
         frame.append(left + ((left + right + same) << w) + (right << 2 * w))
     return frame
+
+
+def readable_half_step(rows, w):
+    """The rows ey >= 0 of the readable step on the mirror-completed square frame."""
+    return readable_step(pack(mirrored(unpack(rows, w)), w), w)[len(rows) :]
 
 
 def frame_poly(cells):
@@ -94,13 +104,35 @@ def frame_poly(cells):
     )
 
 
-def pack(cells):
-    return [sum(c << ex * FIELD for ex, c in enumerate(row)) for row in cells]
+def half_poly(cells):
+    r = len(cells) - 1
+    return LaurentPoly(
+        {(ex - r, ey): c for ey, row in enumerate(cells) for ex, c in enumerate(row)}
+    )
 
 
-def unpack(rows):
-    mask = (1 << FIELD) - 1
-    return [[(row >> ex * FIELD) & mask for ex in range(len(rows))] for row in rows]
+def upper(poly, radius=None):
+    """The terms of ``poly`` with ey >= 0, within the square of ``radius`` if one is given."""
+    return LaurentPoly(
+        {
+            (ex, ey): c
+            for (ex, ey), c in poly.coefficients.items()
+            if ey >= 0 and (radius is None or max(abs(ex), ey) <= radius)
+        }
+    )
+
+
+def mirror(poly):
+    return LaurentPoly({(ex + ey, -ey): c for (ex, ey), c in poly.coefficients.items()})
+
+
+def pack(cells, w=FIELD):
+    return [sum(c << ex * w for ex, c in enumerate(row)) for row in cells]
+
+
+def unpack(rows, w=FIELD):
+    mask = (1 << w) - 1
+    return [[(row >> ex * w) & mask for ex in range(2 * len(rows) - 1)] for row in rows]
 
 
 class TestArithmetic:
@@ -196,6 +228,18 @@ class TestIdentityPolynomials:
         base, factor1, factor2 = identity_polynomials()
         assert factor1 * factor2 == base
 
+    def test_base_and_its_powers_are_mirror_symmetric(self):
+        # the walk stores only rows ey >= 0 and reads row -1 from row 1 through
+        # the reflection (ex, ey) -> (ex + ey, -ey); checked on the base itself,
+        # never through its factorization
+        assert mirror(Y) == X * Y_INV
+        base, _, _ = identity_polynomials()
+        assert mirror(base) == base
+        power = LaurentPoly.constant(1)
+        for n in range(13):
+            assert mirror(power) == power
+            power = power * base
+
     def test_power_support_stays_in_box(self):
         # constant_terms relies on every exponent of base**n lying within
         # hexagonal radius n; the term count shows the hexagon is full.
@@ -264,13 +308,13 @@ class TestSequenceTerm:
             assert sequence_term(n) == power.constant_term()
 
     def test_walk_keeps_only_terms_that_can_reach_the_constant(self, monkeypatch):
-        sides = []
+        heights = []
 
         def recording(step):
             def recording_step(rows, w, *radius):
-                # every packed row fits the square frame: 2r + 1 cells of w bits
-                assert all(row.bit_length() <= len(rows) * w for row in rows)
-                sides.append(len(rows))
+                # r + 1 packed rows, ey = 0..r, each within 2r + 1 cells of w bits
+                assert all(row.bit_length() <= (2 * len(rows) - 1) * w for row in rows)
+                heights.append(len(rows))
                 return step(rows, w, *radius)
 
             return recording_step
@@ -278,10 +322,10 @@ class TestSequenceTerm:
         for name in ("_times_base", "_times_base_cropped"):
             monkeypatch.setattr(laurent, name, recording(getattr(laurent, name)))
         assert sequence_term(12) == 9533639025
-        # step n + 1 reads the square frame of base**n cropped to radius
-        # r = min(n, 12 - n), 2r + 1 rows; the largest has 2*6 + 1 = 13
+        # step n + 1 reads rows ey >= 0 of the square frame of base**n cropped
+        # to radius r = min(n, 12 - n), r + 1 rows; the largest has 6 + 1 = 7
         radii = [min(n, 12 - n) for n in range(12)]
-        assert sides == [2 * r + 1 for r in radii]
+        assert heights == [r + 1 for r in radii]
 
 
 class TestStencil:
@@ -290,19 +334,19 @@ class TestStencil:
     def test_step_is_the_product_with_the_base(self, cells):
         base, _, _ = identity_polynomials()
         stepped = laurent._times_base(pack(cells), FIELD)
-        assert len(stepped) == len(cells) + 2
-        assert all(row.bit_length() <= len(stepped) * FIELD for row in stepped)
-        assert frame_poly(unpack(stepped)) == frame_poly(cells) * base
+        assert len(stepped) == len(cells) + 1
+        assert all(row.bit_length() <= (2 * len(stepped) - 1) * FIELD for row in stepped)
+        assert half_poly(unpack(stepped)) == upper(frame_poly(mirrored(cells)) * base)
 
     @settings(max_examples=150, deadline=None)
     @given(wide_frames)
     def test_step_sums_each_row_pair_once_to_the_readable_rows(self, case):
         rows, w = case
-        assert laurent._times_base(rows, w) == readable_step(rows, w)
+        assert laurent._times_base(rows, w) == readable_half_step(rows, w)
 
     def test_step_matches_the_readable_rows_along_the_walk(self):
         for rows, w in laurent._walk(40, crop=False):
-            assert laurent._times_base(rows, w) == readable_step(rows, w)
+            assert laurent._times_base(rows, w) == readable_half_step(rows, w)
 
     @settings(max_examples=150, deadline=None)
     @given(cropped_frames)
@@ -310,12 +354,10 @@ class TestStencil:
         cells, radius = case
         base, _, _ = identity_polynomials()
         stepped = laurent._times_base_cropped(pack(cells), FIELD, radius)
-        assert len(stepped) == 2 * radius + 1
-        assert all(row.bit_length() <= len(stepped) * FIELD for row in stepped)
-        product = (frame_poly(cells) * base).coefficients
-        assert frame_poly(unpack(stepped)) == LaurentPoly(
-            {(ex, ey): c for (ex, ey), c in product.items() if max(abs(ex), abs(ey)) <= radius}
-        )
+        assert len(stepped) == radius + 1
+        assert all(row.bit_length() <= (2 * radius + 1) * FIELD for row in stepped)
+        product = frame_poly(mirrored(cells)) * base
+        assert half_poly(unpack(stepped)) == upper(product, radius)
 
     @settings(max_examples=150, deadline=None)
     @given(widenings)
@@ -341,12 +383,12 @@ class TestWalk:
                 # each widening at least doubles the steps the cells cover
                 assert len(set(widths)) <= max_n.bit_length() + 1
 
-    def test_walk_to_100_packs_at_most_80_million_output_bits(self):
-        # each step n >= 1 packs a square of 2r + 1 rows of 2r + 1 cells, w bits
-        # a cell; at the last step's width throughout, with each cropped frame
-        # built two cells wider each side, it would pack 115,483,100
+    def test_walk_to_100_packs_at_most_40_million_output_bits(self):
+        # each step n >= 1 packs rows ey = 0..r of a square of radius r, r + 1
+        # rows of 2r + 1 cells, w bits a cell; the whole square, 2r + 1 rows,
+        # packed 76,327,120
         frames = list(laurent._walk(100, crop=True))[1:]
-        assert sum(len(rows) ** 2 * w for rows, w in frames) <= 80_000_000
+        assert sum(len(rows) * (2 * len(rows) - 1) * w for rows, w in frames) <= 40_000_000
 
 
 class TestRingLaws:

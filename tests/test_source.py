@@ -63,6 +63,37 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     return unread
 
 
+def imported_names(source: str) -> set[str]:
+    """Every module and name a source's imports mention, split at the dots."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    return names - {""}
+
+
+def names_reached(source: str, entries: tuple[str, ...]) -> set[str]:
+    """Names read by the module-level functions ``entries`` and every one they read in turn."""
+    reads = {
+        node.name: {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    reached, pending = set(), list(entries)
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            pending += reads.get(name, ())
+    return reached
+
+
 def test_finds_an_unused_import():
     source = "import csv\nimport os.path\nfrom x import a, b as c\nos.sep\nc()\n"
     assert unused_imports(source) == ["csv (line 1)", "a (line 3)"]
@@ -79,6 +110,15 @@ def test_finds_an_unread_private_name():
         "_dead (a.py line 6)",
         "_Gone (a.py line 8)",
     ]
+
+
+def test_finds_imports_and_names_read_through_helpers():
+    source = (
+        "from . import counting\nfrom .model import Card as C\nimport os.path\n"
+        "def walk():\n    return step()\ndef step():\n    return base\ndef other():\n    return y\n"
+    )
+    assert imported_names(source) == {"counting", "model", "Card", "os", "path"}
+    assert names_reached(source, ("walk",)) == {"walk", "step", "base"}
 
 
 def test_every_module_is_checked():
@@ -164,6 +204,19 @@ def test_laurent_has_one_walk_that_both_powers_step_through():
     assert steps <= set(calls)
     assert [name for name, called in calls.items() if called & steps] == ["_walk"]
     assert "_walk" in calls["base_power"] and "_walk" in calls["constant_terms"]
+
+
+def test_the_constant_term_never_goes_through_the_factorization():
+    # factor1 * factor2 would turn the walk into rhs_sum: the walk writes the
+    # base's stencil out itself, so it reads no closed form from counting and
+    # never the polynomials of the identity
+    source = (PACKAGE / "laurent.py").read_text()
+    assert "counting" not in imported_names(source)
+    walk = ("_walk", "_times_base", "_times_base_cropped")
+    powers = ("constant_terms", "sequence_term", "base_power")
+    reached = names_reached(source, walk + powers)
+    assert set(walk) <= reached
+    assert "identity_polynomials" not in reached
 
 
 def test_the_oracle_has_one_join_loop_that_every_consumer_reads():
