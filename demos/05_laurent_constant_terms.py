@@ -8,7 +8,14 @@ The deal counts fall out of one polynomial identity, and the powers of its
 base are walked as a stencil on rows packed into one integer each.
 """
 
-from trideal import LaurentPoly, base_power, constant_terms, identity_polynomials, sequence_term
+from trideal import (
+    LaurentPoly,
+    base_power,
+    base_power_text,
+    constant_terms,
+    identity_polynomials,
+    sequence_term,
+)
 
 # Build by hand: (x + 1/x)^2 = x^2 + 2 + x^-2.
 x = LaurentPoly.monomial(1, 0)
@@ -57,6 +64,9 @@ print(f"base**6 has {len(power)} terms, constant term {power.constant_term()}")
 # return to (0, 0), only the cells of the smaller square.
 # base_power unpacks the rows into a LaurentPoly once, at the end, each
 # coefficient of a row ey > 0 also filling its mirror image in row -ey.
+# base_power_text prints the same cells as to_text would, one total degree
+# at a time, reading each term of ey < 0 at its mirror image.
 mirrored = LaurentPoly({(ex + ey, -ey): c for (ex, ey), c in power.coefficients.items()})
 print("base**6 is its own mirror image:", mirrored == power)
 print("base_power(6) == base ** 6:", base_power(6) == power)
+print("base_power_text(6) is its text:", "".join(base_power_text(6)) == power.to_text())

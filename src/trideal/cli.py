@@ -207,11 +207,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_ct(args: argparse.Namespace) -> int:
-    """Print the constant term of base**n, or the whole power with --poly."""
+    """Print the constant term of base**n, or the whole power with --poly.
+
+    The power goes out one total degree a write, as the renderer forms it.
+    """
     if args.poly:
         if args.n < 0 or args.n > laurent.CT_GUARD:
             return _usage(f"--n must lie in 0..{laurent.CT_GUARD}")
-        print(laurent.base_power(args.n).to_text())
+        write = sys.stdout.write
+        for chunk in laurent.base_power_text(args.n):
+            write(chunk)
+        write("\n")
     else:
         print(laurent.sequence_term(args.n))
     return 0

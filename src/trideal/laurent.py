@@ -23,8 +23,10 @@ ey >= 0.  The base's Newton polygon is the hexagon of the A2 lattice
 every power is symmetric under it: row -1, the one row below the middle a
 step reads, is row 1 shifted up one cell.  The walk for the constant terms
 builds only the cells that can still reach x**0 * y**0.  The rows are
-unpacked into a ``LaurentPoly``, each with its mirror image, only when the
-whole power is asked for.
+unpacked only when the whole power is asked for: ``base_power_text`` prints
+it straight from the cells, one total degree at a time, each term of ey < 0
+read at its mirror image, and ``base_power`` builds a ``LaurentPoly`` from
+the same cells.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "CT_GUARD",
     "LaurentPoly",
     "base_power",
+    "base_power_text",
     "constant_terms",
     "identity_polynomials",
     "sequence_term",
@@ -46,9 +49,10 @@ __all__ = [
 #: walks n stencil steps over the n + 1 packed rows ey >= 0 at most, the rows
 #: below read from their mirror images, O(n**2) whole-row shift-adds in all on
 #: ints of at most 2n + 1 cells, each cell the whole bytes that 9**n needs:
-#: the cropped walk to sequence_term(200) takes ~0.17 s and the whole
-#: base_power(200), as ``ct --poly`` unpacks it, ~0.75 s (Python 3.11,
-#: 2-vCPU VM, where the whole square took ~0.37 s and ~1.6 s).
+#: the cropped walk to sequence_term(200) takes ~0.17 s and the uncropped
+#: walk ~0.7 s, and base_power_text(200), which ``ct --poly`` prints, ~0.15 s
+#: more; a fresh ``ct --n 200 --poly`` takes ~1.1 s and peaks at ~40 MB
+#: (Python 3.11, 2-vCPU VM).
 CT_GUARD = 200
 
 
@@ -366,28 +370,86 @@ def _walk(max_n: int, crop: bool) -> Iterator[tuple[list[int], int]]:
         yield rows, w
 
 
+def _half_frame(walk: Iterator[tuple[list[int], int]]) -> list[list[int]]:
+    """The cells of the last half frame ``walk`` yields: row ey lists those of ex = -r..r - ey.
+
+    Each packed row is cut into its cells by ``to_bytes`` slices, and only
+    the hexagon's cells are kept: those of ex > r - ey are 0.
+    """
+    for rows, w in walk:
+        pass
+    size, cells = w // 8, 2 * len(rows) - 1
+    half = []
+    for ey, row in enumerate(rows):
+        data = row.to_bytes(cells * size, "little")
+        starts = range(0, (cells - ey) * size, size)
+        half.append([int.from_bytes(data[i : i + size], "little") for i in starts])
+    return half
+
+
 def base_power(n: int) -> LaurentPoly:
-    """The whole base**n, 3n**2 + 3n + 1 terms, as ``ct --poly`` prints it.
+    """The whole base**n, 3n**2 + 3n + 1 terms, as a ``LaurentPoly``.
 
     The uncropped walk to n, its cells widened as the coefficients grow,
     ends on the half frame of rows ey = 0..n.  Row ey holds the hexagon's
-    cells ex = -n..n - ey, which ``to_bytes`` slices unpack; each also fills
-    its mirror image (ex + ey, -ey), so the rows ey < 0 are never built.  The
-    coefficients are converted to a ``LaurentPoly`` once; ~0.75 s at
-    n = CT_GUARD = 200, about four fifths of it the walk (Python 3.11,
-    2-vCPU VM).
+    cells ex = -n..n - ey (``_half_frame``); each also fills its mirror
+    image (ex + ey, -ey), so the rows ey < 0 are never built.  ~0.8 s at
+    n = CT_GUARD = 200, about nine tenths of it the walk (Python 3.11,
+    2-vCPU VM).  ``ct --poly`` prints the same power from the same cells
+    through ``base_power_text``, and ``to_text`` stays the readable
+    definition of that text.
     Raises ValueError for n < 0 or n > CT_GUARD.
     """
-    for rows, w in _walk(n, crop=False):
-        pass
-    size = w // 8
     coeffs = {}
-    for ey, row in enumerate(rows):
-        data = row.to_bytes((2 * n + 1) * size, "little")
-        for i in range(2 * n + 1 - ey):
-            c = int.from_bytes(data[i * size : (i + 1) * size], "little")
-            coeffs[i - n, ey] = coeffs[i - n + ey, -ey] = c
+    for ey, row in enumerate(_half_frame(_walk(n, crop=False))):
+        for ex, c in enumerate(row, -n):
+            coeffs[ex, ey] = coeffs[ex + ey, -ey] = c
     return LaurentPoly(coeffs)
+
+
+def base_power_text(n: int) -> Iterator[str]:
+    """``base_power(n).to_text()`` in chunks, one per total degree, without a ``LaurentPoly``.
+
+    The walk to n runs when this is called, so it raises ValueError then for
+    n < 0 or n > CT_GUARD; the chunks are formed as they are read.  Their
+    order is ``to_text``'s: total degree t = ex + ey from n down to -n, and
+    within a degree ex descending.  The terms of degree t with ey < 0 come
+    first, and each is read at its mirror image (t, -ey): column t of the
+    rows 1, 2, ... of the half frame.  The rest, ey = 0, 1, ..., lie on the
+    antidiagonal ex = t - ey of the stored rows.  Each stored cell is
+    converted to decimal once, for itself and its mirror image (the constant
+    once more, bare), and each monomial is two per-exponent strings; every
+    chunk after the first opens with its " + ".
+    """
+    return _degree_texts(_half_frame(_walk(n, crop=False)))
+
+
+def _degree_texts(half: list[list[int]]) -> Iterator[str]:
+    """The chunks of ``base_power_text`` from the cells of the last half frame."""
+    n = len(half) - 1
+    # "c*" before a monomial, and nothing for c = 1
+    coefs = [["" if c == 1 else f"{c}*" for c in row] for row in half]
+    # x^ex with its "*" at index n - ex, so ex descends along the list, and
+    # y^ey at index n + ey, each written as _monomial_text writes it
+    xs = ["" if ex == 0 else "x*" if ex == 1 else f"x^{ex}*" for ex in range(n, -n - 1, -1)]
+    ys = ["" if ey == 0 else "y" if ey == 1 else f"y^{ey}" for ey in range(-n, n + 1)]
+    for t in range(n, -n - 1, -1):
+        # degree t has ``below`` terms of ey < 0, then those of ey = 0..above;
+        # a " + ", a coefficient, x^ex and y^ey for each, joined at once
+        col, below, above = t + n, min(n - t, n), min(n + t, n)
+        pieces = [" + "] * 4 * (below + 1 + above)
+        pieces[1::4] = [row[col] for row in coefs[below:0:-1]] + [
+            row[col - ey] for ey, row in enumerate(coefs[: above + 1])
+        ]
+        pieces[2::4] = xs[n - t - below : n - t + above + 1]
+        pieces[3::4] = ys[n - below : n + above + 1]
+        # the term of ey = 0 has no "*" after its x^ex, and at t = 0 it is the
+        # bare constant
+        head = 4 * below + 1
+        pieces[head : head + 2] = (coefs[0][col], xs[n - t][:-1]) if t else (str(half[0][n]), "")
+        if t == n:
+            pieces[0] = ""
+        yield "".join(pieces)
 
 
 def constant_terms(max_n: int) -> Iterator[int]:
@@ -415,7 +477,7 @@ def sequence_term(n: int) -> int:
     mirror symmetry, cropped to the monomials that can still reach
     x**0 * y**0, with cells only as wide as each step needs, O(n**2)
     whole-row shift-adds (~0.17 s at n = CT_GUARD = 200; Python 3.11, 2-vCPU
-    VM).  The whole base**n, from base_power, takes ~0.75 s at n = 200.
+    VM).  The whole base**n, from base_power, takes ~0.8 s at n = 200.
     """
     for term in constant_terms(n):
         pass

@@ -582,6 +582,29 @@ class TestCt:
         assert out == expected + "\n"
         assert muls == []
 
+    def test_poly_is_written_a_degree_at_a_time_without_a_polynomial(self, capsys, monkeypatch):
+        base, _, _ = identity_polynomials()
+        expected = (base ** 30).to_text() + "\n"
+        calls, written = [], []
+
+        def spy(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("__init__", "to_text"):
+            monkeypatch.setattr(LaurentPoly, name, spy(name, getattr(LaurentPoly, name)))
+        monkeypatch.setattr(sys, "stdout", Recorder(sys.stdout, written))
+        code, out, _ = run(capsys, "ct", "--n", "30", "--poly")
+        assert code == 0
+        assert out == expected
+        assert calls == []
+        # one write per total degree -30..30, and the newline
+        assert "".join(written) == out
+        assert len(written) <= 2 * 30 + 2
+
     def test_negative_n(self, capsys):
         code, _, err = run(capsys, "ct", "--n", "-3")
         assert code == 2

@@ -106,9 +106,10 @@ class TestLhsTerms:
 
         monkeypatch.setattr(counting, "mul", counting_mul)
         assert lhs_sum(10) == sum(binomial(10, k) * franel(k) for k in range(11))
-        # two products for each cube of rows 0..10 (66 entries), then one
+        # two products for each cube of the first halves j < n/2 of rows 0..10
+        # (30 entries; the middle entry of an even row is cubed by **), then one
         # C(10, k) * franel(k) per k; the lower rows' 55 dot products are never formed
-        assert len(products) == 2 * 66 + 11
+        assert len(products) == 2 * 30 + 11
 
     def test_negative_rejected_on_first_next(self):
         walk = lhs_terms(-1)  # the call itself does not raise

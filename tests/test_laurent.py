@@ -7,6 +7,7 @@ from trideal.laurent import (
     CT_GUARD,
     LaurentPoly,
     base_power,
+    base_power_text,
     constant_terms,
     identity_polynomials,
     sequence_term,
@@ -276,6 +277,11 @@ class TestSequenceTerm:
             base_power(-1)
         with pytest.raises(ValueError):
             base_power(CT_GUARD + 1)
+        # the renderer walks when called, before any chunk is read
+        with pytest.raises(ValueError):
+            base_power_text(-1)
+        with pytest.raises(ValueError):
+            base_power_text(CT_GUARD + 1)
 
     def test_walk_matches_full_powers_at_every_truncation(self):
         base, _, _ = identity_polynomials()
@@ -433,6 +439,14 @@ class TestText:
     def test_str_matches_to_text(self):
         base, _, _ = identity_polynomials()
         assert str(base) == base.to_text()
+
+    def test_power_text_is_the_readable_rendering(self):
+        # read straight off the walk's half frame, one chunk per total degree:
+        # n = 0 is the bare constant, and the hexagon's corners have coefficient 1
+        for n in [*range(41), 100]:
+            chunks = list(base_power_text(n))
+            assert len(chunks) == 2 * n + 1
+            assert "".join(chunks) == base_power(n).to_text()
 
 
 def test_polynomials_hash_by_value():

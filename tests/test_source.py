@@ -213,7 +213,7 @@ def test_the_constant_term_never_goes_through_the_factorization():
     source = (PACKAGE / "laurent.py").read_text()
     assert "counting" not in imported_names(source)
     walk = ("_walk", "_times_base", "_times_base_cropped")
-    powers = ("constant_terms", "sequence_term", "base_power")
+    powers = ("constant_terms", "sequence_term", "base_power", "base_power_text")
     reached = names_reached(source, walk + powers)
     assert set(walk) <= reached
     assert "identity_polynomials" not in reached
