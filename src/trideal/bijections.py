@@ -7,13 +7,14 @@ form pins down a deal with a prescribed red denomination set.  In both,
 exactly as large as the deal family it maps onto (the exhaustive audits in
 the test suite and the ``audit`` CLI subcommand check this).
 
-Each bijection has one encoder from parameters to the oracle's deal form, the
-sorted denomination set plus one 3-bit routing code per denomination, and
-one decoder back.  Bit 2 of a code sends the denomination's red card to
-blue's hand (else green's), bit 1 its green card to blue's hand (else red's),
-and bit 0 its blue card to green's hand (else red's).  So ``code & 3`` says
-which cards red holds: 0 both off-color cards, 1 only the green one, 2 only
-the blue one, 3 none.  The public ``encode_*``/``decode_*`` functions wrap
+Both bijections share one code form, the oracle's: a deal is the sorted
+denomination set plus one 3-bit routing code per denomination.  Each has one
+encoder, ``_*_codes(params) -> (subset, codes)``, and one decoder,
+``_*_params(n, subset, codes)``.  Bit 2 of a code sends the denomination's
+red card to blue's hand (else green's), bit 1 its green card to blue's hand
+(else red's), and bit 0 its blue card to green's hand (else red's).  So
+``code & 3`` says which cards red holds: 0 both off-color cards, 1 only the
+green one, 2 only the blue one, 3 none.  The public ``encode_*``/``decode_*`` functions wrap
 this form in ``Deal`` objects; the ``audit`` subcommand uses it directly.
 """
 
@@ -87,31 +88,32 @@ def _check_full_deck(params: FullDeckParams) -> None:
         raise ValueError("need |red_in_blue| = |green_in_red|")
 
 
-def _full_deck_codes(params: FullDeckParams) -> tuple[int, ...]:
-    """Routing codes of the full-deck deal, one per denomination 1..n."""
-    return tuple(
+def _full_deck_codes(params: FullDeckParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The full-deck deal as (denominations 1..n, routing codes)."""
+    subset = tuple(range(1, params.n + 1))
+    return subset, tuple(
         4 * (d in params.red_in_blue)
         + 2 * (d not in params.green_in_red)
         + (d not in params.blue_in_red)
-        for d in range(1, params.n + 1)
+        for d in subset
     )
 
 
-def _full_deck_params(n: int, codes: tuple[int, ...]) -> FullDeckParams:
-    """Read the three choice sets off the routing codes of a full-deck deal."""
-    routed = tuple(zip(range(1, n + 1), codes))
+def _full_deck_params(n: int, subset: tuple[int, ...], codes: tuple[int, ...]) -> FullDeckParams:
+    """Read the three choice sets off a full-deck deal's (subset, routing codes) form."""
+    routed = tuple(zip(subset, codes))
     return FullDeckParams(
         n,
-        frozenset(d for d, code in routed if not code & 2),
-        frozenset(d for d, code in routed if not code & 1),
-        frozenset(d for d, code in routed if code & 4),
+        (d for d, code in routed if not code & 2),
+        (d for d, code in routed if not code & 1),
+        (d for d, code in routed if code & 4),
     )
 
 
 def encode_full_deck(params: FullDeckParams) -> Deal:
     """Build the unique full-deck deal realizing the given choices."""
     _check_full_deck(params)
-    return _deal(params.n, tuple(range(1, params.n + 1)), _full_deck_codes(params))
+    return _deal(params.n, *_full_deck_codes(params))
 
 
 def decode_full_deck(deal: Deal) -> FullDeckParams:
@@ -119,8 +121,7 @@ def decode_full_deck(deal: Deal) -> FullDeckParams:
     require_valid(deal)
     if deal.s != frozenset(range(1, deal.n + 1)):
         raise ValueError("not a full-deck deal: the denomination set must be all of 1..n")
-    _, codes = _codes(deal)
-    return _full_deck_params(deal.n, codes)
+    return _full_deck_params(deal.n, *_codes(deal))
 
 
 class RedSetParams(_Value):
@@ -214,11 +215,11 @@ def _red_set_params(n: int, subset: tuple[int, ...], codes: tuple[int, ...]) -> 
     both, green_only, blue_only, extra = groups
     return RedSetParams(
         n,
-        frozenset(both + green_only + blue_only),
-        frozenset(both),
-        frozenset(blue_only),
-        frozenset(extra),
-        frozenset(d for d, code in zip(subset, codes) if code & 4),
+        both + green_only + blue_only,
+        both,
+        blue_only,
+        extra,
+        (d for d, code in zip(subset, codes) if code & 4),
     )
 
 
@@ -242,7 +243,7 @@ def iter_full_deck_params(n: int) -> Iterator[FullDeckParams]:
     for greens in subsets_lex(universe):
         for blues in combinations(universe, n - len(greens)):
             for reds in combinations(universe, len(greens)):
-                yield FullDeckParams(n, frozenset(greens), frozenset(blues), frozenset(reds))
+                yield FullDeckParams(n, greens, blues, reds)
 
 
 def iter_red_set_params(n: int, denoms: Iterable[int]) -> Iterator[RedSetParams]:
@@ -253,22 +254,16 @@ def iter_red_set_params(n: int, denoms: Iterable[int]) -> Iterator[RedSetParams]
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    red_denoms = tuple(sorted(set(denoms)))
-    if not set(red_denoms) <= set(range(1, n + 1)):
+    red = frozenset(denoms)
+    red_denoms = tuple(sorted(red))
+    if not red <= frozenset(range(1, n + 1)):
         raise ValueError(f"denominations {list(red_denoms)} not within 1..{n}")
-    outside = tuple(d for d in range(1, n + 1) if d not in set(red_denoms))
+    outside = tuple(d for d in range(1, n + 1) if d not in red)
     for both in subsets_lex(red_denoms):
-        rest = tuple(d for d in red_denoms if d not in set(both))
+        rest = tuple(d for d in red_denoms if d not in both)
         for blue_only in subsets_lex(rest):
             green_only_size = len(rest) - len(blue_only)
             for extra in combinations(outside, len(both)):
-                pool = tuple(sorted(set(red_denoms) | set(extra)))
+                pool = tuple(sorted(red_denoms + extra))
                 for red_to_blue in combinations(pool, len(both) + green_only_size):
-                    yield RedSetParams(
-                        n,
-                        frozenset(red_denoms),
-                        frozenset(both),
-                        frozenset(blue_only),
-                        frozenset(extra),
-                        frozenset(red_to_blue),
-                    )
+                    yield RedSetParams(n, red, both, blue_only, extra, red_to_blue)

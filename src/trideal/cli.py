@@ -12,7 +12,7 @@ import argparse
 import re
 import sys
 from functools import partial
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import bijections, counting, enumeration, laurent
 from .model import deal_to_text, denom_set_text
@@ -131,30 +131,43 @@ def _parse_denoms(text: str) -> frozenset[int]:
     return frozenset(denoms)
 
 
+def _audit(
+    n: int, params: Iterable, encode: Callable, decode: Callable, enumerated: list, expected: int
+) -> str | None:
+    """Check one bijection against the oracle's deals; return what failed, else None.
+
+    Each parameter is encoded once into a routing -> parameter table, which
+    must match the deals and the closed form ``expected``.  One walk over the
+    deals then decodes each and encodes it again, so a drifting encoder fails.
+    """
+    table: dict = {}
+    for p in params:
+        routing = encode(p)
+        if routing in table:
+            return f"encode collision: {table[routing].to_text()} and {p.to_text()}"
+        table[routing] = p
+    if not len(table) == len(enumerated) == expected or table.keys() != set(enumerated):
+        return f"params={len(table)} enumerated={len(enumerated)} expected={expected}"
+    for routing in enumerated:
+        p = decode(n, *routing)
+        if p != table[routing]:
+            return f"decode(encode) roundtrip at {table[routing].to_text()}"
+        if encode(p) != routing:
+            return f"encode(decode) roundtrip at {deal_to_text(enumeration._deal(n, *routing))}"
+    return None
+
+
 def _audit_full_deck(n: int, allow_large: bool) -> int:
     # the oracle runs first, so the guard fires before any parameter is built
-    enumerated = [codes for _, codes in enumeration._routings(n, allow_large, full_deck=True)]
-    params = list(bijections.iter_full_deck_params(n))
-    encoded = [bijections._full_deck_codes(p) for p in params]
-    image = set(encoded)
-    expected = counting.franel(n)
+    enumerated = list(enumeration._routings(n, allow_large, full_deck=True))
     print(f"audit full-deck n={n}")
-    print(f"params={len(params)} image={len(image)} enumerated={len(enumerated)} expected={expected}")
-    if len(image) != len(params):
-        seen: dict = {}
-        for p, codes in zip(params, encoded):
-            if codes in seen:
-                return _mismatch(f"FAIL encode collision: {seen[codes].to_text()} and {p.to_text()}")
-            seen[codes] = p
-    if not len(params) == len(enumerated) == expected or image != set(enumerated):
-        return _mismatch(f"FAIL image of encode differs from enumeration at n={n}")
-    for p, codes in zip(params, encoded):
-        if bijections._full_deck_params(n, codes) != p:
-            return _mismatch(f"FAIL decode(encode) roundtrip at {p.to_text()}")
-    for codes in enumerated:
-        if bijections._full_deck_codes(bijections._full_deck_params(n, codes)) != codes:
-            text = deal_to_text(enumeration._deal(n, tuple(range(1, n + 1)), codes))
-            return _mismatch(f"FAIL encode(decode) roundtrip at {text}")
+    params = bijections.iter_full_deck_params(n)
+    codec = bijections._full_deck_codes, bijections._full_deck_params
+    failure = _audit(n, params, *codec, enumerated, counting.franel(n))
+    if failure:
+        return _mismatch(f"FAIL {failure}")
+    size = len(enumerated)
+    print(f"params={size} image={size} enumerated={size} expected={size}")
     print("roundtrips=OK")
     print("PASS")
     return 0
@@ -167,29 +180,18 @@ def _audit_red_set(n: int, allow_large: bool) -> int:
         for denoms in enumeration.subsets_lex(tuple(range(1, n + 1)))
     ]
     print(f"audit red-set n={n}")
+    codec = bijections._red_set_codes, bijections._red_set_params
     total = 0
     for denoms, stream in streams:
-        params = list(bijections.iter_red_set_params(n, denoms))
-        encoded = [bijections._red_set_codes(p) for p in params]
-        image = set(encoded)
         enumerated = list(stream)
-        expected = counting.red_set_count(n, len(denoms))
         label = f"D={denom_set_text(denoms)}"
-        if len(image) != len(params):
-            return _mismatch(f"FAIL {label}: encode is not injective")
-        if not len(params) == len(enumerated) == expected or image != set(enumerated):
-            return _mismatch(
-                f"FAIL {label}: params={len(params)} enumerated={len(enumerated)} expected={expected}"
-            )
-        for p, routing in zip(params, encoded):
-            if bijections._red_set_params(n, *routing) != p:
-                return _mismatch(f"FAIL {label}: decode(encode) roundtrip at {p.to_text()}")
-        for routing in enumerated:
-            if bijections._red_set_codes(bijections._red_set_params(n, *routing)) != routing:
-                text = deal_to_text(enumeration._deal(n, *routing))
-                return _mismatch(f"FAIL {label}: encode(decode) roundtrip at {text}")
-        print(f"{label} params={len(params)} image={len(image)} enumerated={len(enumerated)} roundtrips=OK")
-        total += len(params)
+        params = bijections.iter_red_set_params(n, denoms)
+        failure = _audit(n, params, *codec, enumerated, counting.red_set_count(n, len(denoms)))
+        if failure:
+            return _mismatch(f"FAIL {label}: {failure}")
+        size = len(enumerated)
+        print(f"{label} params={size} image={size} enumerated={size} roundtrips=OK")
+        total += size
     print(f"total={total}")
     print("PASS")
     return 0
@@ -198,8 +200,9 @@ def _audit_red_set(n: int, allow_large: bool) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     """Exhaustively audit one of the two bijections at a given n.
 
-    Both audits compare the bijections' routing-code tuples with the oracle's
-    ``_routings`` stream; a ``Deal`` is built only to name a failing one.
+    Both audits go through ``_audit``, which compares the bijection's
+    (subset, codes) pairs with the oracle's ``_routings`` stream; a ``Deal``
+    is built only to name a failing one.
     """
     if args.which == "full-deck":
         return _audit_full_deck(args.n, args.allow_large)
@@ -212,8 +215,6 @@ def cmd_ct(args: argparse.Namespace) -> int:
     The power goes out one total degree a write, as the renderer forms it.
     """
     if args.poly:
-        if args.n < 0 or args.n > laurent.CT_GUARD:
-            return _usage(f"--n must lie in 0..{laurent.CT_GUARD}")
         write = sys.stdout.write
         for chunk in laurent.base_power_text(args.n):
             write(chunk)

@@ -63,11 +63,11 @@ def reference_encode_red_set(params):
 class TestCodeForms:
     def test_full_deck_codes_match_the_reference(self):
         for n in range(6):
-            deck = tuple(range(1, n + 1))
             for p in iter_full_deck_params(n):
-                codes = _full_deck_codes(p)
-                assert _deal(n, deck, codes) == reference_encode_full_deck(p)
-                assert _full_deck_params(n, codes) == p
+                subset, codes = _full_deck_codes(p)
+                assert subset == tuple(range(1, n + 1))
+                assert _deal(n, subset, codes) == reference_encode_full_deck(p)
+                assert _full_deck_params(n, subset, codes) == p
 
     def test_red_set_codes_match_the_reference(self):
         for n in range(5):
@@ -103,6 +103,8 @@ class TestFullDeckEncode:
     def test_containment_enforced(self):
         with pytest.raises(ValueError, match="within"):
             encode_full_deck(FullDeckParams(1, {2}, (), {1}))
+        with pytest.raises(ValueError, match=r"^need n >= 0, got -1$"):
+            encode_full_deck(FullDeckParams(-1, (), (), ()))
 
 
 class TestFullDeckDecode:
@@ -172,6 +174,14 @@ class TestRedSetEncode:
             encode_red_set(RedSetParams(2, {1}, {2}, (), (), ()))
         with pytest.raises(ValueError, match="blue_only"):
             encode_red_set(RedSetParams(2, {1}, {1}, {1}, {2}, {1}))
+        with pytest.raises(ValueError, match=r"^need n >= 0, got -1$"):
+            encode_red_set(RedSetParams(-1, (), (), (), (), ()))
+        with pytest.raises(ValueError, match=r"^red_denoms must lie within 1\.\.1$"):
+            encode_red_set(RedSetParams(1, {2}, (), (), (), ()))
+        with pytest.raises(ValueError, match=r"^extra must lie within 1\.\.2 and avoid red_denoms"):
+            encode_red_set(RedSetParams(2, {1}, {1}, (), {1}, {1}))
+        with pytest.raises(ValueError, match=r"^red_to_blue must lie within red_denoms plus extra"):
+            encode_red_set(RedSetParams(2, {1}, (), (), (), {2}))
 
 
 class TestRedSetDecode:

@@ -409,8 +409,8 @@ class TestAudit:
         def drifting(params):
             # honest for the franel(2) = 10 encodes, then flips the red card
             calls.append(1)
-            codes = original(params)
-            return codes if len(calls) <= 10 else tuple(c ^ 4 for c in codes)
+            subset, codes = original(params)
+            return (subset, codes) if len(calls) <= 10 else (subset, tuple(c ^ 4 for c in codes))
 
         monkeypatch.setattr(bijections, "_full_deck_codes", drifting)
         code, _, err = run(capsys, "audit", "--n", "2", "--which", "full-deck")
@@ -435,7 +435,7 @@ class TestAudit:
     @pytest.mark.parametrize(
         "which, message",
         [
-            ("full-deck", "FAIL image of encode differs from enumeration at n=2"),
+            ("full-deck", "FAIL params=10 enumerated=11 expected=10"),
             ("red-set", "FAIL D={}: params=1 enumerated=2 expected=1"),
         ],
     )
@@ -458,18 +458,25 @@ class TestAudit:
             (
                 "full-deck",
                 "_full_deck_codes",
-                lambda params: (),
+                lambda params: ((), ()),
                 "FAIL encode collision: green_in_red={};blue_in_red={1,2};red_in_blue={} and "
                 "green_in_red={1};blue_in_red={1};red_in_blue={1}",
             ),
             (
                 "full-deck",
                 "_full_deck_params",
-                lambda n, codes: None,
-                "FAIL decode(encode) roundtrip at green_in_red={};blue_in_red={1,2};red_in_blue={}",
+                lambda n, subset, codes: None,
+                # the first enumerated deal's parameter, as the walk reads the deals
+                "FAIL decode(encode) roundtrip at green_in_red={1};blue_in_red={1};red_in_blue={2}",
             ),
             # D={} has the one empty routing, so this fake passes it and fails D={1}
-            ("red-set", "_red_set_codes", lambda params: ((), ()), "FAIL D={1}: encode is not injective"),
+            (
+                "red-set",
+                "_red_set_codes",
+                lambda params: ((), ()),
+                "FAIL D={1}: encode collision: D={1};A={};B={};E={};R={1} and "
+                "D={1};A={};B={1};E={};R={}",
+            ),
             (
                 "red-set",
                 "_red_set_params",
@@ -482,6 +489,33 @@ class TestAudit:
         monkeypatch.setattr(bijections, name, fake)
         code, _, err = run(capsys, "audit", "--n", "2", "--which", which)
         assert (code, err) == (1, f"{message}\n")
+
+    @pytest.mark.parametrize(
+        "which, encoder, decoder, deals",
+        [
+            ("full-deck", "_full_deck_codes", "_full_deck_params", 346),
+            ("red-set", "_red_set_codes", "_red_set_params", 639),
+        ],
+    )
+    def test_each_deal_is_decoded_once_and_encoded_twice(
+        self, capsys, monkeypatch, which, encoder, decoder, deals
+    ):
+        # one encode per parameter into the table, then one decode and one
+        # re-encode per deal in the single walk over the oracle's deals
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        for name in (encoder, decoder):
+            monkeypatch.setattr(bijections, name, counted(name, getattr(bijections, name)))
+        code, _, _ = run(capsys, "audit", "--n", "4", "--which", which)
+        assert code == 0
+        assert (calls.count(encoder), calls.count(decoder)) == (2 * deals, deals)
 
 
 @pytest.mark.parametrize(
@@ -532,6 +566,11 @@ GOLDEN_STDOUT = {
         "f1a14bf4eea8affea36cbe6ed34f001e2e278a7977056f911762afe774ae0381",
     ("audit", "--n", "4", "--which", "red-set"):
         "871b4d2125bc4951b8f4b33f906b471b6c1447e6df3338426a521f94b1d67f46",
+    # recorded before both audits went through one shared check
+    ("audit", "--n", "5", "--which", "full-deck"):
+        "b6dec3c71d9e35f496b4af4105bb8373c4b3ce2ee7382dfb25d3fd1a62287aae",
+    ("audit", "--n", "5", "--which", "red-set"):
+        "9ffc7f737195b3ff9eba2e472b8eaa7a206f88132c1f7de1ed1bd020b482cbf9",
     # recorded from the dense list-of-rows stencil, before each row was packed
     # into one int; n = 100 and 200 run the packed walk at its widest cells
     ("verify", "--max-n", "200"):
@@ -609,9 +648,15 @@ class TestCt:
         code, _, err = run(capsys, "ct", "--n", "-3")
         assert code == 2
 
-    def test_poly_beyond_the_guard_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "ct", "--n", "201", "--poly")
-        assert (code, out, err) == (2, "", "error: --n must lie in 0..200\n")
+    @pytest.mark.parametrize("form", [(), ("--poly",)], ids=["term", "poly"])
+    @pytest.mark.parametrize(
+        "n, message",
+        [("201", "n=201 exceeds the constant-term guard (200)"), ("-1", "need n >= 0, got -1")],
+    )
+    def test_poly_beyond_the_guard_is_usage_error(self, capsys, form, n, message):
+        # --poly takes the library's guard and its message, like the bare term
+        code, out, err = run(capsys, "ct", "--n", n, *form)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestBfile:

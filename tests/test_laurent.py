@@ -167,6 +167,23 @@ class TestArithmetic:
         assert p ** 0 == 1
         assert p ** 1 == p
 
+    def test_subtraction_from_an_int(self):
+        assert 1 - X == LaurentPoly({(0, 0): 1, (1, 0): -1})
+
+    def test_other_operands_are_not_implemented(self):
+        # each method declines, so Python tries the other operand, then raises
+        for name in ("__eq__", "__add__", "__sub__", "__rsub__", "__mul__", "__pow__"):
+            assert getattr(X, name)(1.5) is NotImplemented
+        assert X != "x"
+        with pytest.raises(TypeError):
+            X * 1.5
+
+    def test_coefficient_truth_and_repr(self):
+        p = LaurentPoly({(1, -1): 3})
+        assert (p.coefficient(1, -1), p.coefficient(0, 0)) == (3, 0)
+        assert p and not LaurentPoly()
+        assert repr(p) == "LaurentPoly(3*x*y^-1)"
+
     def test_negative_pow_rejected(self):
         with pytest.raises(ValueError):
             X ** -1

@@ -49,6 +49,9 @@ class TestValidateDeal:
     def test_range_detected(self):
         assert validate_deal(deal(2, "S={3};R=[g3];G=[b3];B=[r3]")) == "range"
         assert validate_deal(Deal(-1, (), (), (), ())) == "range"
+        # S lies within 1..n, but red holds a card of denomination 2
+        red, green, blue = ({Card.from_token(t)} for t in ("g2", "b1", "r1"))
+        assert validate_deal(Deal(1, {1}, red, green, blue)) == "range"
 
     def test_size_detected(self):
         # coverage holds, but red has both non-red cards of denomination 1

@@ -74,9 +74,9 @@ def imported_names(source: str) -> set[str]:
     return names - {""}
 
 
-def names_reached(source: str, entries: tuple[str, ...]) -> set[str]:
-    """Names read by the module-level functions ``entries`` and every one they read in turn."""
-    reads = {
+def function_reads(source: str) -> dict[str, set[str]]:
+    """The names, bare or as attributes, that each module-level function reads."""
+    return {
         node.name: {
             n.id if isinstance(n, ast.Name) else n.attr
             for n in ast.walk(node)
@@ -85,6 +85,11 @@ def names_reached(source: str, entries: tuple[str, ...]) -> set[str]:
         for node in ast.parse(source).body
         if isinstance(node, ast.FunctionDef)
     }
+
+
+def names_reached(source: str, entries: tuple[str, ...]) -> set[str]:
+    """Names read by the module-level functions ``entries`` and every one they read in turn."""
+    reads = function_reads(source)
     reached, pending = set(), list(entries)
     while pending:
         name = pending.pop()
@@ -222,16 +227,11 @@ def test_the_constant_term_never_goes_through_the_factorization():
 def test_the_oracle_has_one_join_loop_that_every_consumer_reads():
     # code tuples are joined in _joins alone, behind the grouped stream, so no
     # second enumeration loop (a per-deal one, say) can survive beside it
-    reads = {}
-    for module in ("enumeration", "cli"):
-        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                reads[f"{module}.{node.name}"] = {
-                    n.id if isinstance(n, ast.Name) else n.attr
-                    for n in ast.walk(node)
-                    if isinstance(n, (ast.Name, ast.Attribute))
-                }
+    reads = {
+        f"{module}.{function}": read
+        for module in ("enumeration", "cli")
+        for function, read in function_reads((PACKAGE / f"{module}.py").read_text()).items()
+    }
 
     def readers(name):
         return sorted(function for function, read in reads.items() if name in read)
@@ -250,3 +250,15 @@ def test_the_oracle_has_one_join_loop_that_every_consumer_reads():
     # the renderer reads the groups it is given, a head and a tail part at a time
     assert readers("_lines") == ["cli.cmd_enumerate"]
     assert readers("_hand_parts") == ["cli.cmd_table", "enumeration._lines"]
+
+
+def test_the_cli_has_one_roundtrip_walk_that_both_audits_share():
+    # a failing deal is rebuilt and named in _audit alone, so no second
+    # roundtrip loop (one per bijection, say) can survive beside it
+    reads = function_reads((PACKAGE / "cli.py").read_text())
+
+    def readers(name):
+        return sorted(function for function, read in reads.items() if name in read)
+
+    assert readers("deal_to_text") == readers("_deal") == ["_audit"]
+    assert readers("_audit") == ["_audit_full_deck", "_audit_red_set"]
