@@ -89,14 +89,19 @@ def _check_full_deck(params: FullDeckParams) -> None:
 
 
 def _full_deck_codes(params: FullDeckParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The full-deck deal as (denominations 1..n, routing codes)."""
-    subset = tuple(range(1, params.n + 1))
-    return subset, tuple(
-        4 * (d in params.red_in_blue)
-        + 2 * (d not in params.green_in_red)
-        + (d not in params.blue_in_red)
-        for d in subset
-    )
+    """The full-deck deal as (denominations 1..n, routing codes).
+
+    Every code starts at 3 (red holds neither off-color card) and is
+    adjusted by a walk over each choice set, whose members must lie in 1..n.
+    """
+    codes = [3] * params.n
+    for d in params.green_in_red:
+        codes[d - 1] -= 2
+    for d in params.blue_in_red:
+        codes[d - 1] -= 1
+    for d in params.red_in_blue:
+        codes[d - 1] += 4
+    return tuple(range(1, params.n + 1)), tuple(codes)
 
 
 def _full_deck_params(n: int, subset: tuple[int, ...], codes: tuple[int, ...]) -> FullDeckParams:

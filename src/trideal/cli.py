@@ -4,18 +4,31 @@ Exit codes: 0 when everything succeeds or verifies, 1 on a verification
 mismatch, 2 on usage errors (bad flags, guard violations, malformed input).
 All results go to stdout, diagnostics to stderr; output is deterministic
 for a fixed invocation.
+
+Every subcommand's options live in one table, ``_COMMANDS``, read by two
+parsers.  ``_parse`` takes the well-formed command lines: a subcommand,
+then each of its options at most once, as its exact flag with any value in
+the next token (an ASCII integer, one of the listed choices, or text that
+does not start with ``-``), every required option given and no two of an
+exclusive group.  It returns the namespace argparse would, without
+importing argparse.  Every other command line, ``--help``, abbreviations,
+``--flag=value`` and every usage error included, goes to argparse through
+``build_parser``, whose output is unchanged.
 """
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import bijections, counting, enumeration, laurent
 from .model import deal_to_text, denom_set_text
+
+if TYPE_CHECKING:
+    import argparse
 
 MISMATCH = 1
 USAGE_ERROR = 2
@@ -233,11 +246,23 @@ _SEQUENCES = {
 
 
 def cmd_bfile(args: argparse.Namespace) -> int:
-    """Emit a sequence as b-file lines ``n a(n)`` starting at n=0."""
+    """Emit a sequence as b-file lines ``n a(n)`` starting at n=0.
+
+    Terms pass the int -> str digit limit (4300 digits by default, from
+    ``--seq main --max-n 4506``), so it is lifted while the lines are
+    written and restored afterwards.
+    """
     if args.max_n < 0:
         return _usage(f"--max-n must be >= 0, got {args.max_n}")
-    for n, term in enumerate(_SEQUENCES[args.seq](args.max_n)):
-        print(f"{n} {term}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for n, term in enumerate(_SEQUENCES[args.seq](args.max_n)):
+            print(f"{n} {term}")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 
@@ -264,7 +289,134 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+def _switch(text: str) -> dict:
+    """A store_true option with its help text."""
+    return {"action": "store_true", "default": False, "help": text}
+
+
+_ALLOW_LARGE = _switch("override the exhaustive guard")
+_N = {"type": int, "required": True}
+
+# Each subcommand's help, handler, options and exclusive flags; each option
+# maps its flag to the keywords argparse's add_argument takes for it.
+_COMMANDS = {
+    "verify": (
+        "check that all three counting routes agree",
+        cmd_verify,
+        {"--max-n": {"type": int, "default": 20, "help": "largest n to verify (default 20)"}},
+        (),
+    ),
+    "count": (
+        "histogram enumerated deals by a statistic",
+        cmd_count,
+        {
+            "--n": _N,
+            "--by": {"choices": ("s-size", "red-distinct"), "default": "s-size"},
+            "--format": {"choices": ("text", "csv", "bfile"), "default": "text"},
+            "--allow-large": _ALLOW_LARGE,
+        },
+        (),
+    ),
+    "enumerate": (
+        "stream all deals in canonical order",
+        cmd_enumerate,
+        {
+            "--n": _N,
+            "--full": _switch("only deals using every denomination"),
+            "--red-denoms": {
+                "metavar": "LIST",
+                "help": "only deals whose red hand shows exactly these denominations, "
+                "e.g. 1,3 ('' for none)",
+            },
+            "--format": {"choices": ("text", "csv"), "default": "text"},
+            "--allow-large": _ALLOW_LARGE,
+        },
+        ("--full", "--red-denoms"),
+    ),
+    "audit": (
+        "exhaustively audit an encode/decode bijection",
+        cmd_audit,
+        {
+            "--n": _N,
+            "--which": {"choices": ("full-deck", "red-set"), "required": True},
+            "--allow-large": _ALLOW_LARGE,
+        },
+        (),
+    ),
+    "ct": (
+        "constant term of the identity's base polynomial power",
+        cmd_ct,
+        {"--n": _N, "--poly": _switch("print the full polynomial instead")},
+        (),
+    ),
+    "bfile": (
+        "emit a sequence in b-file format (n a(n) per line)",
+        cmd_bfile,
+        {
+            "--seq": {"choices": tuple(_SEQUENCES), "required": True},
+            "--max-n": {"type": int, "default": 20, "help": "largest index to emit (default 20)"},
+        },
+        (),
+    ),
+    "table": (
+        "print all deals grouped by denomination set",
+        cmd_table,
+        {"--n": _N, "--allow-large": _ALLOW_LARGE},
+        (),
+    ),
+}
+
+
+def _value(option: dict, text: str | None) -> object:
+    """An option's value from the token after its flag, or None if argparse must judge it."""
+    if text is None:
+        return None
+    if "choices" in option:
+        return text if text in option["choices"] else None
+    if option.get("type") is int:
+        digits = text[1:] if text.startswith("-") else text
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        try:
+            return int(text)
+        except ValueError:  # past the int digit limit
+            return None
+    return None if text.startswith("-") else text
+
+
+def _parse(argv: Sequence[str] | None) -> SimpleNamespace | None:
+    """The namespace argparse would return for a well-formed command line, else None.
+
+    ``argv=None`` reads ``sys.argv[1:]``, as argparse does.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options, exclusive = _COMMANDS[argv[0]]
+    given: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        option = options.get(flag)
+        if option is None or flag in given:
+            return None
+        switch = option.get("action") == "store_true"
+        value = True if switch else _value(option, next(tokens, None))
+        if value is None:
+            return None
+        given[flag] = value
+    missing = any(option.get("required") and flag not in given for flag, option in options.items())
+    if missing or len(given.keys() & set(exclusive)) > 1:
+        return None
+    values = {
+        flag[2:].replace("-", "_"): given.get(flag, option.get("default"))
+        for flag, option in options.items()
+    }
+    return SimpleNamespace(command=argv[0], **values, func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="trideal",
         description=(
@@ -274,57 +426,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="check that all three counting routes agree")
-    p.add_argument("--max-n", type=int, default=20, help="largest n to verify (default 20)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("count", help="histogram enumerated deals by a statistic")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--by", choices=("s-size", "red-distinct"), default="s-size")
-    p.add_argument("--format", choices=("text", "csv", "bfile"), default="text")
-    p.add_argument("--allow-large", action="store_true", help="override the exhaustive guard")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("enumerate", help="stream all deals in canonical order")
-    p.add_argument("--n", type=int, required=True)
-    which = p.add_mutually_exclusive_group()
-    which.add_argument("--full", action="store_true", help="only deals using every denomination")
-    which.add_argument(
-        "--red-denoms",
-        metavar="LIST",
-        help="only deals whose red hand shows exactly these denominations, e.g. 1,3 ('' for none)",
-    )
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.add_argument("--allow-large", action="store_true", help="override the exhaustive guard")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("audit", help="exhaustively audit an encode/decode bijection")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--which", choices=("full-deck", "red-set"), required=True)
-    p.add_argument("--allow-large", action="store_true", help="override the exhaustive guard")
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("ct", help="constant term of the identity's base polynomial power")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--poly", action="store_true", help="print the full polynomial instead")
-    p.set_defaults(func=cmd_ct)
-
-    p = sub.add_parser("bfile", help="emit a sequence in b-file format (n a(n) per line)")
-    p.add_argument("--seq", choices=tuple(_SEQUENCES), required=True)
-    p.add_argument("--max-n", type=int, default=20, help="largest index to emit (default 20)")
-    p.set_defaults(func=cmd_bfile)
-
-    p = sub.add_parser("table", help="print all deals grouped by denomination set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--allow-large", action="store_true", help="override the exhaustive guard")
-    p.set_defaults(func=cmd_table)
-
+    for name, (summary, func, options, exclusive) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        group = p.add_mutually_exclusive_group() if exclusive else p
+        for flag, option in options.items():
+            (group if flag in exclusive else p).add_argument(flag, **option)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except enumeration.GuardError as exc:

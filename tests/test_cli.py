@@ -1,6 +1,9 @@
 import hashlib
+import importlib.util
 import math
 import sys
+from itertools import chain, permutations
+from pathlib import Path
 
 import pytest
 
@@ -708,6 +711,22 @@ class TestBfile:
         # franel(k) or C(n, k) is recomputed
         assert (calls.count("franel"), calls.count("comb")) == (0, 0)
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit before 3.10.7"
+    )
+    def test_a_term_past_the_int_digit_limit_is_written(self, capsys):
+        # a(700) has 668 digits; lowered to 640, the limit would stop the file at n = 675
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, "bfile", "--seq", "main", "--max-n", "700")
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (0, "", 701)
+        assert lines[700] == f"700 {counting.rhs_sum(700)}"
+
 
 class TestTable:
     def test_groups_and_numbering(self, capsys):
@@ -741,3 +760,222 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    # argparse's own help and usage errors, recorded on Python 3.11 before the
+    # options moved into one table that both parsers read; stdout sha256 at
+    # COLUMNS=80. argparse words its help and errors differently from one minor
+    # version to the next, so these pins are checked only on the version they
+    # were recorded on
+    recorded_argparse = pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11), reason="argparse output recorded on Python 3.11"
+    )
+
+    HELP_STDOUT = {
+        (): "532052b9da244f787c1f786d75063dfe03d0330a3ae2e5912c8dd69240fd39d7",
+        ("verify",): "87e10d9d591aa020df9bc2848677c367ea4e06854e65d3843c73846ade747f46",
+        ("count",): "f2333966bee2eb1977ad5bf7e5e2baf97145eb41ff1666ead0d1f2f67c26168e",
+        ("enumerate",): "c1eeaf8a1ec1023317480b3f9884fa994731096503fa7c1a62c1169d25008df8",
+        ("audit",): "53cb0beb3384e75cf9c48d18c5f92524dc1b9994c8544930ac903c2a2d3d32c0",
+        ("ct",): "244f8ed4acd65ca1cf3863070f341638d67a8f2fb6521b1e5faed81939d6fe70",
+        ("bfile",): "38438a803089268c0e3a1de60eadc809202f649f451b227eec79e51cef1d85f4",
+        ("table",): "829238776dac13ce56d1c1e17e3eb68762ea075c036eb27b939397ccf393b56e",
+    }
+
+    @recorded_argparse
+    @pytest.mark.parametrize("command", list(HELP_STDOUT), ids=lambda c: " ".join(c) or "top")
+    def test_help_matches_the_recorded_digest(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--help"])
+        captured = capsys.readouterr()
+        assert (excinfo.value.code, captured.err) == (0, "")
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == self.HELP_STDOUT[command]
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (
+                ("frobnicate",),
+                "usage: trideal [-h] {verify,count,enumerate,audit,ct,bfile,table} ...\n"
+                "trideal: error: argument command: invalid choice: 'frobnicate' (choose from "
+                "'verify', 'count', 'enumerate', 'audit', 'ct', 'bfile', 'table')\n",
+            ),
+            (
+                ("audit", "--n", "2"),
+                "usage: trideal audit [-h] --n N --which {full-deck,red-set} [--allow-large]\n"
+                "trideal audit: error: the following arguments are required: --which\n",
+            ),
+            (
+                ("count", "--n", "2", "--by", "bogus"),
+                "usage: trideal count [-h] --n N [--by {s-size,red-distinct}]\n"
+                "                     [--format {text,csv,bfile}] [--allow-large]\n"
+                "trideal count: error: argument --by: invalid choice: 'bogus' "
+                "(choose from 's-size', 'red-distinct')\n",
+            ),
+            (
+                ("ct", "--n", "abc"),
+                "usage: trideal ct [-h] --n N [--poly]\n"
+                "trideal ct: error: argument --n: invalid int value: 'abc'\n",
+            ),
+            (
+                ("enumerate", "--n", "2", "--full", "--red-denoms", "1"),
+                "usage: trideal enumerate [-h] --n N [--full | --red-denoms LIST]\n"
+                "                         [--format {text,csv}] [--allow-large]\n"
+                "trideal enumerate: error: argument --red-denoms: "
+                "not allowed with argument --full\n",
+            ),
+            (
+                (),
+                "usage: trideal [-h] {verify,count,enumerate,audit,ct,bfile,table} ...\n"
+                "trideal: error: the following arguments are required: command\n",
+            ),
+        ],
+        ids=lambda value: " ".join(value)[:40] if isinstance(value, tuple) else None,
+    )
+    @recorded_argparse
+    def test_usage_error_matches_the_recorded_message(self, capsys, monkeypatch, argv, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (excinfo.value.code, captured.out, captured.err) == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (("verify", "--max", "3"), "\n".join(SEQUENCE_LINES[:4]) + "\n"),
+            (("ct", "--n=3"), "93\n"),
+        ],
+    )
+    def test_abbreviations_and_attached_values_are_still_accepted(self, capsys, argv, out):
+        assert run(capsys, *argv) == (0, out, "")
+
+
+def benchmark_argv():
+    """The command lines the benchmark runs, read from its workload list."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)
+    spec.loader.exec_module(module)
+    return [cmd.argv for cmd in module.all_commands()]
+
+
+def option_orders(argv):
+    """``argv`` with its options, each a flag and any value, in every order."""
+    options = []
+    for token in argv[1:]:
+        if token.startswith("--"):
+            options.append([token])
+        else:
+            options[-1].append(token)
+    return [[argv[0], *chain.from_iterable(order)] for order in permutations(options)]
+
+
+# the well-formed command lines these tests run, covering every subcommand,
+# flag and kind of value; each is also checked with its options reordered
+WELL_FORMED = dict.fromkeys([
+    ("verify",),
+    ("verify", "--max-n", "5"),
+    ("verify", "--max-n", "-1"),
+    ("verify", "--max-n", "5000"),
+    ("count", "--n", "2", "--by", "s-size"),
+    ("count", "--n", "2", "--by", "red-distinct", "--format", "csv", "--allow-large"),
+    ("count", "--n", "1", "--format", "bfile"),
+    ("count", "--n", "9"),
+    ("enumerate", "--n", "1"),
+    ("enumerate", "--n", "2", "--full", "--format", "csv", "--allow-large"),
+    ("enumerate", "--n", "2", "--red-denoms", "1,3", "--format", "text"),
+    ("enumerate", "--n", "2", "--red-denoms", ""),
+    ("enumerate", "--n", "3", "--red-denoms", "1_0"),
+    ("enumerate", "--n", "3", "--red-denoms", " 1"),
+    ("enumerate", "--n", "-1", "--red-denoms", "1", "--allow-large"),
+    ("enumerate", "--n", "6", "--full"),
+    ("audit", "--n", "2", "--which", "full-deck"),
+    ("audit", "--n", "-1", "--which", "red-set", "--allow-large"),
+    ("ct", "--n", "2"),
+    ("ct", "--n", "0", "--poly"),
+    ("ct", "--n", "-3"),
+    ("ct", "--n", "007"),
+    ("bfile", "--seq", "main", "--max-n", "4"),
+    ("bfile", "--seq", "franel"),
+    ("bfile", "--seq", "prefix-sum", "--max-n", "-1"),
+    ("table", "--n", "2"),
+    ("table", "--n", "0", "--allow-large"),
+    *GOLDEN_STDOUT,
+    *benchmark_argv(),
+])
+
+# command lines argparse must judge: its answer differs, or takes a form the
+# strict parser does not read
+LEFT_TO_ARGPARSE = [
+    (),
+    ("frobnicate",),
+    ("--n", "3", "ct"),
+    ("-h",),
+    ("--help",),
+    ("ct", "-h"),
+    ("ct", "--n", "3", "--help"),
+    ("ct", "--n", "3", "--n", "4"),
+    ("enumerate", "--n", "2", "--full", "--full"),
+    ("ct", "--n=3"),
+    ("enumerate", "--n", "2", "--red-denoms=1"),
+    ("verify", "--max", "3"),
+    ("count", "--n", "2", "--allow"),
+    ("ct", "--", "--n", "3"),
+    ("ct", "--n", "3", "--"),
+    ("ct", "--n"),
+    ("enumerate", "--n", "2", "--red-denoms"),
+    ("enumerate", "--n", "2", "--red-denoms", "--full"),
+    ("enumerate", "--n", "2", "--red-denoms", "-1"),
+    ("ct", "--n", "--poly"),
+    ("count", "--n", "2", "--by", "--format"),
+    ("ct", "--n", "9" * 5000),
+    ("enumerate", "--n", "2", "--full", "--red-denoms", "1"),
+    ("enumerate", "--n", "2", "--red-denoms", "1", "--full"),
+    ("audit", "--n", "2"),
+    ("ct",),
+    ("bfile",),
+    ("count", "--n", "2", "--by", "bogus"),
+    ("bfile", "--seq", "Main"),
+    ("ct", "--n", "abc"),
+    ("ct", "--n", ""),
+    ("ct", "--n", " 3"),
+    ("ct", "--n", "+3"),
+    ("ct", "--n", "1_0"),
+    ("ct", "--n", "\u0663"),
+    ("ct", "--n", "3", "--max-n", "4"),
+    ("ct", "--n", "3", "extra"),
+]
+
+
+class TestStrictParser:
+    @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+    def test_returns_the_namespace_argparse_returns_in_every_option_order(self, argv):
+        reference = cli.build_parser()
+        for order in option_orders(argv):
+            assert vars(cli._parse(order)) == vars(reference.parse_args(order))
+
+    def test_main_reads_sys_argv_on_the_strict_path(self, monkeypatch):
+        reference, parse, seen = cli.build_parser(), cli._parse, []
+
+        def spy(argv):
+            args = parse(argv)
+            seen.append(dict(vars(args)))
+            args.func = lambda args: 0
+            return args
+
+        monkeypatch.setattr(cli, "_parse", spy)
+        # main reaches argparse only when the strict parser gives up
+        monkeypatch.setattr(cli, "build_parser", None)
+        for argv in WELL_FORMED:
+            for order in option_orders(argv):
+                monkeypatch.setattr(sys, "argv", ["trideal", *order])
+                assert main() == 0
+                assert seen.pop() == vars(reference.parse_args())
+
+    @pytest.mark.parametrize(
+        "argv", LEFT_TO_ARGPARSE, ids=lambda argv: " ".join(argv)[:40] or "empty"
+    )
+    def test_leaves_every_other_command_line_to_argparse(self, argv):
+        assert cli._parse(list(argv)) is None

@@ -164,13 +164,33 @@ def test_the_package_reexports_each_module_list_and_names_nothing_itself():
 
 def test_the_cli_starts_without_the_introspection_modules():
     # -S skips site, so only what ``import trideal.cli`` pulls in is counted
-    slow = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    slow = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext", "locale")
     script = f"import sys, trideal.cli; print(sorted(set({slow!r}) & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     result = subprocess.run(
         [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\n"
+
+
+def test_a_well_formed_command_runs_without_argparse_and_help_still_loads_it():
+    # the strict parser takes ``ct --n 3``; --help is argparse's alone
+    script = (
+        "import contextlib, io, sys\n"
+        "from trideal.cli import main\n"
+        "parsing = {'argparse', 'gettext', 'locale'}\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = main(['ct', '--n', '3'])\n"
+        "print(code, repr(out.getvalue()), sorted(parsing & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "    main(['--help'])\n"
+        "print('argparse' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "0 '93\\n' []\nTrue\n"
 
 
 def test_the_cli_starts_without_compiling_the_parsers_patterns():
