@@ -1,9 +1,12 @@
 """Command-line front end: verify, count, enumerate, audit, ct, bfile, table.
 
 Exit codes: 0 when everything succeeds or verifies, 1 on a verification
-mismatch, 2 on usage errors (bad flags, guard violations, malformed input).
-All results go to stdout, diagnostics to stderr; output is deterministic
-for a fixed invocation.
+mismatch, 2 on usage errors (bad flags, guard violations, malformed input),
+141 when stdout is closed before the output is written (128 + SIGPIPE, as
+a shell reports a tool that SIGPIPE ends).  Range and guard errors carry
+the library's own message, the text the Python API raises; the CLI checks
+only its argv.  All results go to stdout, diagnostics to stderr; output is
+deterministic for a fixed invocation.
 
 Every subcommand's options live in one table, ``_COMMANDS``, read by two
 parsers.  ``_parse`` takes the well-formed command lines: a subcommand,
@@ -18,6 +21,7 @@ importing argparse.  Every other command line, ``--help``, abbreviations,
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from functools import partial
@@ -32,6 +36,7 @@ if TYPE_CHECKING:
 
 MISMATCH = 1
 USAGE_ERROR = 2
+CLOSED_STDOUT = 141
 
 
 def _usage(message: str) -> int:
@@ -72,10 +77,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     the constant term are compared.
     """
     max_n = args.max_n
-    if max_n < 0:
-        return _usage(f"--max-n must be >= 0, got {max_n}")
-    if max_n > laurent.CT_GUARD:
-        return _usage(f"--max-n beyond {laurent.CT_GUARD} is not supported (constant-term cost)")
     walks = zip(
         laurent.constant_terms(max_n), counting.lhs_terms(max_n), counting.rhs_terms(max_n)
     )
@@ -252,8 +253,6 @@ def cmd_bfile(args: argparse.Namespace) -> int:
     ``--seq main --max-n 4506``), so it is lifted while the lines are
     written and restored afterwards.
     """
-    if args.max_n < 0:
-        return _usage(f"--max-n must be >= 0, got {args.max_n}")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
@@ -438,12 +437,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parse(argv) or build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except enumeration.GuardError as exc:
         hint = str(exc).split(";")[0]
         return _usage(f"{hint}; rerun with --allow-large")
     except ValueError as exc:
         return _usage(str(exc))
+    except BrokenPipeError:
+        # the reader is gone: where stdout has a file descriptor, point it at
+        # devnull, so the interpreter's own flush at exit meets no closed pipe
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):
+            pass
+        else:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return CLOSED_STDOUT
 
 
 if __name__ == "__main__":

@@ -41,6 +41,11 @@ class Color(enum.Enum):
     GREEN = "g"
     BLUE = "b"
 
+    # members are singletons compared by identity, so the C-level identity
+    # hash is safe, and it spares every set or dict of cards enum's
+    # Python-level hash of the member's name
+    __hash__ = object.__hash__
+
     @property
     def letter(self) -> str:
         return self.value
@@ -56,8 +61,7 @@ COLORS: tuple[Color, Color, Color] = (Color.RED, Color.GREEN, Color.BLUE)
 
 # Each color's canonical position, keyed by its letter.  Code that reads a
 # color once a card reads its letter as ``color._value_``, a plain attribute:
-# enum's ``value`` property, and its Python-level ``__hash__`` behind any dict
-# keyed by the members, cost more than the rest of the card's work.
+# enum's ``value`` property costs more than the rest of the card's work.
 _ORDER_BY_LETTER = {color.value: order for order, color in enumerate(COLORS)}
 _COLOR_BY_LETTER = {c.value: c for c in Color}
 

@@ -1,9 +1,13 @@
+import errno
 import hashlib
 import importlib.util
 import math
+import os
+import subprocess
 import sys
 from itertools import chain, permutations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,14 +52,19 @@ class TestVerify:
         assert out.splitlines() == SEQUENCE_LINES
         assert err == ""
 
-    def test_negative_range_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "--max-n", "-1")
-        assert code == 2
-        assert "error:" in err
-
-    def test_huge_range_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "--max-n", "5000")
-        assert code == 2
+    @pytest.mark.parametrize(
+        "max_n, message",
+        [
+            ("-1", "need n >= 0, got -1"),
+            ("201", "n=201 exceeds the constant-term guard (200)"),
+            ("5000", "n=5000 exceeds the constant-term guard (200)"),
+        ],
+    )
+    def test_a_range_past_the_library_bounds_is_its_usage_error(self, capsys, max_n, message):
+        # the constant-term walk checks its bound before the first line, in the
+        # words `ct --n` prints
+        code, out, err = run(capsys, "verify", "--max-n", max_n)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -678,9 +687,11 @@ class TestBfile:
         assert code == 0
         assert out == "0 1\n1 3\n2 11\n3 45\n"
 
-    def test_negative_max_n_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "bfile", "--seq", "main", "--max-n", "-1")
-        assert (code, out, err) == (2, "", "error: --max-n must be >= 0, got -1\n")
+    @pytest.mark.parametrize("seq", ["main", "franel", "prefix-sum"])
+    def test_negative_max_n_is_usage_error(self, capsys, seq):
+        # each walk checks its bound on its first step, in the library's words
+        code, out, err = run(capsys, "bfile", "--seq", seq, "--max-n", "-1")
+        assert (code, out, err) == (2, "", "error: need n >= 0, got -1\n")
 
     def test_main_sequence_calls_no_franel_or_comb(self, capsys, monkeypatch):
         lasts = {
@@ -748,6 +759,37 @@ class TestTable:
         code, out, _ = run(capsys, "table", "--n", "0")
         assert code == 0
         assert out.splitlines()[0] == "n=0 total=1"
+
+
+def broken_pipe(*args):
+    raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+class TestClosedStdout:
+    def test_a_reader_that_stops_early_ends_the_command_quietly(self):
+        # ~200 KB of deals, more than a pipe holds, so the writer meets the closed pipe
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "trideal", "enumerate", "--n", "5"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        # 128 + SIGPIPE, never the mismatch code 1
+        assert (proc.wait(), first, err) == (141, b"n=5 total=4653\n", b"")
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    def test_main_returns_141_when_stdout_breaks(self, capsys, monkeypatch, method):
+        # a write inside the handler, or the flush after it, meets the closed pipe
+        stdout = SimpleNamespace(write=len, flush=lambda: None)
+        setattr(stdout, method, broken_pipe)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["ct", "--n", "3"])
+        assert (code, capsys.readouterr().err) == (141, "")
 
 
 class TestUsage:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from trideal.model import (
@@ -28,6 +30,21 @@ class TestCard:
     def test_malformed_token_rejected(self, bad):
         with pytest.raises(ValueError):
             Card.from_token(bad)
+
+    def test_hash_runs_one_python_function(self):
+        # colors hash by identity in C, so enum's Python-level hash never runs
+        card, calls = Card(1, Color.RED), []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            hash(card)
+        finally:
+            sys.setprofile(None)
+        assert calls == ["__hash__"]
 
     def test_sort_key_orders_by_denomination_then_color(self):
         cards = [Card.from_token(t) for t in ("b1", "r2", "g1", "r1")]

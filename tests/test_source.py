@@ -282,3 +282,10 @@ def test_the_cli_has_one_roundtrip_walk_that_both_audits_share():
 
     assert readers("deal_to_text") == readers("_deal") == ["_audit"]
     assert readers("_audit") == ["_audit_full_deck", "_audit_red_set"]
+
+
+def test_only_main_turns_an_error_into_a_usage_line():
+    # every range and guard is checked in the library, which raises; main alone
+    # prints the error line, so no handler can grow a second check in its own words
+    reads = function_reads((PACKAGE / "cli.py").read_text())
+    assert sorted(function for function, read in reads.items() if "_usage" in read) == ["main"]
