@@ -2,11 +2,11 @@
 
 Exit codes: 0 when everything succeeds or verifies, 1 on a verification
 mismatch, 2 on usage errors (bad flags, guard violations, malformed input),
-141 when stdout is closed before the output is written (128 + SIGPIPE, as
-a shell reports a tool that SIGPIPE ends).  Range and guard errors carry
-the library's own message, the text the Python API raises; the CLI checks
-only its argv.  All results go to stdout, diagnostics to stderr; output is
-deterministic for a fixed invocation.
+141 when stdout is closed, at start or before the output is written (128 +
+SIGPIPE, as a shell reports a tool that SIGPIPE ends).  Range and guard
+errors carry the library's own message, the text the Python API raises;
+the CLI checks only its argv.  All results go to stdout, diagnostics to
+stderr; output is deterministic for a fixed invocation.
 
 Every subcommand's options live in one table, ``_COMMANDS``, read by two
 parsers.  ``_parse`` takes the well-formed command lines: a subcommand,
@@ -21,12 +21,12 @@ importing argparse.  Every other command line, ``--help``, abbreviations,
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import sys
-from functools import partial
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence
 
 from . import bijections, counting, enumeration, laurent
 from .model import deal_to_text, denom_set_text
@@ -108,24 +108,23 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     """Stream deals in canonical order, optionally restricted.
 
-    Each stream checks its arguments when it is made, so a usage error
-    leaves stdout empty.  The text form sums the join groups of a second
-    stream to print ``total=`` first.  Each head's lines go out in one
-    write.  No CSV field
-    holds a comma, quote or newline, so plain joins write what a CSV writer
-    would.
+    The oracle's join groups are formed, and the arguments checked, before
+    anything is written, so a usage error leaves stdout empty.  The text
+    form sums the groups for ``total=`` first.  Each head's lines go out in
+    one write.  No CSV field holds a comma, quote or newline, so plain
+    joins write what a CSV writer would.
     """
     denoms = None if args.red_denoms is None else _parse_denoms(args.red_denoms)
-    groups = partial(
-        enumeration._join_groups, args.n, args.allow_large, full_deck=args.full, red_denoms=denoms
+    groups = enumeration._join_groups(
+        args.n, args.allow_large, full_deck=args.full, red_denoms=denoms
     )
-    stream, write = groups(), sys.stdout.write
+    write = sys.stdout.write
     if args.format == "csv":
         write("s,red,green,blue\n")
     else:
-        total = sum(len(tails) for _, joins in groups() for _, tails in joins)
+        total = sum(len(tails) for _, joins in groups for _, tails in joins)
         write(f"n={args.n} total={total}\n")
-    for block in enumeration._lines(stream, args.format):
+    for block in enumeration._lines(groups, args.format):
         write(block)
     return 0
 
@@ -188,16 +187,13 @@ def _audit_full_deck(n: int, allow_large: bool) -> int:
 
 
 def _audit_red_set(n: int, allow_large: bool) -> int:
-    # every stream checks its arguments when made, so a usage error leaves stdout empty
-    streams = [
-        (denoms, enumeration._routings(n, allow_large, red_denoms=denoms))
-        for denoms in enumeration.subsets_lex(tuple(range(1, n + 1)))
-    ]
-    print(f"audit red-set n={n}")
     codec = bijections._red_set_codes, bijections._red_set_params
     total = 0
-    for denoms, stream in streams:
-        enumerated = list(stream)
+    for denoms in enumeration.subsets_lex(tuple(range(1, n + 1))):
+        enumerated = list(enumeration._routings(n, allow_large, red_denoms=denoms))
+        # the first set, (), checks the arguments, so a usage error leaves stdout empty
+        if not denoms:
+            print(f"audit red-set n={n}")
         label = f"D={denom_set_text(denoms)}"
         params = bijections.iter_red_set_params(n, denoms)
         failure = _audit(n, params, *codec, enumerated, counting.red_set_count(n, len(denoms)))
@@ -271,12 +267,12 @@ def cmd_table(args: argparse.Namespace) -> int:
     Hands are rendered from the oracle's join groups, a head and a tail
     part at a time.  Every row is held, since all of them size the columns.
     """
-    groups = dict(enumeration._join_groups(args.n, args.allow_large))
+    groups = enumeration._join_groups(args.n, args.allow_large)
     header = ("S", "#", "avoid red", "avoid green", "avoid blue")
     rows: list[tuple[str, ...]] = []
-    for subset in sorted(groups, key=lambda s: (-len(s), s)):
+    for subset, joins in sorted(groups, key=lambda group: (-len(group[0]), group[0])):
         label = denom_set_text(subset)
-        for heads, tails in enumeration._hand_parts(subset, groups[subset], ","):
+        for heads, tails in enumeration._hand_parts(subset, joins, ","):
             for tail in tails:
                 hands = (f"[{head}{part}]" for head, part in zip(heads, tail))
                 rows.append((label, str(len(rows) + 1), *hands))
@@ -434,8 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _closed_pipe(text: str) -> NoReturn:
+    raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parse(argv) or build_parser().parse_args(argv)
+    if sys.stdout is None:
+        # stdout was closed at start: every write meets a closed pipe, as below
+        sys.stdout = SimpleNamespace(write=_closed_pipe, flush=lambda: None)
     try:
         status = args.func(args)
         sys.stdout.flush()
@@ -453,7 +456,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         except (AttributeError, OSError):
             pass
         else:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         return CLOSED_STDOUT
 
 

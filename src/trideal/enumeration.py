@@ -7,10 +7,10 @@ subset are deals, so the loop forms just those: it joins a head and a tail of
 the tuple on their red and green loads (meet in the middle), never a closed
 form.  The deals whose red hand shows a given set of denominations are formed
 the same way, not filtered from the whole stream: the set fixes, for each
-denomination, whether its code puts a card in red's hand.  The stream yields
-each subset's join, heads with their groups of tails, and its readers take
-it a group at a time: counts add group sizes, the histograms add tallies of
-each tail group, and every printed line is a head's part of each hand
+denomination, whether its code puts a card in red's hand.  One pass lists
+each subset with its join, heads with their groups of tails, and its readers
+take it a group at a time: counts add group sizes, the histograms add tallies
+of each tail group, and every printed line is a head's part of each hand
 followed by a tail's, parts formed once a head and once a tail a subset.
 ``Deal`` objects are built only for the public ``enumerate_*`` streams.
 Every closed-form count in the package is checked against the totals and
@@ -96,16 +96,16 @@ def subsets_lex(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 def _join_groups(
     n: int, allow_large: bool, *, full_deck: bool = False, red_denoms: Iterable[int] | None = None
-) -> Iterator[tuple[tuple[int, ...], _Join]]:
+) -> list[tuple[tuple[int, ...], _Join]]:
     """Every deal over 1..n, a join group at a time, in canonical order.
 
-    Yields each subset with its join: each head of routing codes with the
+    Returns each subset with its join: each head of routing codes with the
     tails that balance it (see ``_joins``), so head + tail, taken in order,
     runs through the subset's deals.  With ``red_denoms``, only the deals
     whose red hand shows exactly those denominations: the subsets holding
     them, with codes outside ``_RED_FREE`` on those denominations and codes
-    in it on the others.  The arguments are checked at the call, before the
-    stream starts.
+    in it on the others.  The arguments are checked before any join is
+    formed, and each join is formed once per alphabet tuple.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -119,22 +119,15 @@ def _join_groups(
         )
     deck = tuple(range(1, n + 1))
     off_red, on_red = (_CODES, _CODES) if red_denoms is None else (_RED_FREE, _RED_SHOWN)
-    return _grouped(
-        (subset, tuple(on_red if d in red_set else off_red for d in subset))
-        for subset in ((deck,) if full_deck else subsets_lex(deck))
-        if red_set.issubset(subset)
-    )
-
-
-def _grouped(
-    subsets: Iterable[tuple[tuple[int, ...], _Alphabets]],
-) -> Iterator[tuple[tuple[int, ...], _Join]]:
-    """Each subset with the join of its alphabets, formed once per alphabet tuple."""
     joins: dict[_Alphabets, _Join] = {}
-    for subset, alphabets in subsets:
-        if alphabets not in joins:
-            joins[alphabets] = _joins(alphabets)
-        yield subset, joins[alphabets]
+    groups = []
+    for subset in (deck,) if full_deck else subsets_lex(deck):
+        if red_set.issubset(subset):
+            alphabets = tuple(on_red if d in red_set else off_red for d in subset)
+            if alphabets not in joins:
+                joins[alphabets] = _joins(alphabets)
+            groups.append((subset, joins[alphabets]))
+    return groups
 
 
 def _joins(alphabets: _Alphabets) -> _Join:
@@ -171,8 +164,8 @@ def _routings(
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every deal over 1..n as (subset, routing codes): ``_join_groups`` flattened.
 
-    Takes the options of ``_join_groups`` and, like it, checks the arguments
-    at the call.
+    Takes the options of ``_join_groups``, which runs at the call, so the
+    arguments are checked and every join formed before the first deal.
     """
     return (
         (subset, head + tail)

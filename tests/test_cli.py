@@ -298,39 +298,39 @@ class TestEnumerate:
         assert "--allow-large" in err
 
     @pytest.mark.parametrize(
-        "argv, passes",
+        "argv, totalled",
         [
-            ((), 2),
-            (("--full",), 2),
-            (("--red-denoms", "1,3"), 2),
-            (("--format", "csv"), 1),
-            (("--red-denoms", "1,3", "--format", "csv"), 1),
+            ((), True),
+            (("--full",), True),
+            (("--red-denoms", "1,3"), True),
+            (("--format", "csv"), False),
+            (("--red-denoms", "1,3", "--format", "csv"), False),
         ],
     )
-    def test_streams_each_line_as_its_deal_is_formed(self, capsys, monkeypatch, argv, passes):
-        # the stream printed from is made first, and the text form sums the
-        # groups of a second for its total.  Each head's lines are out in one
-        # write before the next head is read.
-        original, written, seen = enumeration._join_groups, [], []
+    def test_streams_each_line_as_its_deal_is_formed(self, capsys, monkeypatch, argv, totalled):
+        # one oracle pass: the text form reads every head for its total before
+        # it writes, then prints from the same groups.  Each head's lines are
+        # out in one write before the next head is read.
+        original, written, calls, when = enumeration._join_groups, [], [], []
 
-        def spy_stream(*args, **kwargs):
-            stream, when = original(*args, **kwargs), []
-            seen.append(when)
-
-            def spy_join(joins):
-                for head in joins:
+        class SpyJoin(list):
+            def __iter__(self):
+                for head in super().__iter__():
                     when.append(len(written))
                     yield head
 
-            return ((subset, spy_join(joins)) for subset, joins in stream)
+        def spy_groups(*args, **kwargs):
+            calls.append(args)
+            return [(subset, SpyJoin(joins)) for subset, joins in original(*args, **kwargs)]
 
-        monkeypatch.setattr(enumeration, "_join_groups", spy_stream)
+        monkeypatch.setattr(enumeration, "_join_groups", spy_groups)
         monkeypatch.setattr(sys, "stdout", Recorder(sys.stdout, written))
         code, out, _ = run(capsys, "enumerate", "--n", "3", *argv)
         assert code == 0
-        assert len(seen) == passes
+        assert len(calls) == 1
         # head k is read once the header and k blocks are out, and its block follows it
-        assert seen[0] == list(range(1, len(written))) != []
+        blocks = list(range(1, len(written)))
+        assert when == [0] * len(blocks) * totalled + blocks != []
         assert "".join(written) == out
 
     def test_writes_each_heads_lines_at_once(self, capsys, monkeypatch):
@@ -790,6 +790,55 @@ class TestClosedStdout:
         monkeypatch.setattr(sys, "stdout", stdout)
         code = main(["ct", "--n", "3"])
         assert (code, capsys.readouterr().err) == (141, "")
+
+    @pytest.mark.parametrize(
+        "argv, status, err",
+        [
+            (("ct", "--n", "3"), 141, b""),
+            (("ct", "--n", "3", "--poly"), 141, b""),
+            (("count", "--n", "3"), 141, b""),
+            (("enumerate", "--n", "3"), 141, b""),
+            (("table", "--n", "2"), 141, b""),
+            (("bfile", "--seq", "main", "--max-n", "3"), 141, b""),
+            (("audit", "--n", "3", "--which", "red-set"), 141, b""),
+            (("verify", "--max-n", "3"), 141, b""),
+            (("ct", "--n", "201"), 2, b"error: n=201 exceeds the constant-term guard (200)\n"),
+        ],
+    )
+    def test_stdout_closed_at_start(self, argv, status, err):
+        # as `trideal ... >&-` runs it: fd 1 is closed, so sys.stdout is None
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "trideal", *argv],
+            stderr=subprocess.PIPE,
+            env=env,
+            preexec_fn=lambda: os.close(1),
+        )
+        assert (proc.returncode, proc.stderr) == (status, err)
+
+    def test_main_returns_141_when_stdout_is_none(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        code = main(["enumerate", "--n", "2"])
+        assert (code, capsys.readouterr().err) == (141, "")
+
+    def test_the_closed_pipe_branch_closes_its_devnull_descriptor(self, monkeypatch):
+        opened, original = [], os.open
+
+        def recording_open(*args, **kwargs):
+            opened.append(original(*args, **kwargs))
+            return opened[-1]
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            monkeypatch.setattr(os, "open", recording_open)
+            code = main(["enumerate", "--n", "5"])
+            monkeypatch.undo()
+            assert code == 141 and opened
+            for fd in opened:
+                with pytest.raises(OSError):
+                    os.fstat(fd)
 
 
 class TestUsage:

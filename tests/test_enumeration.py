@@ -178,6 +178,26 @@ class TestRoutings:
             assert deals == red_set_count(5, len(denoms))
             assert 0 < len(red_load_lookups) <= 1000
 
+    @pytest.mark.parametrize("red_denoms", [None, (1, 3), (1,), ()])
+    def test_form_each_join_once_per_alphabet_tuple(self, monkeypatch, red_denoms):
+        alphabets = []
+        original = enumeration._joins
+
+        def counting_joins(codes):
+            alphabets.append(codes)
+            return original(codes)
+
+        monkeypatch.setattr(enumeration, "_joins", counting_joins)
+        n = 5 if red_denoms is None else 4
+        subsets = [subset for subset, _ in _join_groups(n, False, red_denoms=red_denoms)]
+        if red_denoms is None:
+            # every code may sit at every position, so one join per size 0..5
+            assert len(subsets) == 32 and len(alphabets) == 6
+        else:
+            # a red set's alphabets depend only on which positions hold its denominations
+            shown = {tuple(d in red_denoms for d in subset) for subset in subsets}
+            assert len(alphabets) == len(set(alphabets)) == len(shown)
+
     def test_arguments_are_checked_before_the_stream_starts(self):
         # so enumerate can print its first line before the stream ends
         for full_deck in (False, True):

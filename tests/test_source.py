@@ -245,7 +245,7 @@ def test_the_constant_term_never_goes_through_the_factorization():
 
 
 def test_the_oracle_has_one_join_loop_that_every_consumer_reads():
-    # code tuples are joined in _joins alone, behind the grouped stream, so no
+    # code tuples are joined in _joins alone, behind the join groups, so no
     # second enumeration loop (a per-deal one, say) can survive beside it
     reads = {
         f"{module}.{function}": read
@@ -258,8 +258,7 @@ def test_the_oracle_has_one_join_loop_that_every_consumer_reads():
 
     assert readers("product") == ["enumeration._loads"]
     assert readers("_loads") == ["enumeration._joins"]
-    assert readers("_joins") == ["enumeration._grouped"]
-    assert readers("_grouped") == ["enumeration._join_groups"]
+    assert readers("_joins") == ["enumeration._join_groups"]
     assert readers("_join_groups") == [
         "cli.cmd_enumerate",
         "cli.cmd_table",
