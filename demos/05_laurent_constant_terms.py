@@ -60,8 +60,9 @@ print(f"base**6 has {len(power)} terms, constant term {power.constant_term()}")
 # row below the middle a step reads, is row 1 shifted up one cell (checked
 # below).  That halves the cells packed: 38.7 M output bits for the walk to
 # n = 100, against 76 M for the whole square.
-# constant_terms also builds, once the square is larger than what can still
-# return to (0, 0), only the cells of the smaller square.
+# constant_terms to max_n also grows the square only for its first
+# ceil(max_n / 2) steps, then builds it one ring smaller each step, so it
+# never holds a cell past the one ring beyond what can still return to (0, 0).
 # base_power unpacks the rows into a LaurentPoly once, at the end, each
 # coefficient of a row ey > 0 also filling its mirror image in row -ey.
 # base_power_text prints the same cells as to_text would, one total degree

@@ -435,10 +435,10 @@ def _closed_pipe(text: str) -> NoReturn:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parse(argv) or build_parser().parse_args(argv)
     if sys.stdout is None:
-        # stdout was closed at start: every write meets a closed pipe, as below
+        # stdout was closed at start: every write, --help's too, meets a closed pipe
         sys.stdout = SimpleNamespace(write=_closed_pipe, flush=lambda: None)
+    args = _parse(argv) or build_parser().parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()

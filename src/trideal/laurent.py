@@ -22,11 +22,12 @@ ey >= 0.  The base's Newton polygon is the hexagon of the A2 lattice
 (ex, ey) -> (ex + ey, -ey) maps its seven monomials onto themselves, so
 every power is symmetric under it: row -1, the one row below the middle a
 step reads, is row 1 shifted up one cell.  The walk for the constant terms
-builds only the cells that can still reach x**0 * y**0.  The rows are
-unpacked only when the whole power is asked for: ``base_power_text`` prints
-it straight from the cells, one total degree at a time, each term of ey < 0
-read at its mirror image, and ``base_power`` builds a ``LaurentPoly`` from
-the same cells.
+to max_n grows its frame for ceil(max_n / 2) steps, then shrinks it a ring a
+step, building only a square that holds every cell that can still reach
+x**0 * y**0.  The rows are unpacked only when the whole power is asked
+for: ``base_power_text`` prints it straight from the cells, one total degree
+at a time, each term of ey < 0 read at its mirror image, and ``base_power``
+builds a ``LaurentPoly`` from the same cells.
 """
 
 from __future__ import annotations
@@ -49,10 +50,11 @@ __all__ = [
 #: walks n stencil steps over the n + 1 packed rows ey >= 0 at most, the rows
 #: below read from their mirror images, O(n**2) whole-row shift-adds in all on
 #: ints of at most 2n + 1 cells, each cell the whole bytes that 9**n needs:
-#: the cropped walk to sequence_term(200) takes ~0.17 s and the uncropped
-#: walk ~0.7 s, and base_power_text(200), which ``ct --poly`` prints, ~0.15 s
-#: more; a fresh ``ct --n 200 --poly`` takes ~1.1 s and peaks at ~40 MB
-#: (Python 3.11, 2-vCPU VM).
+#: the cropped walk to sequence_term(200), which grows to radius 100 and
+#: shrinks back, takes ~0.1 s and the uncropped walk ~0.45 s, and
+#: base_power_text(200), which ``ct --poly`` prints, ~0.05 s more; a fresh
+#: ``ct --n 200 --poly`` takes ~0.6 s and peaks at ~34 MB (Python 3.11.7,
+#: 2-vCPU Intel Xeon VM).
 CT_GUARD = 200
 
 
@@ -291,26 +293,20 @@ def _times_base(rows: list[int], w: int) -> list[int]:
     ]
 
 
-def _times_base_cropped(rows: list[int], w: int, radius: int) -> list[int]:
-    """``_times_base(rows, w)`` cropped to the square of ``radius``, built only inside it.
+def _times_base_cropped(rows: list[int], w: int) -> list[int]:
+    """``_times_base(rows, w)`` cropped to the square of radius r - 1, built only inside it.
 
-    The input half frame has radius r, and ``radius`` is r - 1 or r: the
-    crop cuts two cells or one off each end of the rows ``_times_base`` would
-    build, and keeps output rows 0..radius.  A one-cell cut is first padded by
-    a zero cell at each end and a zero row on top, so the step always cuts
-    two.  Output row j then reads input rows j - 1, j and j + 1, with row -1
+    The input half frame has radius r >= 1: the crop cuts two cells off each
+    end of the rows ``_times_base`` would build, and keeps output rows
+    0..r - 1.  Output row j reads input rows j - 1, j and j + 1, with row -1
     from ``_below``, and cell i reads input cells i, i + 1 and i + 2, so the
     crop's shift by 2w is folded into downward shifts and its mask into one
     ``&`` a row.  No cell of a partial sum below exceeds the output cell it
     feeds, so none carries, and dropping low cells term by term drops the
     same cells of the sum.
     """
-    below = _below(rows, w)
-    if radius == len(rows) - 1:
-        rows = [below << w, *(row << w for row in rows), 0]
-    else:
-        rows = [below, *rows]
-    keep = (1 << (2 * radius + 1) * w) - 1
+    keep = (1 << (2 * len(rows) - 3) * w) - 1
+    rows = [_below(rows, w), *rows]
     # Row j's left, below + same, is row j - 1's right, same + above: each is
     # summed once, with its own cells shifted down by w added.
     sides = [pair + (pair >> w) for pair in map(add, rows, rows[1:])]
@@ -345,8 +341,9 @@ def _walk(max_n: int, crop: bool) -> Iterator[tuple[list[int], int]]:
     coefficients they can hold so far: before step n, if 9**n no longer fits
     in a cell, every row is widened once to the byte width of step
     min(max_n, 2n), so a walk widens O(log max_n) times.  With ``crop``, the
-    frame of base**n has radius min(n, max_n - n): once that falls below n,
-    each step builds only the cells of that square (``_times_base_cropped``).
+    frame grows while n <= ceil(max_n / 2), and each later step builds only
+    the square one ring smaller (``_times_base_cropped``), of radius
+    2 * ceil(max_n / 2) - n >= max_n - n.
     Raises ValueError, on first iteration, for max_n < 0 or max_n > CT_GUARD.
     """
     _check_exponent(max_n)
@@ -361,12 +358,12 @@ def _walk(max_n: int, crop: bool) -> Iterator[tuple[list[int], int]]:
         # Each base monomial moves ex, ey and ex+ey by at most 1, so a monomial
         # whose hexagonal radius exceeds the steps left never returns to (0, 0):
         # dropping it changes no coefficient read later.  The square of radius
-        # max_n - n holds that hexagon, so cropping to it is exact too.  The
-        # mirror keeps the hexagonal radius, so a mirrored cell is exact
-        # wherever it can still reach (0, 0); every other stored cell is at most
-        # its true coefficient, so none carries.
-        radius = min(n, max_n - n) if crop else n
-        rows = _times_base(rows, w) if radius == n else _times_base_cropped(rows, w, radius)
+        # max_n - n holds that hexagon, so cropping to it or a larger one is
+        # exact too.  The mirror keeps the hexagonal radius, so a mirrored cell
+        # is exact wherever it can still reach (0, 0); every other stored cell
+        # is at most its true coefficient, so none carries.
+        grow = not crop or 2 * n <= max_n + 1
+        rows = _times_base(rows, w) if grow else _times_base_cropped(rows, w)
         yield rows, w
 
 
@@ -393,11 +390,11 @@ def base_power(n: int) -> LaurentPoly:
     The uncropped walk to n, its cells widened as the coefficients grow,
     ends on the half frame of rows ey = 0..n.  Row ey holds the hexagon's
     cells ex = -n..n - ey (``_half_frame``); each also fills its mirror
-    image (ex + ey, -ey), so the rows ey < 0 are never built.  ~0.8 s at
-    n = CT_GUARD = 200, about nine tenths of it the walk (Python 3.11,
-    2-vCPU VM).  ``ct --poly`` prints the same power from the same cells
-    through ``base_power_text``, and ``to_text`` stays the readable
-    definition of that text.
+    image (ex + ey, -ey), so the rows ey < 0 are never built.  ~0.5 s at
+    n = CT_GUARD = 200, about nine tenths of it the walk (Python 3.11.7,
+    2-vCPU Intel Xeon VM).  ``ct --poly`` prints the same power from the
+    same cells through ``base_power_text``, and ``to_text`` stays the
+    readable definition of that text.
     Raises ValueError for n < 0 or n > CT_GUARD.
     """
     coeffs = {}
@@ -456,14 +453,14 @@ def constant_terms(max_n: int) -> Iterator[int]:
     """Constant terms of base**0, base**1, ..., base**max_n from one walk.
 
     The cropped walk: step n builds the half frame of base**n, rows ey >= 0,
-    only to radius min(n, max_n - n), which holds every monomial of those
-    rows that can still reach x**0 * y**0, each cell whole bytes, widened only
-    when 9**n outgrows it (see ``_walk``).  The constant term is the middle
-    cell of row 0.  The walk to max_n = 100 packs 38.7 M output bits in
-    ~15 ms, and the walk to CT_GUARD = 200 packs 0.60 G in ~0.17 s, half the
-    bits and about half the time of the whole square (Python 3.11, 2-vCPU
-    VM).  Raises ValueError, on first iteration, for max_n < 0 or
-    max_n > CT_GUARD.
+    to radius n up to n = ceil(max_n / 2) and one ring less each step after,
+    a square that holds every monomial of those rows that can still reach
+    x**0 * y**0, each cell whole bytes, widened only when 9**n outgrows it
+    (see ``_walk``).  The constant term is the middle cell of row 0.  The
+    walk to max_n = 100 packs 38.7 M output bits in ~8 ms, and the walk to
+    CT_GUARD = 200 packs 0.60 G in ~0.1 s, half the bits of the whole square
+    (Python 3.11.7, 2-vCPU Intel Xeon VM).  Raises ValueError, on first
+    iteration, for max_n < 0 or max_n > CT_GUARD.
     """
     for rows, w in _walk(max_n, crop=True):
         yield (rows[0] >> (len(rows) - 1) * w) & ((1 << w) - 1)
@@ -476,8 +473,9 @@ def sequence_term(n: int) -> int:
     of a square frame of packed rows, row -1 read from row 1 by the base's
     mirror symmetry, cropped to the monomials that can still reach
     x**0 * y**0, with cells only as wide as each step needs, O(n**2)
-    whole-row shift-adds (~0.17 s at n = CT_GUARD = 200; Python 3.11, 2-vCPU
-    VM).  The whole base**n, from base_power, takes ~0.8 s at n = 200.
+    whole-row shift-adds (~0.1 s at n = CT_GUARD = 200; Python 3.11.7,
+    2-vCPU Intel Xeon VM).  The whole base**n, from base_power, takes ~0.5 s
+    at n = 200.
     """
     for term in constant_terms(n):
         pass

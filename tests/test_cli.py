@@ -111,9 +111,9 @@ class TestVerify:
         original_mul = LaurentPoly.__mul__
 
         def counting(step):
-            def counting_step(rows, w, *radius):
+            def counting_step(rows, w):
                 steps.append(1)
-                return step(rows, w, *radius)
+                return step(rows, w)
 
             return counting_step
 
@@ -132,26 +132,30 @@ class TestVerify:
         assert muls == []
 
     def test_truncates_the_power_to_what_can_reach_the_constant(self, capsys, monkeypatch):
-        heights = []
+        read = []
 
         def recording(step):
-            def recording_step(rows, w, *radius):
+            def recording_step(rows, w):
                 # r + 1 packed rows, ey = 0..r, each within 2r + 1 cells of w bits
                 assert all(row.bit_length() <= (2 * len(rows) - 1) * w for row in rows)
-                heights.append(len(rows))
-                return step(rows, w, *radius)
+                read.append(len(rows))
+                return step(rows, w)
 
             return recording_step
 
         for name in ("_times_base", "_times_base_cropped"):
             monkeypatch.setattr(laurent, name, recording(getattr(laurent, name)))
-        code, out, _ = run(capsys, "verify", "--max-n", "10")
-        assert code == 0
-        assert out.splitlines()[:6] == SEQUENCE_LINES
-        # step n + 1 reads rows ey >= 0 of the square frame of base**n cropped
-        # to radius r = min(n, 10 - n), r + 1 rows; the largest has 5 + 1 = 6
-        radii = [min(n, 10 - n) for n in range(10)]
-        assert heights == [r + 1 for r in radii]
+        # step n + 1 reads rows ey >= 0 of the square frame of base**n, r + 1 rows
+        # of radius r: n while n <= ceil(max_n / 2), one less each step after
+        for max_n, heights in [
+            (10, [1, 2, 3, 4, 5, 6, 5, 4, 3, 2]),
+            (11, [1, 2, 3, 4, 5, 6, 7, 6, 5, 4, 3]),
+        ]:
+            read.clear()
+            code, out, _ = run(capsys, "verify", "--max-n", str(max_n))
+            assert code == 0
+            assert out.splitlines()[:6] == SEQUENCE_LINES
+            assert read == heights
 
     def test_reads_lhs_from_one_walk(self, capsys, monkeypatch):
         calls = []
@@ -803,6 +807,9 @@ class TestClosedStdout:
             (("audit", "--n", "3", "--which", "red-set"), 141, b""),
             (("verify", "--max-n", "3"), 141, b""),
             (("ct", "--n", "201"), 2, b"error: n=201 exceeds the constant-term guard (200)\n"),
+            # argparse drops the help it cannot write, as into a pipe whose reader has gone
+            (("--help",), 0, b""),
+            (("ct", "--help"), 0, b""),
         ],
     )
     def test_stdout_closed_at_start(self, argv, status, err):

@@ -49,10 +49,8 @@ def half_frames(r, w):
 
 small_frames = st.integers(0, 3).flatmap(lambda r: half_frames(r, FIELD))
 
-# A half frame of radius r with the radius a cropped step keeps, r - 1 or r.
-cropped_frames = small_frames.flatmap(
-    lambda cells: st.tuples(st.just(cells), st.integers(max(len(cells) - 2, 0), len(cells) - 1))
-)
+# A half frame of radius 1..3, which a cropped step shrinks by one.
+cropped_frames = st.integers(1, 3).flatmap(lambda r: half_frames(r, FIELD))
 
 # Packed rows of 1..9 cells, each cell ``size`` bytes, with a wider byte width.
 widenings = st.tuples(st.integers(1, 4), st.integers(0, 4)).flatmap(
@@ -330,25 +328,36 @@ class TestSequenceTerm:
             assert max(coefficients) < 2 ** laurent._width(n)
             assert sequence_term(n) == power.constant_term()
 
+    def test_walk_turns_at_both_parities_without_changing_a_term(self):
+        # the walk to m grows for ceil(m / 2) steps and then shrinks, so each
+        # truncation turns at its own step; the terms must not depend on it
+        full = list(constant_terms(CT_GUARD))
+        for m in [*range(61), 99, 101, 199]:
+            assert list(constant_terms(m)) == full[: m + 1]
+
     def test_walk_keeps_only_terms_that_can_reach_the_constant(self, monkeypatch):
-        heights = []
+        read = []
 
         def recording(step):
-            def recording_step(rows, w, *radius):
+            def recording_step(rows, w):
                 # r + 1 packed rows, ey = 0..r, each within 2r + 1 cells of w bits
                 assert all(row.bit_length() <= (2 * len(rows) - 1) * w for row in rows)
-                heights.append(len(rows))
-                return step(rows, w, *radius)
+                read.append(len(rows))
+                return step(rows, w)
 
             return recording_step
 
         for name in ("_times_base", "_times_base_cropped"):
             monkeypatch.setattr(laurent, name, recording(getattr(laurent, name)))
-        assert sequence_term(12) == 9533639025
-        # step n + 1 reads rows ey >= 0 of the square frame of base**n cropped
-        # to radius r = min(n, 12 - n), r + 1 rows; the largest has 6 + 1 = 7
-        radii = [min(n, 12 - n) for n in range(12)]
-        assert heights == [r + 1 for r in radii]
+        # step n + 1 reads rows ey >= 0 of the square frame of base**n, r + 1 rows
+        # of radius r: n while n <= ceil(max_n / 2), one less each step after
+        for max_n, term, heights in [
+            (11, 1153462995, [1, 2, 3, 4, 5, 6, 7, 6, 5, 4, 3]),
+            (12, 9533639025, [1, 2, 3, 4, 5, 6, 7, 6, 5, 4, 3, 2]),
+        ]:
+            read.clear()
+            assert sequence_term(max_n) == term
+            assert read == heights
 
 
 class TestStencil:
@@ -373,10 +382,10 @@ class TestStencil:
 
     @settings(max_examples=150, deadline=None)
     @given(cropped_frames)
-    def test_cropped_step_is_the_product_with_the_base_cropped_to_the_square(self, case):
-        cells, radius = case
+    def test_cropped_step_is_the_product_with_the_base_cropped_to_the_square(self, cells):
+        radius = len(cells) - 2
         base, _, _ = identity_polynomials()
-        stepped = laurent._times_base_cropped(pack(cells), FIELD, radius)
+        stepped = laurent._times_base_cropped(pack(cells), FIELD)
         assert len(stepped) == radius + 1
         assert all(row.bit_length() <= (2 * radius + 1) * FIELD for row in stepped)
         product = frame_poly(mirrored(cells)) * base
