@@ -18,6 +18,7 @@ print("card:", g1.token, "=", g1.color.name.lower(), g1.denomination)
 deal = Deal(n=1, s={1}, red={Card.from_token("g1")},
             green={Card.from_token("b1")}, blue={Card.from_token("r1")})
 print("deal:", deal_to_text(deal))
+assert validate_deal(deal) is None
 print("valid?", validate_deal(deal) is None)
 
 # Handing red its own card breaks the rule; the verdict names the invariant.

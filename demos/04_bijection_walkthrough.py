@@ -26,6 +26,7 @@ params = FullDeckParams(n=2, green_in_red={1}, blue_in_red={2}, red_in_blue={2})
 deal = encode_full_deck(params)
 print("full-deck choices:", params.to_text())
 print("          encode ->", deal_to_text(deal))
+assert decode_full_deck(deal) == params
 print("          decode ->", decode_full_deck(deal) == params)
 
 # The number of such choice tuples is the Franel number C(n,0)^3 + C(n,1)^3 + ...
@@ -42,6 +43,7 @@ params = RedSetParams(n=2, red_denoms={1}, both_colors={1}, blue_only=set(),
 deal = encode_red_set(params)
 print("\nred-set choices:", params.to_text())
 print("        encode ->", deal_to_text(deal))
+assert decode_red_set(deal) == params
 print("        decode ->", decode_red_set(deal) == params)
 
 # For a fixed red set of size k the choice count collapses, by two rounds of

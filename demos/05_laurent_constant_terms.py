@@ -28,6 +28,7 @@ base, factor1, factor2 = identity_polynomials()
 print("\nbase    =", base.to_text())
 print("factor1 =", factor1.to_text())
 print("factor2 =", factor2.to_text())
+assert factor1 * factor2 == base
 print("factor1 * factor2 == base:", factor1 * factor2 == base)
 
 # Because the factorization holds, base**n = factor1**n * factor2**n for
@@ -68,6 +69,9 @@ print(f"base**6 has {len(power)} terms, constant term {power.constant_term()}")
 # base_power_text prints the same cells as to_text would, one total degree
 # at a time, reading each term of ey < 0 at its mirror image.
 mirrored = LaurentPoly({(ex + ey, -ey): c for (ex, ey), c in power.coefficients.items()})
+assert mirrored == power
+assert base_power(6) == power
+assert "".join(base_power_text(6)) == power.to_text()
 print("base**6 is its own mirror image:", mirrored == power)
 print("base_power(6) == base ** 6:", base_power(6) == power)
 print("base_power_text(6) is its text:", "".join(base_power_text(6)) == power.to_text())

@@ -38,6 +38,12 @@ __all__ = [
 ]
 
 
+def _params_text(params: _Value) -> str:
+    """Each set field after ``n`` as ``label={..}``, labels from ``_LABELS``, joined by ``;``."""
+    fields = zip(params._LABELS, params._astuple(params)[1:])
+    return ";".join(f"{label}={denom_set_text(value)}" for label, value in fields)
+
+
 class FullDeckParams(_Value):
     """Free choices that pin down a deal using every denomination 1..n.
 
@@ -53,6 +59,7 @@ class FullDeckParams(_Value):
     """
 
     __slots__ = ("n", "green_in_red", "blue_in_red", "red_in_blue")
+    _LABELS = __slots__[1:]
 
     def __init__(
         self,
@@ -66,12 +73,7 @@ class FullDeckParams(_Value):
         object.__setattr__(self, "blue_in_red", frozenset(blue_in_red))
         object.__setattr__(self, "red_in_blue", frozenset(red_in_blue))
 
-    def to_text(self) -> str:
-        return (
-            f"green_in_red={denom_set_text(self.green_in_red)}"
-            f";blue_in_red={denom_set_text(self.blue_in_red)}"
-            f";red_in_blue={denom_set_text(self.red_in_blue)}"
-        )
+    to_text = _params_text
 
 
 def _check_full_deck(params: FullDeckParams) -> None:
@@ -143,10 +145,12 @@ class RedSetParams(_Value):
     with the red cards of ``red_to_blue`` (|red_to_blue| = |both_colors| +
     |green_only|); green's hand takes everything left.  The constructor
     coerces the set fields to frozensets.  Immutable: assigning or deleting
-    an attribute raises AttributeError.
+    an attribute raises AttributeError.  Audit rendering (``to_text``):
+    ``D={..};A={..};B={..};E={..};R={..}``, sorted elements.
     """
 
     __slots__ = ("n", "red_denoms", "both_colors", "blue_only", "extra", "red_to_blue")
+    _LABELS = ("D", "A", "B", "E", "R")
 
     def __init__(
         self,
@@ -168,16 +172,7 @@ class RedSetParams(_Value):
     def green_only(self) -> frozenset[int]:
         return self.red_denoms - self.both_colors - self.blue_only
 
-    def to_text(self) -> str:
-        """Audit rendering: ``D={..};A={..};B={..};E={..};R={..}``, sorted elements."""
-        parts = (
-            ("D", self.red_denoms),
-            ("A", self.both_colors),
-            ("B", self.blue_only),
-            ("E", self.extra),
-            ("R", self.red_to_blue),
-        )
-        return ";".join(f"{label}={denom_set_text(value)}" for label, value in parts)
+    to_text = _params_text
 
 
 def _check_red_set(params: RedSetParams) -> None:

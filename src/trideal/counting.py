@@ -118,7 +118,6 @@ def red_set_count(n: int, k: int) -> int:
 
 def red_distinct_count(n: int, k: int) -> int:
     """Deals with exactly k distinct denominations in red's hand: C(n, k)**2 * C(2k, k)."""
-    _require_k_range(n, k)
     return binomial(n, k) * red_set_count(n, k)
 
 

@@ -290,7 +290,7 @@ def enumerate_deals_with_red_denoms(
     n: int, denoms: Iterable[int], *, allow_large: bool = False
 ) -> Iterator[Deal]:
     """Deals whose red hand shows exactly the given denominations."""
-    yield from _deals(n, _routings(n, allow_large, red_denoms=denoms))
+    yield from _deals(n, _routings(n, allow_large, red_denoms=frozenset(denoms)))
 
 
 def histogram(n: int, statistic: str, *, allow_large: bool = False) -> dict[int, int]:

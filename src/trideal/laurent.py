@@ -53,8 +53,8 @@ __all__ = [
 #: the cropped walk to sequence_term(200), which grows to radius 100 and
 #: shrinks back, takes ~0.1 s and the uncropped walk ~0.45 s, and
 #: base_power_text(200), which ``ct --poly`` prints, ~0.05 s more; a fresh
-#: ``ct --n 200 --poly`` takes ~0.6 s and peaks at ~34 MB (Python 3.11.7,
-#: 2-vCPU Intel Xeon VM).
+#: ``ct --n 200 --poly`` takes 0.6-1.0 s, as the VM's speed varies, and peaks
+#: at ~44 MB, ~41 MB under ``python -S`` (Python 3.11.7, 2-vCPU Intel Xeon VM).
 CT_GUARD = 200
 
 

@@ -234,8 +234,7 @@ def require_valid(deal: Deal) -> None:
 
 def deal_stats(deal: Deal) -> DealStats:
     """Size of the denomination set, and red's distinct-denomination count."""
-    require_valid(deal)
-    return DealStats(len(deal.s), len({card.denomination for card in deal.red}))
+    return DealStats(len(deal.s), len(red_denomination_set(deal)))
 
 
 def red_denomination_set(deal: Deal) -> frozenset[int]:

@@ -255,6 +255,7 @@ def test_param_text_rendering():
     assert p.to_text() == "D={1};A={1};B={};E={2};R={1}"
     q = FullDeckParams(2, {1}, {2}, {2})
     assert q.to_text() == "green_in_red={1};blue_in_red={2};red_in_blue={2}"
+    assert FullDeckParams.to_text is RedSetParams.to_text
 
 
 @pytest.mark.parametrize(

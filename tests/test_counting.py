@@ -142,10 +142,13 @@ class TestBucketCounts:
 
     @pytest.mark.parametrize("fn", [red_set_count, red_distinct_count])
     def test_k_out_of_range_rejected(self, fn):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need 0 <= k <= n, got k=3, n=2$"):
             fn(2, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need 0 <= k <= n, got k=-1, n=2$"):
             fn(2, -1)
+        # a negative n is reported before k
+        with pytest.raises(ValueError, match=r"^need n >= 0, got -1$"):
+            fn(-1, 5)
 
 
 class TestVandermonde:

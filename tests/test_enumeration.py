@@ -340,6 +340,12 @@ class TestRedDenomsDeals:
         with pytest.raises(ValueError):
             next(enumerate_deals_with_red_denoms(2, (3,)))
 
+    def test_none_is_not_a_denomination_set(self):
+        # None would mean "no restriction" to the join groups; the empty set is red showing nothing
+        with pytest.raises(TypeError):
+            next(enumerate_deals_with_red_denoms(3, None))
+        assert len(list(enumerate_deals_with_red_denoms(3, ()))) == 1
+
 
 class TestHistogram:
     def test_pinned_n2(self):
