@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .enumeration import _codes, _deal, subsets_lex
-from .model import Deal, _Value, denom_set_text, require_valid
+from .model import Deal, _Value, _require_nonneg, _within, denom_set_text, require_valid
 
 __all__ = [
     "FullDeckParams",
@@ -77,12 +77,9 @@ class FullDeckParams(_Value):
 
 
 def _check_full_deck(params: FullDeckParams) -> None:
-    if params.n < 0:
-        raise ValueError(f"need n >= 0, got {params.n}")
-    universe = frozenset(range(1, params.n + 1))
+    _require_nonneg(params.n)
     for name in ("green_in_red", "blue_in_red", "red_in_blue"):
-        value = getattr(params, name)
-        if not value <= universe:
+        if not _within(params.n, getattr(params, name)):
             raise ValueError(f"{name} must lie within 1..{params.n}")
     if len(params.blue_in_red) != params.n - len(params.green_in_red):
         raise ValueError("need |blue_in_red| = n - |green_in_red|")
@@ -176,16 +173,14 @@ class RedSetParams(_Value):
 
 
 def _check_red_set(params: RedSetParams) -> None:
-    if params.n < 0:
-        raise ValueError(f"need n >= 0, got {params.n}")
-    universe = frozenset(range(1, params.n + 1))
-    if not params.red_denoms <= universe:
+    _require_nonneg(params.n)
+    if not _within(params.n, params.red_denoms):
         raise ValueError(f"red_denoms must lie within 1..{params.n}")
     if not params.both_colors <= params.red_denoms:
         raise ValueError("both_colors must be a subset of red_denoms")
     if not params.blue_only <= params.red_denoms - params.both_colors:
         raise ValueError("blue_only must be a subset of red_denoms disjoint from both_colors")
-    if not params.extra <= universe - params.red_denoms:
+    if not _within(params.n, params.extra) or not params.extra.isdisjoint(params.red_denoms):
         raise ValueError(f"extra must lie within 1..{params.n} and avoid red_denoms")
     if len(params.extra) != len(params.both_colors):
         raise ValueError("need |extra| = |both_colors|")
@@ -237,8 +232,7 @@ def decode_red_set(deal: Deal) -> RedSetParams:
 
 def iter_full_deck_params(n: int) -> Iterator[FullDeckParams]:
     """All valid full-deck tuples, lexicographic by (green, blue, red) choice sets."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    _require_nonneg(n)
     universe = tuple(range(1, n + 1))
     for greens in subsets_lex(universe):
         for blues in combinations(universe, n - len(greens)):
@@ -252,11 +246,10 @@ def iter_red_set_params(n: int, denoms: Iterable[int]) -> Iterator[RedSetParams]
     The stream is ordered by (both_colors, blue_only, extra, red_to_blue) as
     sorted tuples; its length is red_set_count(n, len(denoms)).
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    _require_nonneg(n)
     red = frozenset(denoms)
     red_denoms = tuple(sorted(red))
-    if not red <= frozenset(range(1, n + 1)):
+    if not _within(n, red):
         raise ValueError(f"denominations {list(red_denoms)} not within 1..{n}")
     outside = tuple(d for d in range(1, n + 1) if d not in red)
     for both in subsets_lex(red_denoms):

@@ -306,7 +306,10 @@ _COMMANDS = {
         cmd_count,
         {
             "--n": _N,
-            "--by": {"choices": ("s-size", "red-distinct"), "default": "s-size"},
+            "--by": {
+                "choices": tuple(name.replace("_", "-") for name in enumeration.STATISTICS),
+                "default": "s-size",
+            },
             "--format": {"choices": ("text", "csv", "bfile"), "default": "text"},
             "--allow-large": _ALLOW_LARGE,
         },

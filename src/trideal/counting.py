@@ -10,6 +10,8 @@ import math
 from operator import add, mul
 from typing import Iterator
 
+from .model import _require_nonneg
+
 __all__ = [
     "binomial",
     "franel",
@@ -22,11 +24,6 @@ __all__ = [
     "rhs_terms",
     "vandermonde_inner",
 ]
-
-
-def _require_nonneg(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
 
 
 def _require_k_range(n: int, k: int) -> None:
@@ -85,8 +82,7 @@ def lhs_terms(max_n: int) -> Iterator[int]:
     Step n takes row n of Pascal's triangle and franel(0..n) from the walk
     and yields sum_k C(n, k) * franel(k).  Each step costs O(n) big-integer
     additions, cubes and products, so the walk to max_n costs O(max_n**2) of
-    them (~1.2 s to n = 1000; Python 3.11, 2-vCPU VM).  Raises ValueError, on
-    first iteration, for max_n < 0.
+    them.  Raises ValueError, on first iteration, for max_n < 0.
     """
     for row, franels in _franel_rows(max_n):
         yield sum(map(mul, row, franels))
@@ -96,8 +92,7 @@ def lhs_sum(n: int) -> int:
     """All deals, counted by denomination-set size: sum_k C(n, k) * franel(k).
 
     The same walk as lhs_terms(n), O(n**2) big-integer additions and cubes,
-    with only the last row's n + 1 products (~6.3 s at n = 2000; Python
-    3.11, 2-vCPU VM).
+    with only the last row's n + 1 products.
     """
     for row, franels in _franel_rows(n):
         pass
@@ -153,9 +148,8 @@ def rhs_terms(max_n: int) -> Iterator[int]:
 
     Step n takes row n and C(2k, k) for k <= n from the walk and yields
     sum_k C(n, k)**2 * C(2k, k), O(n) big-integer additions and products,
-    so the walk to max_n costs O(max_n**2) of them (~1.2 s to n = 1000;
-    Python 3.11, 2-vCPU VM).  Raises ValueError, on first iteration, for
-    max_n < 0.
+    so the walk to max_n costs O(max_n**2) of them.  Raises ValueError, on
+    first iteration, for max_n < 0.
     """
     for row, central in _central_rows(max_n):
         yield sum(map(mul, map(mul, row, row), central))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Any, Iterable, Iterator, Sequence
 
-from .model import COLORS, Card, Color, Deal, denom_set_text
+from .model import COLORS, Card, Color, Deal, _require_nonneg, _within, denom_set_text
 
 __all__ = [
     "EXHAUSTIVE_GUARD",
@@ -37,9 +37,10 @@ __all__ = [
 ]
 
 #: Default ceiling for exhaustive enumeration.  A pass that visits every deal
-#: takes ~2 ms for 4653 at n = 5, ~0.05 s for 272,835 at n = 7 and ~0.4 s for
-#: 2,157,759 at n = 8; both histograms, read a join group at a time, take
-#: ~0.015 s at n = 7 and ~0.05 s at n = 8 (in-process, Python 3.11, 2 vCPUs).
+#: costs O(1) a deal, and the deals, lhs_sum(n), grow ~8x a step (9x in the
+#: limit): 4653 at n = 5, 272,835 at n = 7 and 2,157,759 at n = 8.  Both histograms, read a
+#: join group at a time, tally each subset size's join once and then add O(n)
+#: a subset.
 EXHAUSTIVE_GUARD = 5
 
 
@@ -107,10 +108,9 @@ def _join_groups(
     in it on the others.  The arguments are checked before any join is
     formed, and each join is formed once per alphabet tuple.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    _require_nonneg(n)
     red_set = frozenset(red_denoms or ())
-    if not red_set <= frozenset(range(1, n + 1)):
+    if not _within(n, red_set):
         raise ValueError(f"denominations {sorted(red_set)} not within 1..{n}")
     if n > EXHAUSTIVE_GUARD and not allow_large:
         raise GuardError(

@@ -36,6 +36,8 @@ from functools import cache
 from operator import add
 from typing import Iterator, Mapping
 
+from .model import _require_nonneg
+
 __all__ = [
     "CT_GUARD",
     "LaurentPoly",
@@ -49,12 +51,11 @@ __all__ = [
 #: Largest n accepted by base_power, constant_terms and sequence_term.  Each
 #: walks n stencil steps over the n + 1 packed rows ey >= 0 at most, the rows
 #: below read from their mirror images, O(n**2) whole-row shift-adds in all on
-#: ints of at most 2n + 1 cells, each cell the whole bytes that 9**n needs:
-#: the cropped walk to sequence_term(200), which grows to radius 100 and
-#: shrinks back, takes ~0.1 s and the uncropped walk ~0.45 s, and
-#: base_power_text(200), which ``ct --poly`` prints, ~0.05 s more; a fresh
-#: ``ct --n 200 --poly`` takes 0.6-1.0 s, as the VM's speed varies, and peaks
-#: at ~44 MB, ~41 MB under ``python -S`` (Python 3.11.7, 2-vCPU Intel Xeon VM).
+#: ints of at most 2n + 1 cells, each cell the whole bytes that 9**n needs,
+#: so O(n**4) bit operations: at n = 200 the cropped walk of sequence_term,
+#: which grows to radius 100 and shrinks back, packs 0.60 G output bits and
+#: the uncropped walk of base_power 3.02 G.  The text that ``ct --poly``
+#: prints, base_power_text(n), adds O(n**3) digits for its 3n**2 + 3n + 1 terms.
 CT_GUARD = 200
 
 
@@ -236,8 +237,7 @@ def identity_polynomials() -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
 
 
 def _check_exponent(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    _require_nonneg(n)
     if n > CT_GUARD:
         raise ValueError(f"n={n} exceeds the constant-term guard ({CT_GUARD})")
 
@@ -390,9 +390,9 @@ def base_power(n: int) -> LaurentPoly:
     The uncropped walk to n, its cells widened as the coefficients grow,
     ends on the half frame of rows ey = 0..n.  Row ey holds the hexagon's
     cells ex = -n..n - ey (``_half_frame``); each also fills its mirror
-    image (ex + ey, -ey), so the rows ey < 0 are never built.  ~0.5 s at
-    n = CT_GUARD = 200, about nine tenths of it the walk (Python 3.11.7,
-    2-vCPU Intel Xeon VM).  ``ct --poly`` prints the same power from the
+    image (ex + ey, -ey), so the rows ey < 0 are never built.  The walk's
+    O(n**2) whole-row shift-adds cost most; the dict then takes one entry
+    per term.  ``ct --poly`` prints the same power from the
     same cells through ``base_power_text``, and ``to_text`` stays the
     readable definition of that text.
     Raises ValueError for n < 0 or n > CT_GUARD.
@@ -457,10 +457,9 @@ def constant_terms(max_n: int) -> Iterator[int]:
     a square that holds every monomial of those rows that can still reach
     x**0 * y**0, each cell whole bytes, widened only when 9**n outgrows it
     (see ``_walk``).  The constant term is the middle cell of row 0.  The
-    walk to max_n = 100 packs 38.7 M output bits in ~8 ms, and the walk to
-    CT_GUARD = 200 packs 0.60 G in ~0.1 s, half the bits of the whole square
-    (Python 3.11.7, 2-vCPU Intel Xeon VM).  Raises ValueError, on first
-    iteration, for max_n < 0 or max_n > CT_GUARD.
+    walk to max_n = 100 packs 38.7 M output bits, and the walk to
+    CT_GUARD = 200 packs 0.60 G, half the bits of the whole square.  Raises
+    ValueError, on first iteration, for max_n < 0 or max_n > CT_GUARD.
     """
     for rows, w in _walk(max_n, crop=True):
         yield (rows[0] >> (len(rows) - 1) * w) & ((1 << w) - 1)
@@ -473,9 +472,8 @@ def sequence_term(n: int) -> int:
     of a square frame of packed rows, row -1 read from row 1 by the base's
     mirror symmetry, cropped to the monomials that can still reach
     x**0 * y**0, with cells only as wide as each step needs, O(n**2)
-    whole-row shift-adds (~0.1 s at n = CT_GUARD = 200; Python 3.11.7,
-    2-vCPU Intel Xeon VM).  The whole base**n, from base_power, takes ~0.5 s
-    at n = 200.
+    whole-row shift-adds.  The whole base**n, from base_power, takes the
+    same steps uncropped, five times the packed bits (3.02 G at n = 200).
     """
     for term in constant_terms(n):
         pass

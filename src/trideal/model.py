@@ -197,23 +197,32 @@ class DealStats(NamedTuple):
     red_distinct: int
 
 
+def _require_nonneg(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+
+
+def _within(n: int, denoms: Iterable[int]) -> bool:
+    """True when every denomination is exactly an ``int``, not a ``bool``, in 1..n.
+
+    An equal float or bool would pass a test by ``==`` and print text that
+    ``deal_from_text`` rejects.
+    """
+    return all(d.__class__ is int and 0 < d <= n for d in denoms)
+
+
 def validate_deal(deal: Deal) -> str | None:
     """Check every deal invariant; return None if valid, else the failure kind.
 
     Failure kinds, checked in this order:
 
-    - "range": n < 0, or ``s`` or a card denomination outside 1..n
+    - "range": n < 0, or ``s`` or a card denomination not an int in 1..n
     - "coverage": the hands do not cover the cards of ``s`` exactly once
     - "size": some hand does not hold exactly |s| cards
     - "own-color": a hand contains a card of its own color
     """
-    if deal.n < 0:
-        return "range"
-    legal = range(1, deal.n + 1)
-    if not all(d in legal for d in deal.s):
-        return "range"
     all_cards = [card for color in COLORS for card in deal.hand(color)]
-    if any(card.denomination not in legal for card in all_cards):
+    if deal.n < 0 or not _within(deal.n, [*deal.s, *(card.denomination for card in all_cards)]):
         return "range"
     expected = {Card(d, color) for d in deal.s for color in COLORS}
     if len(all_cards) != len(expected) or set(all_cards) != expected:

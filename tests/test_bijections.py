@@ -180,6 +180,8 @@ class TestRedSetEncode:
             encode_red_set(RedSetParams(1, {2}, (), (), (), ()))
         with pytest.raises(ValueError, match=r"^extra must lie within 1\.\.2 and avoid red_denoms"):
             encode_red_set(RedSetParams(2, {1}, {1}, (), {1}, {1}))
+        with pytest.raises(ValueError, match=r"^extra must lie within 1\.\.2 and avoid red_denoms"):
+            encode_red_set(RedSetParams(2, {1}, {1}, (), {2.0}, {1}))
         with pytest.raises(ValueError, match=r"^red_to_blue must lie within red_denoms plus extra"):
             encode_red_set(RedSetParams(2, {1}, (), (), (), {2}))
 
@@ -248,6 +250,19 @@ class TestRedSetBijection:
         for params in (iter_red_set_params(-1, ()), iter_full_deck_params(-1)):
             with pytest.raises(ValueError, match=r"^need n >= 0, got -1$"):
                 next(params)
+
+
+@pytest.mark.parametrize("fake", [1.0, True], ids=repr)
+def test_a_denomination_equal_to_1_but_no_int_is_out_of_range(fake):
+    # a test by == passed these, and the deal printed S={1.0} or R=[bTrue]
+    with pytest.raises(ValueError, match=r"^red_denoms must lie within 1\.\.1$"):
+        encode_red_set(RedSetParams(1, {fake}, (), {fake}, (), ()))
+    with pytest.raises(ValueError, match=r"^green_in_red must lie within 1\.\.1$"):
+        encode_full_deck(FullDeckParams(1, {fake}, (), {1}))
+    message = rf"^denominations \[{fake!r}\] not within 1\.\.1$"
+    for stream in (iter_red_set_params(1, [fake]), enumerate_deals_with_red_denoms(1, [fake])):
+        with pytest.raises(ValueError, match=message):
+            next(stream)
 
 
 def test_param_text_rendering():

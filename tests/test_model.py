@@ -70,6 +70,13 @@ class TestValidateDeal:
         red, green, blue = ({Card.from_token(t)} for t in ("g2", "b1", "r1"))
         assert validate_deal(Deal(1, {1}, red, green, blue)) == "range"
 
+    @pytest.mark.parametrize("fake", [1.0, True], ids=repr)
+    def test_range_detected_for_a_denomination_equal_to_1_but_no_int(self, fake):
+        # a test by == passed these, and the deal printed S={1.0} or R=[gTrue]
+        for s in ({fake}, {1}):
+            hands = ({Card(fake, color)} for color in (Color.GREEN, Color.BLUE, Color.RED))
+            assert validate_deal(Deal(1, s, *hands)) == "range"
+
     def test_size_detected(self):
         # coverage holds, but red has both non-red cards of denomination 1
         bad = Deal(

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import trideal
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trideal"
+README = PACKAGE.parent.parent / "README.md"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 # __init__.py imports names only to re-export them
 MODULES = [path for path in SOURCES if path.name != "__init__.py"]
@@ -115,6 +117,16 @@ def test_finds_an_unread_private_name():
         "_dead (a.py line 6)",
         "_Gone (a.py line 8)",
     ]
+
+
+# a time or memory figure: a number with its unit, or the machine it ran on
+FIGURE = re.compile(r"\d\s?(?:[mµ]?s|[KMG]i?B)\b|vCPU")
+
+
+def test_finds_a_time_or_memory_figure():
+    figures = ["~0.1 s", "2 ms", "3 µs", "44 MB", "2-vCPU VM"]
+    counts = ["n = 5 steps", "38.7 M output bits", "O(n**2) shift-adds"]
+    assert [text for text in figures + counts if FIGURE.search(text)] == figures
 
 
 def test_finds_imports_and_names_read_through_helpers():
@@ -288,3 +300,43 @@ def test_only_main_turns_an_error_into_a_usage_line():
     # prints the error line, so no handler can grow a second check in its own words
     reads = function_reads((PACKAGE / "cli.py").read_text())
     assert sorted(function for function, read in reads.items() if "_usage" in read) == ["main"]
+
+
+def test_one_function_writes_the_n_check_and_every_range_check_reads_within():
+    # n >= 0 is checked by model._require_nonneg alone, and each denomination
+    # range check calls model._within, so a float or bool stops at every one
+    writers = [
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and "need n >= 0" in ast.unparse(node)
+    ]
+    assert writers == ["model._require_nonneg"]
+    assert sum(path.read_text().count("need n >= 0") for path in SOURCES) == 1
+    reads = {
+        f"{path.stem}.{function}": read
+        for path in MODULES
+        for function, read in function_reads(path.read_text()).items()
+    }
+
+    def readers(name):
+        return sorted(function for function, read in reads.items() if name in read)
+
+    checks = ["bijections._check_full_deck", "bijections._check_red_set", "model.validate_deal"]
+    streams = ["bijections.iter_red_set_params", "enumeration._join_groups"]
+    assert readers("_within") == sorted(checks + streams)
+    # the streams read range for their deck; no check builds a 1..n universe
+    assert not set(checks) & set(readers("range"))
+    users = {function.split(".")[0] for function in readers("_require_nonneg")}
+    assert users == {"bijections", "counting", "enumeration", "laurent"}
+
+
+def test_no_source_or_readme_line_states_a_time_or_memory_figure():
+    # no committed benchmark backs such a figure, so costs are stated as their order
+    lines = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in [*SOURCES, README]
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if FIGURE.search(line)
+    ]
+    assert lines == []
