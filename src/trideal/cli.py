@@ -17,10 +17,17 @@ exclusive group.  It returns the namespace argparse would, without
 importing argparse.  Every other command line, ``--help``, abbreviations,
 ``--flag=value`` and every usage error included, goes to argparse through
 ``build_parser``, whose output is unchanged.
+
+``main(argv)`` is the in-process API: it returns the exit status, or
+argparse raises ``SystemExit`` for ``--help`` and usage errors.  A process
+(``python -m trideal``, the installed ``trideal`` script) ends through
+``run``: it runs the atexit handlers, flushes stdout and stderr and then
+leaves by ``os._exit``, with no module teardown.
 """
 
 from __future__ import annotations
 
+import atexit
 import errno
 import os
 import re
@@ -465,5 +472,33 @@ def main(argv: Sequence[str] | None = None) -> int:
         return CLOSED_STDOUT
 
 
+def run() -> NoReturn:
+    """End the process with ``main``'s status, skipping the interpreter's teardown.
+
+    An int ``SystemExit`` from argparse gives the status too.  The atexit
+    handlers run before the flush, as at a normal exit, so what they write
+    is flushed.  ``os._exit`` then ends the process without freeing every
+    module's objects one by one.  Any other ``SystemExit`` or exception, and
+    a flush that fails (a closed pipe, say), leave through the normal exit,
+    which reports them as it always has.
+    """
+    try:
+        status = main()
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        status = exc.code
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+    except OSError:
+        # the buffer keeps what it could not write, so the normal exit's own
+        # flush fails the same way and reports it as before
+        raise SystemExit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -312,10 +312,11 @@ def _histograms(n: int, allow_large: bool) -> tuple[dict[int, int], dict[int, in
     the same join: each size's deals are tallied by red-distinct once
     (``_red_distinct_tally``), and the tally is added for each subset.
     """
+    groups = _join_groups(n, allow_large)  # checks n before range reads it
     by_size = dict.fromkeys(range(n + 1), 0)
     by_red = dict.fromkeys(range(n + 1), 0)
     tallies: dict[int, dict[int, int]] = {}
-    for subset, joins in _join_groups(n, allow_large):
+    for subset, joins in groups:
         size = len(subset)
         if size not in tallies:
             tallies[size] = _red_distinct_tally(joins)

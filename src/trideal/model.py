@@ -198,8 +198,13 @@ class DealStats(NamedTuple):
 
 
 def _require_nonneg(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    """Raise ValueError unless n is exactly an ``int``, not a ``bool``, and n >= 0.
+
+    A bool would otherwise count as 0 or 1, and a float fail deep inside
+    ``range`` or ``math.comb``.
+    """
+    if n.__class__ is not int or n < 0:
+        raise ValueError(f"need n >= 0, got {n!r}")
 
 
 def _within(n: int, denoms: Iterable[int]) -> bool:

@@ -769,6 +769,13 @@ def broken_pipe(*args):
     raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
 
+def python(*args, **kwargs):
+    """Run a fresh interpreter with the package on its path and stdout block-buffered."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env.pop("PYTHONUNBUFFERED", None)  # as a shell runs it, so output waits for the last flush
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
 class TestClosedStdout:
     def test_a_reader_that_stops_early_ends_the_command_quietly(self):
         # ~200 KB of deals, more than a pipe holds, so the writer meets the closed pipe
@@ -814,12 +821,8 @@ class TestClosedStdout:
     )
     def test_stdout_closed_at_start(self, argv, status, err):
         # as `trideal ... >&-` runs it: fd 1 is closed, so sys.stdout is None
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-        proc = subprocess.run(
-            [sys.executable, "-m", "trideal", *argv],
-            stderr=subprocess.PIPE,
-            env=env,
-            preexec_fn=lambda: os.close(1),
+        proc = python(
+            "-m", "trideal", *argv, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1)
         )
         assert (proc.returncode, proc.stderr) == (status, err)
 
@@ -846,6 +849,78 @@ class TestClosedStdout:
             for fd in opened:
                 with pytest.raises(OSError):
                     os.fstat(fd)
+
+
+class TestRun:
+    """``cli.run``, the process entry: exit statuses and output as ``main`` gives them."""
+
+    def test_an_atexit_handler_registered_before_run_still_runs(self):
+        script = (
+            "import atexit, sys\n"
+            "from trideal import cli\n"
+            "atexit.register(print, 'handler ran')\n"
+            "sys.argv = ['trideal', 'ct', '--n', '3']\n"
+            "cli.run()\n"
+        )
+        proc = python("-c", script, capture_output=True)
+        # what the handler writes is flushed too
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"93\nhandler ran\n", b"")
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [(("--help",), 0), (("ct", "--help"), 0), (("ct", "--n", "3", "--bogus"), 2)],
+    )
+    def test_help_and_usage_errors_exit_with_argparses_status_and_text(
+        self, capsys, monkeypatch, argv, status
+    ):
+        monkeypatch.setenv("COLUMNS", "80")  # help wraps to the same width in both
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        proc = python("-m", "trideal", *argv, capture_output=True)
+        assert excinfo.value.code == status
+        assert (proc.returncode, proc.stdout, proc.stderr) == (status, out.encode(), err.encode())
+
+    def test_an_unexpected_exception_prints_its_traceback_and_exits_1(self):
+        script = (
+            "import sys\n"
+            "from trideal import cli, laurent\n"
+            "def boom(n):\n"
+            "    raise RuntimeError('boom')\n"
+            "laurent.sequence_term = boom\n"
+            "sys.argv = ['trideal', 'ct', '--n', '3']\n"
+            "cli.run()\n"
+        )
+        proc = python("-c", script, capture_output=True)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.startswith(b"Traceback (most recent call last):\n")
+        assert proc.stderr.endswith(b"\nRuntimeError: boom\n")
+
+    def test_output_larger_than_a_pipe_arrives_whole(self, capsys):
+        code, out, err = run(capsys, "ct", "--n", "55", "--poly")
+        assert (code, err) == (0, "") and len(out) > 1 << 16
+        proc = python("-m", "trideal", "ct", "--n", "55", "--poly", capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+
+    def test_a_last_flush_into_a_closed_pipe_reports_as_the_normal_exit_does(self):
+        # --help is still buffered when main returns, so the flush in run meets the pipe
+        def closed_reader(*args):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            with open(write_end, "wb") as stdout:
+                proc = python(*args, "--help", stdout=stdout, stderr=subprocess.PIPE)
+            return proc.returncode, proc.stderr
+
+        old = closed_reader("-c", "import sys; from trideal.cli import main; sys.exit(main())")
+        assert b"BrokenPipeError" in old[1]
+        assert closed_reader("-m", "trideal") == old
+
+    def test_stderr_closed_at_start(self):
+        # as `trideal ... 2>&-` runs it: sys.stderr is None, so run flushes stdout alone
+        proc = python(
+            "-m", "trideal", "ct", "--n", "3", stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2)
+        )
+        assert (proc.returncode, proc.stdout) == (0, b"93\n")
 
 
 class TestUsage:

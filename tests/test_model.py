@@ -1,7 +1,9 @@
+import inspect
 import sys
 
 import pytest
 
+import trideal
 from trideal.model import (
     Card,
     Color,
@@ -13,7 +15,7 @@ from trideal.model import (
     red_denomination_set,
     validate_deal,
 )
-from trideal.bijections import RedSetParams, encode_red_set
+from trideal.bijections import FullDeckParams, RedSetParams, encode_full_deck, encode_red_set
 from trideal.enumeration import enumerate_deals
 
 
@@ -221,3 +223,51 @@ G1, B1, R1 = Card(1, Color.GREEN), Card(1, Color.BLUE), Card(1, Color.RED)
 )
 def test_is_an_immutable_value(value_contract, value, fields, loose, other, text):
     value_contract(value, fields, loose, other, text)
+
+
+# every public entry point that takes a deck size, as a call on that size
+SIZED_ENTRY_POINTS = {
+    "base_power": trideal.base_power,
+    "base_power_text": lambda n: list(trideal.base_power_text(n)),
+    "binomial": lambda n: trideal.binomial(n, 1),
+    "constant_terms": lambda n: list(trideal.constant_terms(n)),
+    "count_deals": trideal.count_deals,
+    "encode_full_deck": lambda n: encode_full_deck(FullDeckParams(n, {1}, (), {1})),
+    "encode_red_set": lambda n: encode_red_set(RedSetParams(n, (), (), (), (), ())),
+    "enumerate_deals": lambda n: list(trideal.enumerate_deals(n)),
+    "enumerate_deals_with_red_denoms": lambda n: list(
+        trideal.enumerate_deals_with_red_denoms(n, ())
+    ),
+    "enumerate_full_deck_deals": lambda n: list(trideal.enumerate_full_deck_deals(n)),
+    "franel": trideal.franel,
+    "histogram": lambda n: trideal.histogram(n, "s_size"),
+    "iter_full_deck_params": lambda n: list(trideal.iter_full_deck_params(n)),
+    "iter_red_set_params": lambda n: list(trideal.iter_red_set_params(n, ())),
+    "lhs_sum": trideal.lhs_sum,
+    "lhs_terms": lambda n: list(trideal.lhs_terms(n)),
+    "red_distinct_count": lambda n: trideal.red_distinct_count(n, 1),
+    "red_prefix_sum": trideal.red_prefix_sum,
+    "red_set_count": lambda n: trideal.red_set_count(n, 1),
+    "rhs_sum": trideal.rhs_sum,
+    "rhs_terms": lambda n: list(trideal.rhs_terms(n)),
+    "sequence_term": trideal.sequence_term,
+}
+
+
+def test_every_entry_point_that_takes_a_deck_size_is_listed():
+    sized = {
+        name
+        for name in trideal.__all__
+        if inspect.isfunction(getattr(trideal, name))
+        and next(iter(inspect.signature(getattr(trideal, name)).parameters), None) in ("n", "max_n")
+    }
+    encoders = {"encode_full_deck", "encode_red_set"}  # their params carry n
+    assert set(SIZED_ENTRY_POINTS) == sized | encoders
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_ENTRY_POINTS))
+@pytest.mark.parametrize("fake", [True, 2.0], ids=repr)
+def test_a_deck_size_equal_to_an_int_but_no_int_is_rejected(name, fake):
+    # True used to count as 1 and 2.0 to fail inside range or math.comb
+    with pytest.raises(ValueError, match=rf"^need n >= 0, got {fake!r}$"):
+        SIZED_ENTRY_POINTS[name](fake)

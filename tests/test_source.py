@@ -340,3 +340,25 @@ def test_no_source_or_readme_line_states_a_time_or_memory_figure():
         if FIGURE.search(line)
     ]
     assert lines == []
+
+
+def main_block(path: Path) -> str:
+    """The body of a source's ``if __name__ == "__main__":`` block."""
+    tree = ast.parse(path.read_text())
+    [block] = [node for node in tree.body if ast.unparse(node).startswith("if __name__ ==")]
+    return "\n".join(map(ast.unparse, block.body))
+
+
+def test_every_process_ends_through_run_and_only_run_calls_os_exit():
+    # run is the one place that skips teardown, and each way to start a process reaches it
+    exits = [
+        f"{path.stem}.{getattr(statement, 'name', '<module>')}"
+        for path in SOURCES
+        for statement in ast.parse(path.read_text()).body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "os._exit"
+    ]
+    assert exits == ["cli.run"]
+    assert main_block(PACKAGE / "__main__.py") == main_block(PACKAGE / "cli.py") == "run()"
+    pyproject = (PACKAGE.parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^\[project\.scripts\]\ntrideal = "trideal\.cli:run"$', pyproject, re.M)
