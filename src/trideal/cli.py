@@ -21,14 +21,14 @@ importing argparse.  Every other command line, ``--help``, abbreviations,
 ``main(argv)`` is the in-process API: it returns the exit status, or
 argparse raises ``SystemExit`` for ``--help`` and usage errors.  A process
 (``python -m trideal``, the installed ``trideal`` script) ends through
-``run``: it runs the atexit handlers, flushes stdout and stderr and then
-leaves by ``os._exit``, with no module teardown.
+``run``: it runs the atexit handlers, flushes stdout and stderr, then
+leaves by ``os._exit``, with no module teardown.  What a closed pipe
+cannot take is dropped there: a reader that has gone takes nothing more.
 """
 
 from __future__ import annotations
 
 import atexit
-import errno
 import os
 import re
 import sys
@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _closed_pipe(text: str) -> NoReturn:
-    raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+    raise BrokenPipeError
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -459,16 +459,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         return _usage(str(exc))
     except BrokenPipeError:
-        # the reader is gone: where stdout has a file descriptor, point it at
-        # devnull, so the interpreter's own flush at exit meets no closed pipe
-        try:
-            fd = sys.stdout.fileno()
-        except (AttributeError, OSError):
-            pass
-        else:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
         return CLOSED_STDOUT
 
 
@@ -477,10 +467,10 @@ def run() -> NoReturn:
 
     An int ``SystemExit`` from argparse gives the status too.  The atexit
     handlers run before the flush, as at a normal exit, so what they write
-    is flushed.  ``os._exit`` then ends the process without freeing every
-    module's objects one by one.  Any other ``SystemExit`` or exception, and
-    a flush that fails (a closed pipe, say), leave through the normal exit,
-    which reports them as it always has.
+    is flushed; a flush into a closed pipe is dropped and the status stands.
+    ``os._exit`` then ends the process without freeing every module's
+    objects one by one.  Any other ``SystemExit`` or exception, a full
+    disk's included, leaves through the normal exit, which reports it.
     """
     try:
         status = main()
@@ -489,14 +479,12 @@ def run() -> NoReturn:
             raise
         status = exc.code
     atexit._run_exitfuncs()
-    try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None when the descriptor was closed at start
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the descriptor was closed at start
+            try:
                 stream.flush()
-    except OSError:
-        # the buffer keeps what it could not write, so the normal exit's own
-        # flush fails the same way and reports it as before
-        raise SystemExit(status)
+            except BrokenPipeError:
+                pass
     os._exit(status)
 
 

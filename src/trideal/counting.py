@@ -26,8 +26,19 @@ __all__ = [
 ]
 
 
+def _require_int(name: str, value: int) -> None:
+    """Raise ValueError unless the argument is exactly an ``int``, not a ``bool``.
+
+    A bool would otherwise count as 0 or 1, and a float fail inside
+    ``math.comb`` or be reported as the wrong argument.
+    """
+    if value.__class__ is not int:
+        raise ValueError(f"need an int {name}, got {value!r}")
+
+
 def _require_k_range(n: int, k: int) -> None:
     _require_nonneg(n)
+    _require_int("k", k)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
 
@@ -35,6 +46,7 @@ def _require_k_range(n: int, k: int) -> None:
 def binomial(n: int, k: int) -> int:
     """C(n, k), with the convention C(n, k) = 0 for k < 0 or k > n."""
     _require_nonneg(n)
+    _require_int("k", k)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -118,6 +130,8 @@ def red_distinct_count(n: int, k: int) -> int:
 
 def vandermonde_inner(k: int, a: int) -> int:
     """sum_b C(k-a, b) * C(k+a, k-b); equals C(2k, k) for every 0 <= a <= k."""
+    _require_int("k", k)
+    _require_int("a", a)
     if not 0 <= a <= k:
         raise ValueError(f"need 0 <= a <= k, got a={a}, k={k}")
     return sum(binomial(k - a, b) * binomial(k + a, k - b) for b in range(k + 1))

@@ -221,13 +221,16 @@ def validate_deal(deal: Deal) -> str | None:
 
     Failure kinds, checked in this order:
 
-    - "range": n < 0, or ``s`` or a card denomination not an int in 1..n
+    - "range": n not an int >= 0, or ``s`` or a card denomination not an
+      int in 1..n
     - "coverage": the hands do not cover the cards of ``s`` exactly once
     - "size": some hand does not hold exactly |s| cards
     - "own-color": a hand contains a card of its own color
     """
     all_cards = [card for color in COLORS for card in deal.hand(color)]
-    if deal.n < 0 or not _within(deal.n, [*deal.s, *(card.denomination for card in all_cards)]):
+    n, denoms = deal.n, [*deal.s, *(card.denomination for card in all_cards)]
+    # the deck size is held to _require_nonneg's rule, so a decoder's range gets an int
+    if n.__class__ is not int or n < 0 or not _within(n, denoms):
         return "range"
     expected = {Card(d, color) for d in deal.s for color in COLORS}
     if len(all_cards) != len(expected) or set(all_cards) != expected:

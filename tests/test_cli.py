@@ -769,11 +769,14 @@ def broken_pipe(*args):
     raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
 
-def python(*args, **kwargs):
-    """Run a fresh interpreter with the package on its path and stdout block-buffered."""
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    env.pop("PYTHONUNBUFFERED", None)  # as a shell runs it, so output waits for the last flush
-    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+def python(*args, env=(), **kwargs):
+    """Run a fresh interpreter with the package on its path and stdout block-buffered.
+
+    ``env`` adds to the environment, and can set PYTHONUNBUFFERED again.
+    """
+    environ = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    environ.pop("PYTHONUNBUFFERED", None)  # as a shell runs it, so output waits for the last flush
+    return subprocess.run([sys.executable, *args], env={**environ, **dict(env)}, **kwargs)
 
 
 class TestClosedStdout:
@@ -831,24 +834,21 @@ class TestClosedStdout:
         code = main(["enumerate", "--n", "2"])
         assert (code, capsys.readouterr().err) == (141, "")
 
-    def test_the_closed_pipe_branch_closes_its_devnull_descriptor(self, monkeypatch):
-        opened, original = [], os.open
-
-        def recording_open(*args, **kwargs):
-            opened.append(original(*args, **kwargs))
-            return opened[-1]
-
+    def test_main_leaves_a_broken_stdout_on_the_same_pipe(self, monkeypatch):
+        # the in-process API returns 141 and never repoints its host's descriptor
         read_end, write_end = os.pipe()
         os.close(read_end)
-        with open(write_end, "w") as stdout:
-            monkeypatch.setattr(sys, "stdout", stdout)
-            monkeypatch.setattr(os, "open", recording_open)
-            code = main(["enumerate", "--n", "5"])
-            monkeypatch.undo()
-            assert code == 141 and opened
-            for fd in opened:
-                with pytest.raises(OSError):
-                    os.fstat(fd)
+        pipe = os.fstat(write_end)
+        stdout = open(write_end, "w")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["ct", "--n", "3"])  # main's own flush meets the pipe
+        monkeypatch.undo()
+        after = os.fstat(write_end)
+        # what the buffer still holds meets the pipe as the file closes
+        with pytest.raises(BrokenPipeError):
+            stdout.close()
+        assert code == 141
+        assert (after.st_dev, after.st_ino) == (pipe.st_dev, pipe.st_ino)
 
 
 class TestRun:
@@ -902,18 +902,24 @@ class TestRun:
         proc = python("-m", "trideal", "ct", "--n", "55", "--poly", capture_output=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
 
-    def test_a_last_flush_into_a_closed_pipe_reports_as_the_normal_exit_does(self):
-        # --help is still buffered when main returns, so the flush in run meets the pipe
-        def closed_reader(*args):
+    def test_help_into_a_closed_pipe_exits_0_quietly_however_stdout_is_buffered(self):
+        # block-buffered, --help is still held when main returns, so run's flush meets the pipe
+        def closed_reader(env):
             read_end, write_end = os.pipe()
             os.close(read_end)
             with open(write_end, "wb") as stdout:
-                proc = python(*args, "--help", stdout=stdout, stderr=subprocess.PIPE)
+                argv = ("-m", "trideal", "--help")
+                proc = python(*argv, env=env, stdout=stdout, stderr=subprocess.PIPE)
             return proc.returncode, proc.stderr
 
-        old = closed_reader("-c", "import sys; from trideal.cli import main; sys.exit(main())")
-        assert b"BrokenPipeError" in old[1]
-        assert closed_reader("-m", "trideal") == old
+        assert closed_reader({}) == closed_reader({"PYTHONUNBUFFERED": "1"}) == (0, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+    def test_a_flush_that_fails_for_another_reason_is_still_reported(self):
+        # only a closed pipe is dropped: a full disk leaves through the normal exit
+        with open("/dev/full", "wb") as stdout:
+            proc = python("-m", "trideal", "--help", stdout=stdout, stderr=subprocess.PIPE)
+        assert proc.returncode != 0 and b"OSError" in proc.stderr
 
     def test_stderr_closed_at_start(self):
         # as `trideal ... 2>&-` runs it: sys.stderr is None, so run flushes stdout alone

@@ -79,6 +79,12 @@ class TestValidateDeal:
             hands = ({Card(fake, color)} for color in (Color.GREEN, Color.BLUE, Color.RED))
             assert validate_deal(Deal(1, s, *hands)) == "range"
 
+    @pytest.mark.parametrize("fake", [True, 1.0, 0.5], ids=repr)
+    def test_range_detected_for_a_deck_size_that_is_no_int(self, fake):
+        # only n < 0 was tested: True passed as 1, and 1.0 reached range in a decoder
+        assert validate_deal(Deal(fake, (), (), (), ())) == "range"
+        assert validate_deal(Deal(fake, {1}, {G1}, {B1}, {R1})) == "range"
+
     def test_size_detected(self):
         # coverage holds, but red has both non-red cards of denomination 1
         bad = Deal(
@@ -271,3 +277,34 @@ def test_a_deck_size_equal_to_an_int_but_no_int_is_rejected(name, fake):
     # True used to count as 1 and 2.0 to fail inside range or math.comb
     with pytest.raises(ValueError, match=rf"^need n >= 0, got {fake!r}$"):
         SIZED_ENTRY_POINTS[name](fake)
+
+
+# every other integer argument of a public entry point, as a call on that value
+COUNT_ARGUMENTS = {
+    "binomial k": lambda k: trideal.binomial(5, k),
+    "red_distinct_count k": lambda k: trideal.red_distinct_count(3, k),
+    "red_set_count k": lambda k: trideal.red_set_count(3, k),
+    "vandermonde_inner a": lambda a: trideal.vandermonde_inner(2, a),
+    "vandermonde_inner k": lambda k: trideal.vandermonde_inner(k, 0),
+}
+
+
+def test_every_other_integer_argument_is_listed():
+    taken = {
+        f"{name} {parameter}"
+        for name in trideal.__all__
+        if inspect.isfunction(getattr(trideal, name))
+        for parameter in inspect.signature(getattr(trideal, name)).parameters
+        if parameter in ("k", "a")
+    }
+    assert set(COUNT_ARGUMENTS) == taken
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_ARGUMENTS))
+@pytest.mark.parametrize("fake", [True, 2.0], ids=repr)
+def test_a_count_argument_equal_to_an_int_but_no_int_is_rejected(name, fake):
+    # True used to count as 1, and 2.0 to fail inside math.comb or name a parameter
+    # the function does not have
+    parameter = name.split()[1]
+    with pytest.raises(ValueError, match=rf"^need an int {parameter}, got {fake!r}$"):
+        COUNT_ARGUMENTS[name](fake)
