@@ -9,31 +9,26 @@ extraction.  Instances are immutable by convention; every operation returns
 a new polynomial.
 
 The walk behind the constant terms does not use the general product: it
-packs each row of a square frame of the power into one int, w bits a cell
-(Kronecker substitution x -> 2**w), so one step by the 7-term base is a few
-shift-adds of whole rows.  All coefficients of base**n are positive and sum
-to 9**n, so a w with 9**n < 2**w keeps every cell from carrying into the
-next.  The cells are whole bytes and only as wide as the step needs: the
-walk widens them, O(log n) times, whenever 9**n outgrows them, to the width
-of twice as many steps (the multipoint refinement of Kronecker substitution,
-Harvey, J. Symbolic Comput. 44, 2009).  The walk stores only the rows
-ey >= 0.  The base's Newton polygon is the hexagon of the A2 lattice
-(Samol and van Straten, arXiv:0911.0797), and the reflection
-(ex, ey) -> (ex + ey, -ey) maps its seven monomials onto themselves, so
-every power is symmetric under it: row -1, the one row below the middle a
-step reads, is row 1 shifted up one cell.  The walk for the constant terms
-to max_n grows its frame for ceil(max_n / 2) steps, then shrinks it a ring a
-step, building only a square that holds every cell that can still reach
-x**0 * y**0.  The rows are unpacked only when the whole power is asked
-for: ``base_power_text`` prints it straight from the cells, one total degree
-at a time, each term of ey < 0 read at its mirror image, and ``base_power``
-builds a ``LaurentPoly`` from the same cells.
+packs each row of the power into one int, w bits a cell (Kronecker
+substitution x -> 2**w), so a step by the 7-term base is a few shift-adds of
+whole rows.  The coefficients of base**n are positive and sum to 9**n, so
+cells with 9**n < 2**w never carry; they are whole bytes, widened O(log n)
+times to the width of twice as many steps (the multipoint refinement of
+Kronecker substitution, Harvey, J. Symbolic Comput. 44, 2009).  The base's
+Newton polygon is the hexagon of the A2 lattice (Samol and van Straten,
+arXiv:0911.0797): in (ex, ey, ez = -ex - ey), the twelve maps that permute
+the three exponents, and may negate them all, map the base and so every
+power onto itself.  The walk stores only the twelfth 0 <= ey <= ex, of which
+every term is an image, and for the constant terms to max_n crops base**n to
+the hexagonal radius max_n - n, the cells that can still reach x**0 * y**0.
+For the whole power, each stored cell fills its images in the half frame
+ey >= 0, which ``base_power_text`` prints one total degree at a time and
+``base_power`` mirrors into a ``LaurentPoly``.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from operator import add
 from typing import Iterator, Mapping
 
 from .model import _require_nonneg
@@ -49,13 +44,12 @@ __all__ = [
 ]
 
 #: Largest n accepted by base_power, constant_terms and sequence_term.  Each
-#: walks n stencil steps over the n + 1 packed rows ey >= 0 at most, the rows
-#: below read from their mirror images, O(n**2) whole-row shift-adds in all on
-#: ints of at most 2n + 1 cells, each cell the whole bytes that 9**n needs,
-#: so O(n**4) bit operations: at n = 200 the cropped walk of sequence_term,
-#: which grows to radius 100 and shrinks back, packs 0.60 G output bits and
-#: the uncropped walk of base_power 3.02 G.  The text that ``ct --poly``
-#: prints, base_power_text(n), adds O(n**3) digits for its 3n**2 + 3n + 1 terms.
+#: walks n stencil steps over at most n // 2 + 1 packed rows of the twelfth,
+#: O(n**2) whole-row shift-adds on ints of at most n + 3 cells, each the
+#: whole bytes that 9**n needs, so O(n**4) bit operations: at n = 200 the
+#: cropped walk of sequence_term packs 83 M output bits and the uncropped
+#: walk of base_power 0.39 G.  base_power_text(n), the text of ``ct --poly``,
+#: adds O(n**3) digits for its 3n**2 + 3n + 1 terms.
 CT_GUARD = 200
 
 
@@ -69,7 +63,7 @@ def _monomial_text(ex: int, ey: int) -> str:
 
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial in x and y."""
+    """Immutable sparse Laurent polynomial in x and y, its exponents and coefficients ints."""
 
     __slots__ = ("_coeffs",)
 
@@ -77,6 +71,11 @@ class LaurentPoly:
         self._coeffs: dict[tuple[int, int], int] = {
             key: c for key, c in (coeffs or {}).items() if c != 0
         }
+        # exactly ints, by model._require_nonneg's rule: an equal float or bool
+        # would compare and hash like the int, yet print x^2.0 for x^2
+        for (ex, ey), c in self._coeffs.items():
+            if not ex.__class__ is ey.__class__ is c.__class__ is int:
+                raise ValueError(f"need int exponents and coefficient, got {(ex, ey)!r}: {c!r}")
 
     @classmethod
     def constant(cls, value: int) -> "LaurentPoly":
@@ -108,11 +107,10 @@ class LaurentPoly:
         return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.constant(other)
-        if not isinstance(other, LaurentPoly):
+        rhs = self._coerce(other)
+        if rhs is None:
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._coeffs == rhs._coeffs
 
     def __hash__(self) -> int:
         # Constants equal their int, so they must hash like it too.
@@ -121,11 +119,12 @@ class LaurentPoly:
         return hash(frozenset(self._coeffs.items()))
 
     @staticmethod
-    def _coerce(value: "LaurentPoly | int") -> "LaurentPoly | None":
+    def _coerce(value: object) -> "LaurentPoly | None":
+        """An operand as a ``LaurentPoly``: an int, a bool among them, keeps Python's meaning."""
         if isinstance(value, LaurentPoly):
             return value
         if isinstance(value, int):
-            return LaurentPoly.constant(value)
+            return LaurentPoly.constant(int(value))
         return None
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
@@ -253,69 +252,36 @@ def _width(n: int) -> int:
     return (9 ** n).bit_length()
 
 
-def _below(rows: list[int], w: int) -> int:
-    """Row ey = -1 of the square frame whose rows ey >= 0 are ``rows``: row 1 moved up a cell.
+def _step(rows: list[int], w: int, radius: int) -> list[int]:
+    """One step of the walk: the packed twelfth of a power times the base, cropped to ``radius``.
 
-    The reflection M(ex, ey) = (ex + ey, -ey) maps the base's seven monomials
-    onto themselves, so every power of the base is M-invariant, and M sends
-    (ex - 1, 1) to (ex, -1).  The mask drops the cell shifted past the frame
-    and the cell at ex = -r is left 0: both have |ex + ey| = r + 1, outside the
-    hexagon the frame's cells can hold or still need.  A frame of radius 0 has
-    no row 1, and its row -1 is 0.
+    ``rows[ey]`` packs row ey of the twelfth 0 <= ey <= ex, w bits a cell:
+    cell i holds the coefficient of x**(ey + i - 2) * y**ey.  Cells 0 and 1
+    are ghosts, 0 outside a step, and rows past the end are 0.  The result
+    holds rows 0..radius // 2 of the product, its cells of ex + ey > radius
+    dropped.  Every input cell must be at most its coefficient and every
+    coefficient of the product below 2**w (see ``_width``), so that no
+    partial sum carries.
     """
-    if len(rows) == 1:
-        return 0
-    return (rows[1] << w) & ((1 << (2 * len(rows) - 1) * w) - 1)
-
-
-def _times_base(rows: list[int], w: int) -> list[int]:
-    """One step of the walk: the packed half frame of ``power`` times the base.
-
-    ``rows[ey]``, for ey = 0..r, packs row ey of the square frame of radius
-    r = len(rows) - 1 into one int: the coefficient of x**ex * y**ey sits in
-    bits [(ex + r)*w, (ex + r + 1)*w).  The rows ey < 0 are not stored; a
-    step reads row -1 from row 1 (``_below``).  The result is the half frame
-    of radius r + 1 for ``power * base``.  Cells must be non-negative and
-    every output cell below 2**w (see ``_width``).
-    """
-    padded = [_below(rows, w), *rows, 0, 0]
-    # Output row ey reads input rows ey - 1, ey and ey + 1 (below, same and
-    # above), and its cell i has the ex of input cell i - 1, so a shift by w
-    # keeps ex.  With left = below + same and right = same + above, the row is
-    # left + ((left + right + same) << w) + (right << 2w), the terms carrying
-    # the base's x^-1 and x^-1*y, its 3, y and y^-1, and its x and x*y^-1.
-    # Row ey's left is row ey - 1's right, so each pair of adjacent rows is
-    # summed once, with its own cells shifted up by w added (``sides``), and
-    # the row is sides[ey] + ((same + sides[ey + 1]) << w).
-    sides = [pair + (pair << w) for pair in map(add, padded, padded[1:])]
+    height = radius // 2 + 1
+    rows = rows[: height + 1] + [0] * (height + 1 - len(rows))
+    # Swapping ex and ey maps cells 3 and 4 of row ey, (ey + 1, ey) and
+    # (ey + 2, ey), onto the ghosts of rows ey + 1 and ey + 2.  Row 0's
+    # ghosts are (2, 0) and (1, 0) negated, and (-1, 1) permutes (1, 0, -1).
+    cell, head = (1 << w) - 1, (1 << 5 * w) - 1
+    ones = [(row & head) >> 3 * w & cell for row in rows]
+    twos = [(row & head) >> 4 * w for row in rows]
+    ghosts = zip([twos[0], ones[0], *twos], [ones[0], *ones])
+    rows = [row + (low + (high << w)) for row, (low, high) in zip(rows, ghosts)]
+    # (ex, -1) is (ex - 1, 1) under (ex, ey, ez) -> (-ez, -ey, -ex): row -1 is
+    # row 1 moved up three cells.  Output cell i reads cells i - 1, i and i + 1
+    # of its row (the base's x, 3 and x^-1), i + 1 and i + 2 of the row below
+    # (y and x^-1*y), and i - 1 and i - 2 of the row above (y^-1 and x*y^-1).
+    below = [rows[1] << 3 * w, *rows]
     return [
-        left + ((same + right) << w) for left, same, right in zip(sides, padded[1:], sides[1:])
-    ]
-
-
-def _times_base_cropped(rows: list[int], w: int) -> list[int]:
-    """``_times_base(rows, w)`` cropped to the square of radius r - 1, built only inside it.
-
-    The input half frame has radius r >= 1: the crop cuts two cells off each
-    end of the rows ``_times_base`` would build, and keeps output rows
-    0..r - 1.  Output row j reads input rows j - 1, j and j + 1, with row -1
-    from ``_below``, and cell i reads input cells i, i + 1 and i + 2, so the
-    crop's shift by 2w is folded into downward shifts and its mask into one
-    ``&`` a row.  No cell of a partial sum below exceeds the output cell it
-    feeds, so none carries, and dropping low cells term by term drops the
-    same cells of the sum.
-    """
-    keep = (1 << (2 * len(rows) - 3) * w) - 1
-    rows = [_below(rows, w), *rows]
-    # Row j's left, below + same, is row j - 1's right, same + above: each is
-    # summed once, with its own cells shifted down by w added.
-    sides = [pair + (pair >> w) for pair in map(add, rows, rows[1:])]
-    # ((left + (left >> w) + same) >> w) + right + (right >> w) is
-    # (left >> 2w) + ((left + right + same) >> w) + right: the three terms of
-    # _times_base, each shifted down by the 2w the crop cuts.
-    return [
-        (((left + same) >> w) + right) & keep
-        for left, same, right in zip(sides, rows[1:], sides[1:])
+        (3 * same + ((same + above + (above << w)) << w) + ((same + under + (under >> w)) >> w))
+        & ((1 << (radius - 2 * ey + 3) * w) - (1 << 2 * w))
+        for ey, (under, same, above) in enumerate(zip(below, rows, rows[1:]))
     ]
 
 
@@ -333,72 +299,68 @@ def _widen(row: int, cells: int, size: int, wider: int) -> int:
 
 
 def _walk(max_n: int, crop: bool) -> Iterator[tuple[list[int], int]]:
-    """The packed half frames of base**0, ..., base**max_n, each with its cell width w.
+    """The packed twelfths of base**0, ..., base**max_n, each with its cell width w.
 
-    A half frame of radius r is rows ey = 0..r of the square frame, 2r + 1
-    cells each; the rows below are their mirror images (``_below``), which a
-    step reads and never stores.  Cells are whole bytes, only as wide as the
-    coefficients they can hold so far: before step n, if 9**n no longer fits
-    in a cell, every row is widened once to the byte width of step
-    min(max_n, 2n), so a walk widens O(log max_n) times.  With ``crop``, the
-    frame grows while n <= ceil(max_n / 2), and each later step builds only
-    the square one ring smaller (``_times_base_cropped``), of radius
-    2 * ceil(max_n / 2) - n >= max_n - n.
+    Base**n is kept to the hexagonal radius r = n, or with ``crop``
+    min(n, max_n - n): rows ey = 0..r // 2 of cells ex = ey - 2..r - ey (see
+    ``_step``).  Cells are whole bytes, only as wide as the coefficients
+    they can hold so far: before step n, if 9**n no longer fits in a cell,
+    every row is widened once to the byte width of step min(max_n, 2n), so a
+    walk widens O(log max_n) times.
     Raises ValueError, on first iteration, for max_n < 0 or max_n > CT_GUARD.
     """
     _check_exponent(max_n)
-    rows, size = [1], 1
+    # base**0: cell 2 of row 0, x**0 * y**0, is 1
+    rows, size = [1 << 16], 1
     yield rows, 8 * size
     for n in range(1, max_n + 1):
         if _width(n) > 8 * size:
             wider = (_width(min(max_n, 2 * n)) + 7) // 8
-            rows = [_widen(row, 2 * len(rows) - 1, size, wider) for row in rows]
+            # row 0 of base**(n - 1) is the longest, of at most n + 2 cells
+            rows = [_widen(row, n + 2, size, wider) for row in rows]
             size = wider
-        w = 8 * size
         # Each base monomial moves ex, ey and ex+ey by at most 1, so a monomial
         # whose hexagonal radius exceeds the steps left never returns to (0, 0):
-        # dropping it changes no coefficient read later.  The square of radius
-        # max_n - n holds that hexagon, so cropping to it or a larger one is
-        # exact too.  The mirror keeps the hexagonal radius, so a mirrored cell
-        # is exact wherever it can still reach (0, 0); every other stored cell
-        # is at most its true coefficient, so none carries.
-        grow = not crop or 2 * n <= max_n + 1
-        rows = _times_base(rows, w) if grow else _times_base_cropped(rows, w)
-        yield rows, w
+        # dropping it changes no coefficient read later.
+        rows = _step(rows, 8 * size, min(n, max_n - n) if crop else n)
+        yield rows, 8 * size
 
 
-def _half_frame(walk: Iterator[tuple[list[int], int]]) -> list[list[int]]:
-    """The cells of the last half frame ``walk`` yields: row ey lists those of ex = -r..r - ey.
+def _unfold(n: int) -> list[list[int]]:
+    """The half frame of base**n: row ey, for ey = 0..n, lists the cells of ex = -n..n - ey.
 
-    Each packed row is cut into its cells by ``to_bytes`` slices, and only
-    the hexagon's cells are kept: those of ex > r - ey are 0.
+    Each cell (ex, ey) of the twelfth, with ez = -ex - ey, fills its six
+    images of ey >= 0: (ex, ey) and (ez, ey) by two slices of row ey, then
+    (ey, ex), (ez, ex), (-ex, -ez) and (-ey, -ez).
     """
-    for rows, w in walk:
+    for rows, w in _walk(n, crop=False):
         pass
-    size, cells = w // 8, 2 * len(rows) - 1
-    half = []
+    size = w // 8
+    half = [[0] * (2 * n + 1 - ey) for ey in range(n + 1)]
     for ey, row in enumerate(rows):
-        data = row.to_bytes(cells * size, "little")
-        starts = range(0, (cells - ey) * size, size)
-        half.append([int.from_bytes(data[i : i + size], "little") for i in starts])
+        data = (row >> 2 * w).to_bytes((n - 2 * ey + 1) * size, "little")
+        cells = [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+        half[ey][n + ey :] = cells
+        half[ey][: n + 1 - 2 * ey] = cells[::-1]
+        for ex, c in enumerate(cells, ey):
+            half[ex][n + ey] = half[ex][n - ex - ey] = c
+            half[ex + ey][n - ex] = half[ex + ey][n - ey] = c
     return half
 
 
 def base_power(n: int) -> LaurentPoly:
     """The whole base**n, 3n**2 + 3n + 1 terms, as a ``LaurentPoly``.
 
-    The uncropped walk to n, its cells widened as the coefficients grow,
-    ends on the half frame of rows ey = 0..n.  Row ey holds the hexagon's
-    cells ex = -n..n - ey (``_half_frame``); each also fills its mirror
-    image (ex + ey, -ey), so the rows ey < 0 are never built.  The walk's
-    O(n**2) whole-row shift-adds cost most; the dict then takes one entry
-    per term.  ``ct --poly`` prints the same power from the
-    same cells through ``base_power_text``, and ``to_text`` stays the
-    readable definition of that text.
+    The uncropped walk to n ends on the twelfth of base**n; each cell of
+    the half frame ``_unfold`` writes from it also fills its mirror image
+    (ex + ey, -ey).  The walk's O(n**2) whole-row shift-adds cost most.
+    ``ct --poly`` prints the same power from the same cells through
+    ``base_power_text``, and ``to_text`` stays the readable definition of
+    that text.
     Raises ValueError for n < 0 or n > CT_GUARD.
     """
     coeffs = {}
-    for ey, row in enumerate(_half_frame(_walk(n, crop=False))):
+    for ey, row in enumerate(_unfold(n)):
         for ex, c in enumerate(row, -n):
             coeffs[ex, ey] = coeffs[ex + ey, -ey] = c
     return LaurentPoly(coeffs)
@@ -412,17 +374,17 @@ def base_power_text(n: int) -> Iterator[str]:
     order is ``to_text``'s: total degree t = ex + ey from n down to -n, and
     within a degree ex descending.  The terms of degree t with ey < 0 come
     first, and each is read at its mirror image (t, -ey): column t of the
-    rows 1, 2, ... of the half frame.  The rest, ey = 0, 1, ..., lie on the
-    antidiagonal ex = t - ey of the stored rows.  Each stored cell is
-    converted to decimal once, for itself and its mirror image (the constant
-    once more, bare), and each monomial is two per-exponent strings; every
-    chunk after the first opens with its " + ".
+    rows 1, 2, ... of the half frame (``_unfold``).  The rest, ey = 0, 1,
+    ..., lie on the antidiagonal ex = t - ey of its rows.  Each cell of the
+    half frame is converted to decimal once, for itself and its mirror image
+    (the constant once more, bare), and each monomial is two per-exponent
+    strings; every chunk after the first opens with its " + ".
     """
-    return _degree_texts(_half_frame(_walk(n, crop=False)))
+    return _degree_texts(_unfold(n))
 
 
 def _degree_texts(half: list[list[int]]) -> Iterator[str]:
-    """The chunks of ``base_power_text`` from the cells of the last half frame."""
+    """The chunks of ``base_power_text`` from the half frame of ``_unfold``."""
     n = len(half) - 1
     # "c*" before a monomial, and nothing for c = 1
     coefs = [["" if c == 1 else f"{c}*" for c in row] for row in half]
@@ -452,28 +414,25 @@ def _degree_texts(half: list[list[int]]) -> Iterator[str]:
 def constant_terms(max_n: int) -> Iterator[int]:
     """Constant terms of base**0, base**1, ..., base**max_n from one walk.
 
-    The cropped walk: step n builds the half frame of base**n, rows ey >= 0,
-    to radius n up to n = ceil(max_n / 2) and one ring less each step after,
-    a square that holds every monomial of those rows that can still reach
-    x**0 * y**0, each cell whole bytes, widened only when 9**n outgrows it
-    (see ``_walk``).  The constant term is the middle cell of row 0.  The
-    walk to max_n = 100 packs 38.7 M output bits, and the walk to
-    CT_GUARD = 200 packs 0.60 G, half the bits of the whole square.  Raises
-    ValueError, on first iteration, for max_n < 0 or max_n > CT_GUARD.
+    The cropped walk: step n builds the twelfth of base**n to the hexagonal
+    radius min(n, max_n - n), every cell that can still reach x**0 * y**0
+    (see ``_walk``); the constant term is cell 2 of row 0.  The walk to
+    max_n = 100 packs 5.8 M output bits, and the walk to CT_GUARD = 200
+    83 M, a fifth of the uncropped walk's.  Raises ValueError, on first
+    iteration, for max_n < 0 or max_n > CT_GUARD.
     """
     for rows, w in _walk(max_n, crop=True):
-        yield (rows[0] >> (len(rows) - 1) * w) & ((1 << w) - 1)
+        yield (rows[0] >> 2 * w) & ((1 << w) - 1)
 
 
 def sequence_term(n: int) -> int:
     """Constant term of base**n: term n of the deal-count sequence 1, 3, 15, 93, 639, ...
 
-    The last value of constant_terms(n): n stencil steps on the rows ey >= 0
-    of a square frame of packed rows, row -1 read from row 1 by the base's
-    mirror symmetry, cropped to the monomials that can still reach
+    The last value of constant_terms(n): n stencil steps on the packed
+    twelfth of the power, cropped to the monomials that can still reach
     x**0 * y**0, with cells only as wide as each step needs, O(n**2)
     whole-row shift-adds.  The whole base**n, from base_power, takes the
-    same steps uncropped, five times the packed bits (3.02 G at n = 200).
+    same steps uncropped, five times the packed bits (0.39 G at n = 200).
     """
     for term in constant_terms(n):
         pass

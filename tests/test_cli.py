@@ -108,22 +108,17 @@ class TestVerify:
 
     def test_builds_no_power_beyond_max_n(self, capsys, monkeypatch):
         steps, muls = [], []
-        original_mul = LaurentPoly.__mul__
+        original_step, original_mul = laurent._step, LaurentPoly.__mul__
 
-        def counting(step):
-            def counting_step(rows, w):
-                steps.append(1)
-                return step(rows, w)
-
-            return counting_step
+        def counting_step(rows, w, radius):
+            steps.append(1)
+            return original_step(rows, w, radius)
 
         def counting_mul(self, other):
             muls.append(1)
             return original_mul(self, other)
 
-        # the walk's steps: uncropped while the frame grows, cropped after
-        for name in ("_times_base", "_times_base_cropped"):
-            monkeypatch.setattr(laurent, name, counting(getattr(laurent, name)))
+        monkeypatch.setattr(laurent, "_step", counting_step)
         monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
         code, out, _ = run(capsys, "verify", "--max-n", "3")
         assert code == 0
@@ -132,30 +127,29 @@ class TestVerify:
         assert muls == []
 
     def test_truncates_the_power_to_what_can_reach_the_constant(self, capsys, monkeypatch):
-        read = []
+        radii = [0]
+        original = laurent._step
 
-        def recording(step):
-            def recording_step(rows, w):
-                # r + 1 packed rows, ey = 0..r, each within 2r + 1 cells of w bits
-                assert all(row.bit_length() <= (2 * len(rows) - 1) * w for row in rows)
-                read.append(len(rows))
-                return step(rows, w)
+        def recording_step(rows, w, radius):
+            # the rows ey = 0..r // 2 of the last radius r, each within its
+            # r - 2ey + 3 cells of w bits
+            last = radii[-1]
+            assert len(rows) == last // 2 + 1
+            assert all(row.bit_length() <= (last - 2 * ey + 3) * w for ey, row in enumerate(rows))
+            radii.append(radius)
+            return original(rows, w, radius)
 
-            return recording_step
-
-        for name in ("_times_base", "_times_base_cropped"):
-            monkeypatch.setattr(laurent, name, recording(getattr(laurent, name)))
-        # step n + 1 reads rows ey >= 0 of the square frame of base**n, r + 1 rows
-        # of radius r: n while n <= ceil(max_n / 2), one less each step after
-        for max_n, heights in [
-            (10, [1, 2, 3, 4, 5, 6, 5, 4, 3, 2]),
-            (11, [1, 2, 3, 4, 5, 6, 7, 6, 5, 4, 3]),
+        monkeypatch.setattr(laurent, "_step", recording_step)
+        # step n crops base**n to the hexagonal radius min(n, max_n - n)
+        for max_n, expected in [
+            (10, [1, 2, 3, 4, 5, 4, 3, 2, 1, 0]),
+            (11, [1, 2, 3, 4, 5, 5, 4, 3, 2, 1, 0]),
         ]:
-            read.clear()
+            radii[1:] = []
             code, out, _ = run(capsys, "verify", "--max-n", str(max_n))
             assert code == 0
             assert out.splitlines()[:6] == SEQUENCE_LINES
-            assert read == heights
+            assert radii[1:] == expected
 
     def test_reads_lhs_from_one_walk(self, capsys, monkeypatch):
         calls = []
@@ -595,6 +589,9 @@ GOLDEN_STDOUT = {
         "722ac9b948cb312819996a8fd87019429c5cf6d232d556225ddd678a17af61f0",
     ("ct", "--n", "100", "--poly"):
         "60d317579d0f2d0e401bd09ac2c3b0e2126d9d4ff2c2a7475288268c4d32a9ba",
+    # recorded from the square walk, before it stored one twelfth of the power
+    ("ct", "--n", "200", "--poly"):
+        "a06362a7572f7b4de09dba35a1b2ae32d6fc0d9eb4c4d8448ee40785fc9a539c",
 }
 
 

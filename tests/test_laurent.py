@@ -1,3 +1,6 @@
+import re
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,32 +28,27 @@ small_polys = st.dictionaries(
     max_size=6,
 ).map(LaurentPoly)
 
-# Half frames cells[ey][ex + r], rows ey = 0..r of the square frame of side
-# 2r + 1, as the stencil walk stores them, drawn with every cell outside the
-# hexagon max(|ex|, |ey|, |ex + ey|) <= r zero, as in a power of the base: cell
-# ex of row ey is drawn only for ex <= r - ey.  They are packed w bits a cell.
-# A step sums 9 weighted cells into each output cell, so cells up to
-# (2**w - 1) // 9 let outputs reach the top of their field.  Negative cells
-# lie outside the walk's domain: the powers of base have only positive
-# coefficients, and a packed field holds no sign.
-FIELD = 8
+# Twelfths cells[ey][ex - ey], rows ey = 0..r // 2 of the cells ex = ey..r - ey,
+# as the stencil walk stores a power of the base within the hexagonal radius
+# r, packed w bits a cell above two ghost cells left 0.  A step sums 9
+# weighted cells into each output cell, so cells up to (2**w - 1) // 9 let
+# outputs reach the top of their field.  Negative cells lie outside the
+# walk's domain: the powers of base have only positive coefficients, and a
+# packed field holds no sign.
 
 
-def half_frames(r, w):
-    return st.tuples(
-        *(
-            st.lists(
-                st.integers(0, (2**w - 1) // 9), min_size=2 * r + 1 - ey, max_size=2 * r + 1 - ey
-            ).map(lambda row, ey=ey: row + [0] * ey)
-            for ey in range(r + 1)
-        )
-    ).map(list)
+def twelfths(r, w):
+    cell = st.integers(0, (2**w - 1) // 9)
+    lengths = [r - 2 * ey + 1 for ey in range(r // 2 + 1)]
+    return st.tuples(*(st.lists(cell, min_size=k, max_size=k) for k in lengths)).map(list)
 
 
-small_frames = st.integers(0, 3).flatmap(lambda r: half_frames(r, FIELD))
-
-# A half frame of radius 1..3, which a cropped step shrinks by one.
-cropped_frames = st.integers(1, 3).flatmap(lambda r: half_frames(r, FIELD))
+# A twelfth of radius 0..5 at a cell width of one to 40 bytes, and a radius
+# to step to: the walk grows by one, keeps the radius or shrinks by one, and
+# a step is exact for any radius up to one more than its input's.
+steps = st.tuples(st.integers(0, 5), st.sampled_from([8, 16, 64, 320])).flatmap(
+    lambda case: st.tuples(twelfths(*case), st.just(case[1]), st.integers(0, case[0] + 1))
+)
 
 # Packed rows of 1..9 cells, each cell ``size`` bytes, with a wider byte width.
 widenings = st.tuples(st.integers(1, 4), st.integers(0, 4)).flatmap(
@@ -62,76 +60,42 @@ widenings = st.tuples(st.integers(1, 4), st.integers(0, 4)).flatmap(
 )
 
 
-# Packed half frames of radius 0..6 at a cell width of one to 40 bytes, each
-# cell small enough that the step's nine-cell sums stay inside it.
-wide_frames = st.tuples(st.integers(0, 6), st.sampled_from([8, 16, 64, 320])).flatmap(
-    lambda case: st.tuples(
-        half_frames(*case).map(lambda cells: pack(cells, case[1])), st.just(case[1])
-    )
-)
+def images(ex, ey):
+    """The twelve images of (ex, ey): the permutations of (ex, ey, -ex - ey), and negations."""
+    return {(s * a, s * b) for a, b, _ in permutations((ex, ey, -ex - ey)) for s in (1, -1)}
 
 
-def mirrored(half):
-    """The square frame whose rows ey >= 0 are ``half``, with each row -ey their mirror.
-
-    (ex, ey) -> (ex + ey, -ey) maps the base onto itself, so cell ex of row
-    -ey of a power is its cell ex - ey of row ey.
-    """
-    side = 2 * len(half) - 1
-    return [[0] * ey + half[ey][: side - ey] for ey in range(len(half) - 1, 0, -1)] + half
-
-
-def readable_step(rows, w):
-    """The uncropped step on a square frame, each output row summing its own three input rows."""
-    padded = [0, 0, *rows, 0, 0]
-    frame = []
-    for below, same, above in zip(padded, padded[1:], padded[2:]):
-        left, right = below + same, same + above
-        frame.append(left + ((left + right + same) << w) + (right << 2 * w))
-    return frame
-
-
-def readable_half_step(rows, w):
-    """The rows ey >= 0 of the readable step on the mirror-completed square frame."""
-    return readable_step(pack(mirrored(unpack(rows, w)), w), w)[len(rows) :]
-
-
-def frame_poly(cells):
-    r = len(cells) // 2
-    return LaurentPoly(
-        {(ex - r, ey - r): c for ey, row in enumerate(cells) for ex, c in enumerate(row)}
-    )
-
-
-def half_poly(cells):
-    r = len(cells) - 1
-    return LaurentPoly(
-        {(ex - r, ey): c for ey, row in enumerate(cells) for ex, c in enumerate(row)}
-    )
-
-
-def upper(poly, radius=None):
-    """The terms of ``poly`` with ey >= 0, within the square of ``radius`` if one is given."""
+def unfolded(cells):
+    """The polynomial whose terms are the images of the twelfth ``cells``."""
     return LaurentPoly(
         {
-            (ex, ey): c
-            for (ex, ey), c in poly.coefficients.items()
-            if ey >= 0 and (radius is None or max(abs(ex), ey) <= radius)
+            image: c
+            for ey, row in enumerate(cells)
+            for ex, c in enumerate(row, ey)
+            for image in images(ex, ey)
         }
     )
 
 
-def mirror(poly):
-    return LaurentPoly({(ex + ey, -ey): c for (ex, ey), c in poly.coefficients.items()})
+def twelfth(poly, radius):
+    """The cells of ``poly`` at 0 <= ey <= ex within the hexagonal radius ex + ey <= ``radius``."""
+    return [
+        [poly.coefficient(ex, ey) for ex in range(ey, radius - ey + 1)]
+        for ey in range(radius // 2 + 1)
+    ]
 
 
-def pack(cells, w=FIELD):
-    return [sum(c << ex * w for ex, c in enumerate(row)) for row in cells]
+def pack(cells, w):
+    return [sum(c << (i + 2) * w for i, c in enumerate(row)) for row in cells]
 
 
-def unpack(rows, w=FIELD):
+def unpack(rows, w, radius):
+    """The cells ex = ey..radius - ey of packed twelfth rows, ghosts left out."""
     mask = (1 << w) - 1
-    return [[(row >> ex * w) & mask for ex in range(2 * len(rows) - 1)] for row in rows]
+    return [
+        [(row >> i * w) & mask for i in range(2, radius - 2 * ey + 3)]
+        for ey, row in enumerate(rows)
+    ]
 
 
 class TestArithmetic:
@@ -175,6 +139,26 @@ class TestArithmetic:
         assert X != "x"
         with pytest.raises(TypeError):
             X * 1.5
+
+    @pytest.mark.parametrize(
+        "make, term",
+        [
+            (lambda: LaurentPoly({(2.0, 0): 1}), "(2.0, 0): 1"),
+            (lambda: LaurentPoly.monomial(0.5, 0), "(0.5, 0): 1"),
+            (lambda: LaurentPoly({(1, 0): 2.5}), "(1, 0): 2.5"),
+            (lambda: LaurentPoly.monomial(0, True), "(0, True): 1"),
+            (lambda: LaurentPoly.constant(True), "(0, 0): True"),
+        ],
+        ids=["float exponent", "half exponent", "float coefficient", "bool exponent", "bool"],
+    )
+    def test_terms_are_exactly_ints(self, make, term):
+        # an equal float or bool would hash like the int, yet print x^2.0 for x^2
+        with pytest.raises(ValueError, match=re.escape(f"got {term}")):
+            make()
+
+    def test_int_operands_keep_their_meaning(self):
+        assert LaurentPoly.constant(1) == True  # noqa: E712
+        assert X + True == X + 1 and True * X == X and True - X == 1 - X
 
     def test_coefficient_truth_and_repr(self):
         p = LaurentPoly({(1, -1): 3})
@@ -244,16 +228,17 @@ class TestIdentityPolynomials:
         base, factor1, factor2 = identity_polynomials()
         assert factor1 * factor2 == base
 
-    def test_base_and_its_powers_are_mirror_symmetric(self):
-        # the walk stores only rows ey >= 0 and reads row -1 from row 1 through
-        # the reflection (ex, ey) -> (ex + ey, -ey); checked on the base itself,
-        # never through its factorization
-        assert mirror(Y) == X * Y_INV
+    def test_base_and_its_powers_have_the_twelve_symmetries_of_the_hexagon(self):
+        # the walk stores only the twelfth 0 <= ey <= ex and reads every other
+        # term at one of its images; checked on the base itself, never through
+        # its factorization
         base, _, _ = identity_polynomials()
-        assert mirror(base) == base
+        assert len(images(2, 1)) == 12
+        assert images(1, 0) == base.support() - {(0, 0)}
         power = LaurentPoly.constant(1)
         for n in range(13):
-            assert mirror(power) == power
+            for (ex, ey), c in power.coefficients.items():
+                assert {power.coefficient(*image) for image in images(ex, ey)} == {c}
             power = power * base
 
     def test_power_support_stays_in_box(self):
@@ -329,67 +314,50 @@ class TestSequenceTerm:
             assert sequence_term(n) == power.constant_term()
 
     def test_walk_turns_at_both_parities_without_changing_a_term(self):
-        # the walk to m grows for ceil(m / 2) steps and then shrinks, so each
+        # the walk to m crops base**n to the radius min(n, m - n), so each
         # truncation turns at its own step; the terms must not depend on it
         full = list(constant_terms(CT_GUARD))
         for m in [*range(61), 99, 101, 199]:
             assert list(constant_terms(m)) == full[: m + 1]
 
     def test_walk_keeps_only_terms_that_can_reach_the_constant(self, monkeypatch):
-        read = []
+        radii = [0]
+        step = laurent._step
 
-        def recording(step):
-            def recording_step(rows, w):
-                # r + 1 packed rows, ey = 0..r, each within 2r + 1 cells of w bits
-                assert all(row.bit_length() <= (2 * len(rows) - 1) * w for row in rows)
-                read.append(len(rows))
-                return step(rows, w)
+        def recording_step(rows, w, radius):
+            # the rows of the last radius r, ey = 0..r // 2, each within its
+            # r - 2ey + 3 cells of w bits, the two ghosts 0
+            last = radii[-1]
+            assert len(rows) == last // 2 + 1
+            for ey, row in enumerate(rows):
+                assert row.bit_length() <= (last - 2 * ey + 3) * w
+                assert row & ((1 << 2 * w) - 1) == 0
+            radii.append(radius)
+            return step(rows, w, radius)
 
-            return recording_step
-
-        for name in ("_times_base", "_times_base_cropped"):
-            monkeypatch.setattr(laurent, name, recording(getattr(laurent, name)))
-        # step n + 1 reads rows ey >= 0 of the square frame of base**n, r + 1 rows
-        # of radius r: n while n <= ceil(max_n / 2), one less each step after
-        for max_n, term, heights in [
-            (11, 1153462995, [1, 2, 3, 4, 5, 6, 7, 6, 5, 4, 3]),
-            (12, 9533639025, [1, 2, 3, 4, 5, 6, 7, 6, 5, 4, 3, 2]),
+        monkeypatch.setattr(laurent, "_step", recording_step)
+        # step n crops base**n to the hexagonal radius min(n, max_n - n)
+        for max_n, term, expected in [
+            (11, 1153462995, [1, 2, 3, 4, 5, 5, 4, 3, 2, 1, 0]),
+            (12, 9533639025, [1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1, 0]),
         ]:
-            read.clear()
+            radii[1:] = []
             assert sequence_term(max_n) == term
-            assert read == heights
+            assert radii[1:] == expected
 
 
 class TestStencil:
-    @settings(max_examples=150, deadline=None)
-    @given(small_frames)
-    def test_step_is_the_product_with_the_base(self, cells):
+    @settings(max_examples=300, deadline=None)
+    @given(steps)
+    def test_step_is_the_product_with_the_base_within_the_radius(self, case):
+        cells, w, radius = case
         base, _, _ = identity_polynomials()
-        stepped = laurent._times_base(pack(cells), FIELD)
-        assert len(stepped) == len(cells) + 1
-        assert all(row.bit_length() <= (2 * len(stepped) - 1) * FIELD for row in stepped)
-        assert half_poly(unpack(stepped)) == upper(frame_poly(mirrored(cells)) * base)
-
-    @settings(max_examples=150, deadline=None)
-    @given(wide_frames)
-    def test_step_sums_each_row_pair_once_to_the_readable_rows(self, case):
-        rows, w = case
-        assert laurent._times_base(rows, w) == readable_half_step(rows, w)
-
-    def test_step_matches_the_readable_rows_along_the_walk(self):
-        for rows, w in laurent._walk(40, crop=False):
-            assert laurent._times_base(rows, w) == readable_half_step(rows, w)
-
-    @settings(max_examples=150, deadline=None)
-    @given(cropped_frames)
-    def test_cropped_step_is_the_product_with_the_base_cropped_to_the_square(self, cells):
-        radius = len(cells) - 2
-        base, _, _ = identity_polynomials()
-        stepped = laurent._times_base_cropped(pack(cells), FIELD)
-        assert len(stepped) == radius + 1
-        assert all(row.bit_length() <= (2 * radius + 1) * FIELD for row in stepped)
-        product = frame_poly(mirrored(cells)) * base
-        assert half_poly(unpack(stepped)) == upper(product, radius)
+        stepped = laurent._step(pack(cells, w), w, radius)
+        assert len(stepped) == radius // 2 + 1
+        for ey, row in enumerate(stepped):
+            assert row.bit_length() <= (radius - 2 * ey + 3) * w
+            assert row & ((1 << 2 * w) - 1) == 0
+        assert unpack(stepped, w, radius) == twelfth(unfolded(cells) * base, radius)
 
     @settings(max_examples=150, deadline=None)
     @given(widenings)
@@ -415,12 +383,17 @@ class TestWalk:
                 # each widening at least doubles the steps the cells cover
                 assert len(set(widths)) <= max_n.bit_length() + 1
 
-    def test_walk_to_100_packs_at_most_40_million_output_bits(self):
-        # each step n >= 1 packs rows ey = 0..r of a square of radius r, r + 1
-        # rows of 2r + 1 cells, w bits a cell; the whole square, 2r + 1 rows,
-        # packed 76,327,120
-        frames = list(laurent._walk(100, crop=True))[1:]
-        assert sum(len(rows) * (2 * len(rows) - 1) * w for rows, w in frames) <= 40_000_000
+    def test_walk_to_100_packs_at_most_6_million_output_bits(self):
+        # step n packs rows ey = 0..r // 2 of the twelfth of radius
+        # r = min(n, 100 - n), r - 2ey + 3 cells of w bits each, ghosts
+        # included; the half square frames packed 38.7 M, the whole squares 76 M
+        packed = 0
+        for n, (rows, w) in enumerate(list(laurent._walk(100, crop=True))[1:], 1):
+            r = min(n, 100 - n)
+            assert len(rows) == r // 2 + 1
+            assert all(row.bit_length() <= (r - 2 * ey + 3) * w for ey, row in enumerate(rows))
+            packed += sum((r - 2 * ey + 3) * w for ey in range(len(rows)))
+        assert packed <= 6_000_000
 
 
 class TestRingLaws:
@@ -467,7 +440,7 @@ class TestText:
         assert str(base) == base.to_text()
 
     def test_power_text_is_the_readable_rendering(self):
-        # read straight off the walk's half frame, one chunk per total degree:
+        # unfolded from the walk's twelfth, one chunk per total degree:
         # n = 0 is the bare constant, and the hexagon's corners have coefficient 1
         for n in [*range(41), 100]:
             chunks = list(base_power_text(n))

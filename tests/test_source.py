@@ -237,10 +237,11 @@ def test_laurent_has_one_walk_that_both_powers_step_through():
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
     }
-    steps = {"_times_base", "_times_base_cropped", "_widen"}
+    steps = {"_step", "_widen"}
     assert steps <= set(calls)
     assert [name for name, called in calls.items() if called & steps] == ["_walk"]
-    assert "_walk" in calls["base_power"] and "_walk" in calls["constant_terms"]
+    assert "_walk" in calls["_unfold"] and "_walk" in calls["constant_terms"]
+    assert "_unfold" in calls["base_power"] and "_unfold" in calls["base_power_text"]
 
 
 def test_the_constant_term_never_goes_through_the_factorization():
@@ -249,10 +250,10 @@ def test_the_constant_term_never_goes_through_the_factorization():
     # never the polynomials of the identity
     source = (PACKAGE / "laurent.py").read_text()
     assert "counting" not in imported_names(source)
-    walk = ("_walk", "_times_base", "_times_base_cropped")
     powers = ("constant_terms", "sequence_term", "base_power", "base_power_text")
-    reached = names_reached(source, walk + powers)
-    assert set(walk) <= reached
+    reached = names_reached(source, powers)
+    assert "_step" in function_reads(source)["_walk"]
+    assert {"_walk", "_step"} <= reached
     assert "identity_polynomials" not in reached
 
 
