@@ -24,7 +24,15 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .enumeration import _codes, _deal, subsets_lex
-from .model import Deal, _Value, _require_nonneg, _within, denom_set_text, require_valid
+from .model import (
+    Deal,
+    _Value,
+    _require_nonneg,
+    _require_within,
+    _within,
+    denom_set_text,
+    require_valid,
+)
 
 __all__ = [
     "FullDeckParams",
@@ -248,9 +256,8 @@ def iter_red_set_params(n: int, denoms: Iterable[int]) -> Iterator[RedSetParams]
     """
     _require_nonneg(n)
     red = frozenset(denoms)
+    _require_within(n, red)
     red_denoms = tuple(sorted(red))
-    if not _within(n, red):
-        raise ValueError(f"denominations {list(red_denoms)} not within 1..{n}")
     outside = tuple(d for d in range(1, n + 1) if d not in red)
     for both in subsets_lex(red_denoms):
         rest = tuple(d for d in red_denoms if d not in both)

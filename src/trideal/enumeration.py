@@ -12,7 +12,9 @@ each subset with its join, heads with their groups of tails, and its readers
 take it a group at a time: counts add group sizes, the histograms add tallies
 of each tail group, and every printed line is a head's part of each hand
 followed by a tail's, parts formed once a head and once a tail a subset.
-``Deal`` objects are built only for the public ``enumerate_*`` streams.
+``Deal`` objects are built only for the public ``enumerate_*`` streams, for
+the bijections' ``encode_*`` (through ``_deal``) and to name the deal a
+failing audit reports.
 Every closed-form count in the package is checked against the totals and
 histograms computed here.
 """
@@ -22,7 +24,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Any, Iterable, Iterator, Sequence
 
-from .model import COLORS, Card, Color, Deal, _require_nonneg, _within, denom_set_text
+from .model import COLORS, Card, Color, Deal, _require_nonneg, _require_within, denom_set_text
 
 __all__ = [
     "EXHAUSTIVE_GUARD",
@@ -110,8 +112,7 @@ def _join_groups(
     """
     _require_nonneg(n)
     red_set = frozenset(red_denoms or ())
-    if not _within(n, red_set):
-        raise ValueError(f"denominations {sorted(red_set)} not within 1..{n}")
+    _require_within(n, red_set)
     if n > EXHAUSTIVE_GUARD and not allow_large:
         raise GuardError(
             f"n={n} exceeds the exhaustive guard ({EXHAUSTIVE_GUARD}); "

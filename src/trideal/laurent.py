@@ -21,15 +21,15 @@ the three exponents, and may negate them all, map the base and so every
 power onto itself.  The walk stores only the twelfth 0 <= ey <= ex, of which
 every term is an image, and for the constant terms to max_n crops base**n to
 the hexagonal radius max_n - n, the cells that can still reach x**0 * y**0.
-For the whole power, each stored cell fills its images in the half frame
-ey >= 0, which ``base_power_text`` prints one total degree at a time and
-``base_power`` mirrors into a ``LaurentPoly``.
+For the whole power, each stored cell is written to its twelve images in
+one frame, which ``base_power`` reads into a ``LaurentPoly`` and
+``base_power_text`` prints one total degree at a time.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .model import _require_nonneg
 
@@ -326,44 +326,44 @@ def _walk(max_n: int, crop: bool) -> Iterator[tuple[list[int], int]]:
         yield rows, 8 * size
 
 
-def _unfold(n: int) -> list[list[int]]:
-    """The half frame of base**n: row ey, for ey = 0..n, lists the cells of ex = -n..n - ey.
+def _unfold(n: int, form: Callable[[int], object]) -> list[list]:
+    """The whole of base**n as one frame: row ey + n holds ``form`` of the cells ex = -n..n.
 
-    Each cell (ex, ey) of the twelfth, with ez = -ex - ey, fills its six
-    images of ey >= 0: (ex, ey) and (ez, ey) by two slices of row ey, then
-    (ey, ex), (ez, ex), (-ex, -ez) and (-ey, -ez).
+    Cells off the hexagon are None.  Each cell (ex, ey) of the uncropped
+    walk's twelfth is cut from its packed row, formed once and written to
+    its twelve images, the permutations of (ex, ey, ez = -ex - ey) as they
+    are and negated.  The six with ey >= 0 are written into the rows
+    ey = 0..n: (ex, ey) and (ez, ey) by two slices of row ey, then (ey, ex),
+    (ez, ex), (-ex, -ez) and (-ey, -ez).  Their negations fill the rows
+    ey < 0, each the backward copy of a row ey > 0.
     """
     for rows, w in _walk(n, crop=False):
         pass
     size = w // 8
-    half = [[0] * (2 * n + 1 - ey) for ey in range(n + 1)]
-    for ey, row in enumerate(rows):
-        data = (row >> 2 * w).to_bytes((n - 2 * ey + 1) * size, "little")
-        cells = [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
-        half[ey][n + ey :] = cells
+    half = [[None] * (2 * n + 1) for _ in range(n + 1)]
+    for ey, packed in enumerate(rows):
+        raw = (packed >> 2 * w).to_bytes((n - 2 * ey + 1) * size, "little")
+        cuts = range(0, len(raw), size)
+        cells = [form(int.from_bytes(raw[i : i + size], "little")) for i in cuts]
+        half[ey][n + ey : 2 * n + 1 - ey] = cells
         half[ey][: n + 1 - 2 * ey] = cells[::-1]
         for ex, c in enumerate(cells, ey):
             half[ex][n + ey] = half[ex][n - ex - ey] = c
             half[ex + ey][n - ex] = half[ex + ey][n - ey] = c
-    return half
+    return [row[::-1] for row in half[:0:-1]] + half
 
 
 def base_power(n: int) -> LaurentPoly:
     """The whole base**n, 3n**2 + 3n + 1 terms, as a ``LaurentPoly``.
 
-    The uncropped walk to n ends on the twelfth of base**n; each cell of
-    the half frame ``_unfold`` writes from it also fills its mirror image
-    (ex + ey, -ey).  The walk's O(n**2) whole-row shift-adds cost most.
-    ``ct --poly`` prints the same power from the same cells through
-    ``base_power_text``, and ``to_text`` stays the readable definition of
-    that text.
+    Read from the frame of ``_unfold``, whose uncropped walk's O(n**2)
+    whole-row shift-adds cost most.  ``ct --poly`` prints the same frame
+    through ``base_power_text``; ``to_text`` stays that text's definition.
     Raises ValueError for n < 0 or n > CT_GUARD.
     """
-    coeffs = {}
-    for ey, row in enumerate(_unfold(n)):
-        for ex, c in enumerate(row, -n):
-            coeffs[ex, ey] = coeffs[ex + ey, -ey] = c
-    return LaurentPoly(coeffs)
+    rows = enumerate(_unfold(n, int), -n)
+    terms = {(ex, ey): c for ey, row in rows for ex, c in enumerate(row, -n) if c is not None}
+    return LaurentPoly(terms)
 
 
 def base_power_text(n: int) -> Iterator[str]:
@@ -372,40 +372,32 @@ def base_power_text(n: int) -> Iterator[str]:
     The walk to n runs when this is called, so it raises ValueError then for
     n < 0 or n > CT_GUARD; the chunks are formed as they are read.  Their
     order is ``to_text``'s: total degree t = ex + ey from n down to -n, and
-    within a degree ex descending.  The terms of degree t with ey < 0 come
-    first, and each is read at its mirror image (t, -ey): column t of the
-    rows 1, 2, ... of the half frame (``_unfold``).  The rest, ey = 0, 1,
-    ..., lie on the antidiagonal ex = t - ey of its rows.  Each cell of the
-    half frame is converted to decimal once, for itself and its mirror image
-    (the constant once more, bare), and each monomial is two per-exponent
-    strings; every chunk after the first opens with its " + ".
+    within a degree ex descending: one antidiagonal of the frame from
+    ``_unfold``, whose stored cells were each turned to text once.  Each
+    monomial is two per-exponent strings; later chunks open with " + ".
     """
-    return _degree_texts(_unfold(n))
+    return _degree_texts(_unfold(n, lambda c: "" if c == 1 else f"{c}*"))
 
 
-def _degree_texts(half: list[list[int]]) -> Iterator[str]:
-    """The chunks of ``base_power_text`` from the half frame of ``_unfold``."""
-    n = len(half) - 1
-    # "c*" before a monomial, and nothing for c = 1
-    coefs = [["" if c == 1 else f"{c}*" for c in row] for row in half]
+def _degree_texts(frame: list[list[str | None]]) -> Iterator[str]:
+    """The chunks of ``base_power_text`` from the frame of "c*" texts, "" for c = 1."""
+    n = len(frame) // 2
     # x^ex with its "*" at index n - ex, so ex descends along the list, and
     # y^ey at index n + ey, each written as _monomial_text writes it
     xs = ["" if ex == 0 else "x*" if ex == 1 else f"x^{ex}*" for ex in range(n, -n - 1, -1)]
     ys = ["" if ey == 0 else "y" if ey == 1 else f"y^{ey}" for ey in range(-n, n + 1)]
     for t in range(n, -n - 1, -1):
-        # degree t has ``below`` terms of ey < 0, then those of ey = 0..above;
-        # a " + ", a coefficient, x^ex and y^ey for each, joined at once
-        col, below, above = t + n, min(n - t, n), min(n + t, n)
-        pieces = [" + "] * 4 * (below + 1 + above)
-        pieces[1::4] = [row[col] for row in coefs[below:0:-1]] + [
-            row[col - ey] for ey, row in enumerate(coefs[: above + 1])
-        ]
-        pieces[2::4] = xs[n - t - below : n - t + above + 1]
-        pieces[3::4] = ys[n - below : n + above + 1]
+        # ey = low..high and ex = high..low: " + ", c*, x^ex and y^ey a term
+        low, high = max(-n, t - n), min(n, t + n)
+        pieces = [" + "] * 4 * (high - low + 1)
+        pieces[1::4] = [row[n + high - i] for i, row in enumerate(frame[n + low : n + high + 1])]
+        pieces[2::4] = xs[n - high : n - low + 1]
+        pieces[3::4] = ys[n + low : n + high + 1]
         # the term of ey = 0 has no "*" after its x^ex, and at t = 0 it is the
-        # bare constant
-        head = 4 * below + 1
-        pieces[head : head + 2] = (coefs[0][col], xs[n - t][:-1]) if t else (str(half[0][n]), "")
+        # bare constant, 1 only for n = 0
+        pieces[2 - 4 * low] = xs[n - t][:-1]
+        if t == 0:
+            pieces[1 + 4 * n] = frame[n][n][:-1] or "1"
         if t == n:
             pieces[0] = ""
         yield "".join(pieces)

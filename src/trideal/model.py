@@ -216,6 +216,19 @@ def _within(n: int, denoms: Iterable[int]) -> bool:
     return all(d.__class__ is int and 0 < d <= n for d in denoms)
 
 
+def _require_within(n: int, denoms: frozenset) -> None:
+    """Raise ValueError unless ``_within(n, denoms)``, listing the set sorted.
+
+    A set that does not sort, such as {1, "a"}, is listed by repr instead.
+    """
+    if not _within(n, denoms):
+        try:
+            shown = sorted(denoms)
+        except TypeError:
+            shown = sorted(denoms, key=repr)
+        raise ValueError(f"denominations {shown} not within 1..{n}")
+
+
 def validate_deal(deal: Deal) -> str | None:
     """Check every deal invariant; return None if valid, else the failure kind.
 
@@ -246,7 +259,12 @@ def require_valid(deal: Deal) -> None:
     """Raise ValueError naming the violated invariant unless the deal is valid."""
     verdict = validate_deal(deal)
     if verdict is not None:
-        raise ValueError(f"invalid deal ({verdict}): {deal_to_text(deal)}")
+        try:
+            text = deal_to_text(deal)
+        except (AttributeError, KeyError, TypeError):
+            # a set that does not sort, or a card whose color is no Color
+            text = repr(deal)
+        raise ValueError(f"invalid deal ({verdict}): {text}")
 
 
 def deal_stats(deal: Deal) -> DealStats:

@@ -265,6 +265,19 @@ def test_a_denomination_equal_to_1_but_no_int_is_out_of_range(fake):
             next(stream)
 
 
+def test_a_red_set_that_does_not_sort_is_out_of_range():
+    # both streams sorted the set, one before its range check and one in its
+    # message, so {1, "a"} raised TypeError
+    message = r"^denominations \['a', 1\] not within 1\.\.3$"
+    for stream in (iter_red_set_params(3, {1, "a"}), enumerate_deals_with_red_denoms(3, {1, "a"})):
+        with pytest.raises(ValueError, match=message):
+            next(stream)
+    # int sets keep their message
+    for stream in (iter_red_set_params(2, {3, 0}), enumerate_deals_with_red_denoms(2, {3, 0})):
+        with pytest.raises(ValueError, match=r"^denominations \[0, 3\] not within 1\.\.2$"):
+            next(stream)
+
+
 def test_param_text_rendering():
     p = RedSetParams(2, {1}, {1}, (), {2}, {1})
     assert p.to_text() == "D={1};A={1};B={};E={2};R={1}"

@@ -383,6 +383,34 @@ class TestWalk:
                 # each widening at least doubles the steps the cells cover
                 assert len(set(widths)) <= max_n.bit_length() + 1
 
+    def test_unfold_forms_each_stored_cell_once_and_writes_every_image(self):
+        # row ey + n of the frame holds the cells ex = -n..n of base**n, None
+        # off the hexagon; form sees each cell of the twelfth 0 <= ey <= ex once
+        base, _, _ = identity_polynomials()
+        power = LaurentPoly.constant(1)
+        for n in range(13):
+            if n:
+                power = power * base
+            formed = []
+
+            def counting(c):
+                formed.append(c)
+                return c
+
+            frame = laurent._unfold(n, counting)
+            assert len(frame) == 2 * n + 1
+            assert all(len(row) == 2 * n + 1 for row in frame)
+            for ey, row in enumerate(frame, -n):
+                for ex, cell in enumerate(row, -n):
+                    if abs(ex + ey) <= n:
+                        assert cell == power.coefficient(ex, ey)
+                    else:
+                        assert cell is None
+            assert len(formed) == sum(n - 2 * ey + 1 for ey in range(n // 2 + 1))
+            twelfth = [(ex, ey) for ey in range(n // 2 + 1) for ex in range(ey, n - ey + 1)]
+            stored = [power.coefficient(ex, ey) for ex, ey in twelfth]
+            assert sorted(formed) == sorted(stored)
+
     def test_walk_to_100_packs_at_most_6_million_output_bits(self):
         # step n packs rows ey = 0..r // 2 of the twelfth of radius
         # r = min(n, 100 - n), r - 2ey + 3 cells of w bits each, ghosts

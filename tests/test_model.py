@@ -13,9 +13,17 @@ from trideal.model import (
     deal_stats,
     deal_to_text,
     red_denomination_set,
+    require_valid,
     validate_deal,
 )
-from trideal.bijections import FullDeckParams, RedSetParams, encode_full_deck, encode_red_set
+from trideal.bijections import (
+    FullDeckParams,
+    RedSetParams,
+    decode_full_deck,
+    decode_red_set,
+    encode_full_deck,
+    encode_red_set,
+)
 from trideal.enumeration import enumerate_deals
 
 
@@ -123,6 +131,30 @@ class TestDealStats:
     def test_invalid_deal_rejected(self):
         with pytest.raises(ValueError, match="own-color"):
             deal_stats(deal(1, "S={1};R=[r1];G=[b1];B=[g1]"))
+
+
+@pytest.mark.parametrize(
+    "bad, kind",
+    [
+        # the deal text sorted {1, "a"}, and read the letter of a color that is no Color
+        (Deal(2, {1, "a"}, (), (), ()), "range"),
+        (Deal(1, {1}, [Card(1, "x")], (), ()), "coverage"),
+    ],
+    ids=["unsortable-set", "no-color"],
+)
+def test_every_deal_validate_deal_judges_is_rejected_with_value_error(bad, kind):
+    assert validate_deal(bad) == kind
+    checks = (require_valid, deal_stats, red_denomination_set, decode_full_deck, decode_red_set)
+    for check in checks:
+        with pytest.raises(ValueError, match=rf"^invalid deal \({kind}\): Deal\(n="):
+            check(bad)
+
+
+def test_a_deal_that_forms_text_keeps_its_message():
+    bad = deal(1, "S={1};R=[r1];G=[b1];B=[g1]")
+    with pytest.raises(ValueError) as raised:
+        require_valid(bad)
+    assert str(raised.value) == "invalid deal (own-color): S={1};R=[r1];G=[b1];B=[g1]"
 
 
 class TestRedDenominationSet:

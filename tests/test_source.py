@@ -305,7 +305,8 @@ def test_only_main_turns_an_error_into_a_usage_line():
 
 def test_one_function_writes_the_n_check_and_every_range_check_reads_within():
     # n >= 0 is checked by model._require_nonneg alone, and each denomination
-    # range check calls model._within, so a float or bool stops at every one
+    # range check calls model._within, so a float or bool stops at every one;
+    # the streams' "not within" message is written by model._require_within alone
     writers = [
         f"{path.stem}.{node.name}"
         for path in SOURCES
@@ -325,7 +326,9 @@ def test_one_function_writes_the_n_check_and_every_range_check_reads_within():
 
     checks = ["bijections._check_full_deck", "bijections._check_red_set", "model.validate_deal"]
     streams = ["bijections.iter_red_set_params", "enumeration._join_groups"]
-    assert readers("_within") == sorted(checks + streams)
+    assert readers("_within") == sorted([*checks, "model._require_within"])
+    assert readers("_require_within") == streams
+    assert sum(path.read_text().count("not within 1..") for path in SOURCES) == 1
     # the streams read range for their deck; no check builds a 1..n universe
     assert not set(checks) & set(readers("range"))
     users = {function.split(".")[0] for function in readers("_require_nonneg")}
