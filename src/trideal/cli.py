@@ -244,7 +244,7 @@ def cmd_ct(args: argparse.Namespace) -> int:
 # Each entry maps max_n to the terms a(0), ..., a(max_n).
 _SEQUENCES = {
     "main": counting.lhs_terms,
-    "franel": lambda max_n: (franels[-1] for _, franels in counting._franel_rows(max_n)),
+    "franel": counting._franel_terms,
     "prefix-sum": counting._red_prefix_terms,
 }
 

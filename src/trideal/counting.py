@@ -7,8 +7,9 @@ exponentially in n and must never be truncated.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from operator import add, mul
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .model import _require_nonneg
 
@@ -71,44 +72,51 @@ def _pascal_rows(max_n: int) -> Iterator[list[int]]:
         yield row
 
 
-def _franel_rows(max_n: int) -> Iterator[tuple[list[int], list[int]]]:
-    """Rows 0..max_n of Pascal's triangle, each with franel(0), ..., franel(n).
+def _franel_terms(max_n: int) -> Iterator[int]:
+    """franel(0), franel(1), ..., franel(max_n) from one walk down Pascal's triangle.
 
-    Step n appends franel(n) = sum_j C(n, j)**3 to the running list it
-    yields beside row n.  The row is symmetric, C(n, j) = C(n, n - j), so
-    the sum is twice its terms j < n/2, plus C(n, n/2)**3 for even n.
-    Raises ValueError, on first iteration, for max_n < 0.
+    Step n cubes row n by products.  The row is symmetric, C(n, j) =
+    C(n, n - j), so franel(n) is twice the cubes of its entries j < n/2,
+    plus C(n, n/2)**3 for even n.  Raises ValueError, on first iteration,
+    for max_n < 0.
     """
-    franels: list[int] = []
     for row in _pascal_rows(max_n):
         half, middle = divmod(len(row), 2)
         first = row[:half]
         cubes = map(mul, map(mul, first, first), first)
-        franels.append(2 * sum(cubes) + (row[half] ** 3 if middle else 0))
-        yield row, franels
+        yield 2 * sum(cubes) + (row[half] ** 3 if middle else 0)
+
+
+def _binomial_transform(terms: Iterable[int]) -> Iterator[int]:
+    """sum_k C(n, k) * t(k) for n = 0, 1, ..., one for each term t(n) of terms.
+
+    The walk keeps one diagonal of the difference table, by Pascal's rule:
+    after t(n), entry m is sum_i C(m, i) * t(n - m + i), so the last entry,
+    m = n, is the sum for n.  Step n costs n + 1 additions and no product.
+    """
+    diagonal: list[int] = []
+    for term in terms:
+        diagonal = [*accumulate(diagonal, initial=term)]
+        yield diagonal[-1]
 
 
 def lhs_terms(max_n: int) -> Iterator[int]:
-    """lhs_sum(0), lhs_sum(1), ..., lhs_sum(max_n) from one walk down Pascal's triangle.
+    """lhs_sum(0), lhs_sum(1), ..., lhs_sum(max_n): the binomial transform of franel.
 
-    Step n takes row n of Pascal's triangle and franel(0..n) from the walk
-    and yields sum_k C(n, k) * franel(k).  Each step costs O(n) big-integer
-    additions, cubes and products, so the walk to max_n costs O(max_n**2) of
-    them.  Raises ValueError, on first iteration, for max_n < 0.
+    The walk to max_n costs O(max_n**2) big-integer additions beside the
+    Franel sums' O(max_n**2) cubes.  Raises ValueError, on first iteration,
+    for max_n < 0.
     """
-    for row, franels in _franel_rows(max_n):
-        yield sum(map(mul, row, franels))
+    return _binomial_transform(_franel_terms(max_n))
 
 
 def lhs_sum(n: int) -> int:
     """All deals, counted by denomination-set size: sum_k C(n, k) * franel(k).
 
-    The same walk as lhs_terms(n), O(n**2) big-integer additions and cubes,
-    with only the last row's n + 1 products.
+    The readable sum, with each C(n, k) from binomial, so it checks the
+    transform in lhs_terms rather than repeating it.
     """
-    for row, franels in _franel_rows(n):
-        pass
-    return sum(map(mul, row, franels))
+    return sum(binomial(n, k) * f for k, f in enumerate(_franel_terms(n)))
 
 
 def rhs_sum(n: int) -> int:
@@ -170,11 +178,9 @@ def rhs_terms(max_n: int) -> Iterator[int]:
 
 
 def _red_prefix_terms(max_n: int) -> Iterator[int]:
-    """red_prefix_sum(0), ..., red_prefix_sum(max_n) from one walk down Pascal's triangle.
+    """red_prefix_sum(0), ..., red_prefix_sum(max_n): the binomial transform of C(2k, k).
 
-    Step n takes row n and C(2k, k) for k <= n from the walk and yields
-    sum_k C(n, k) * C(2k, k).  Raises ValueError, on first iteration, for
-    max_n < 0.
+    O(max_n**2) big-integer additions.  Raises ValueError, on first
+    iteration, for max_n < 0.
     """
-    for row, central in _central_rows(max_n):
-        yield sum(map(mul, row, central))
+    return _binomial_transform(central[-1] for _, central in _central_rows(max_n))

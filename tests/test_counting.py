@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from trideal import counting
@@ -64,8 +66,7 @@ class TestFranel:
 
     def test_walk_matches_the_definition(self):
         # the walk cubes each Pascal row by products; franel() is the readable sum
-        walk = [franels[-1] for _, franels in counting._franel_rows(120)]
-        assert walk == [franel(n) for n in range(121)]
+        assert list(counting._franel_terms(120)) == [franel(n) for n in range(121)]
 
 
 class TestIdentity:
@@ -97,19 +98,26 @@ class TestLhsTerms:
             ]
 
     def test_sum_forms_only_the_last_dot_product(self, monkeypatch):
-        products = []
-        original = counting.mul
+        expected = sum(binomial(10, k) * franel(k) for k in range(11))
+        products, binomials = [], []
+        original_mul, original_binomial = counting.mul, counting.binomial
 
         def counting_mul(a, b):
             products.append(1)
-            return original(a, b)
+            return original_mul(a, b)
+
+        def counting_binomial(n, k):
+            binomials.append((n, k))
+            return original_binomial(n, k)
 
         monkeypatch.setattr(counting, "mul", counting_mul)
-        assert lhs_sum(10) == sum(binomial(10, k) * franel(k) for k in range(11))
+        monkeypatch.setattr(counting, "binomial", counting_binomial)
+        assert lhs_sum(10) == expected
         # two products for each cube of the first halves j < n/2 of rows 0..10
         # (30 entries; the middle entry of an even row is cubed by **), then one
-        # C(10, k) * franel(k) per k; the lower rows' 55 dot products are never formed
-        assert len(products) == 2 * 30 + 11
+        # C(10, k) for each k; the lower rows' dot products are never formed
+        assert len(products) == 2 * 30
+        assert binomials == [(10, k) for k in range(11)]
 
     def test_negative_rejected_on_first_next(self):
         walk = lhs_terms(-1)  # the call itself does not raise
@@ -117,6 +125,30 @@ class TestLhsTerms:
             next(walk)
         with pytest.raises(ValueError):
             lhs_sum(-1)
+
+
+class TestBinomialTransform:
+    def test_all_ones_give_the_powers_of_two(self):
+        assert list(counting._binomial_transform([1] * 31)) == [2**n for n in range(31)]
+
+    def test_the_unit_impulse_gives_all_ones(self):
+        assert list(counting._binomial_transform([1] + [0] * 30)) == [1] * 31
+
+    def test_a_random_sequence_matches_the_sum(self):
+        rng = random.Random(20071226)
+        terms = [rng.choice([0, 0, rng.randint(-10**6, 10**6)]) for _ in range(41)]
+        assert list(counting._binomial_transform(terms)) == [
+            sum(binomial(n, k) * terms[k] for k in range(n + 1)) for n in range(41)
+        ]
+
+    def test_an_empty_sequence_gives_nothing(self):
+        assert list(counting._binomial_transform([])) == []
+
+    def test_both_transforms_match_their_sums_deep_in_the_walk(self):
+        lhs, prefix = list(lhs_terms(400)), list(_red_prefix_terms(400))
+        for n in (300, 400):
+            assert lhs[n] == lhs_sum(n) == rhs_sum(n)
+            assert prefix[n] == red_prefix_sum(n)
 
 
 class TestRhsTerms:

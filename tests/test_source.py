@@ -76,6 +76,21 @@ def imported_names(source: str) -> set[str]:
     return names - {""}
 
 
+def package_imports(source: str) -> set[str]:
+    """The package's modules a source imports, relatively or as ``trideal.<module>``."""
+    targets = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            targets += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "trideal." * bool(node.level) + (node.module or "")
+            if module.rstrip(".") == "trideal":
+                targets += [f"trideal.{alias.name}" for alias in node.names]
+            else:
+                targets.append(module)
+    return {target.split(".")[1] for target in targets if target.startswith("trideal.")}
+
+
 def function_reads(source: str) -> dict[str, set[str]]:
     """The names, bare or as attributes, that each module-level function reads."""
     return {
@@ -136,6 +151,14 @@ def test_finds_imports_and_names_read_through_helpers():
     )
     assert imported_names(source) == {"counting", "model", "Card", "os", "path"}
     assert names_reached(source, ("walk",)) == {"walk", "step", "base"}
+
+
+def test_finds_the_package_modules_a_source_imports():
+    source = (
+        "from __future__ import annotations\nimport os.path\nfrom . import a, b\n"
+        "from .c.d import e\nimport trideal.f\nfrom trideal import g\nfrom trideal.h import i\n"
+    )
+    assert package_imports(source) == {"a", "b", "c", "f", "g", "h"}
 
 
 def test_every_module_is_checked():
@@ -255,6 +278,50 @@ def test_the_constant_term_never_goes_through_the_factorization():
     assert "_step" in function_reads(source)["_walk"]
     assert {"_walk", "_step"} <= reached
     assert "identity_polynomials" not in reached
+
+
+# Each route to the count reads the deal model and nothing else of the package,
+# so none can borrow another's count; the bijections read the oracle's codes too.
+ROUTE_IMPORTS = {
+    "model": set(),
+    "enumeration": {"model"},
+    "counting": {"model"},
+    "laurent": {"model"},
+    "bijections": {"model", "enumeration"},
+}
+
+# Within counting, the names each closed form's entry points must never reach:
+# the lhs reads Franel sums and the rhs central binomials, with no shared walk.
+COUNTING_ROUTES = {
+    ("lhs_terms", "lhs_sum"): {"_central_rows", "rhs_terms", "rhs_sum"},
+    ("rhs_terms", "rhs_sum"): {"_franel_terms", "_binomial_transform"},
+}
+
+
+@pytest.mark.parametrize("module, imports", ROUTE_IMPORTS.items(), ids=list(ROUTE_IMPORTS))
+def test_each_route_imports_only_the_model(module, imports):
+    assert package_imports((PACKAGE / f"{module}.py").read_text()) == imports
+
+
+@pytest.mark.parametrize(
+    "entries, unreached", COUNTING_ROUTES.items(), ids=["lhs", "rhs"]
+)
+def test_the_closed_forms_reach_no_part_of_each_other(entries, unreached):
+    source = (PACKAGE / "counting.py").read_text()
+    assert set(entries) <= set(function_reads(source))
+    assert not names_reached(source, entries) & unreached
+
+
+def test_counting_adds_its_transforms_and_multiplies_only_its_cubes_and_rhs():
+    # the binomial transform is additions alone; products go through mul only
+    # where a Franel sum cubes its half row and where rhs weights C(n, k)**2
+    reads = function_reads((PACKAGE / "counting.py").read_text())
+
+    def readers(name):
+        return sorted(function for function, read in reads.items() if name in read)
+
+    assert readers("_binomial_transform") == ["_red_prefix_terms", "lhs_terms"]
+    assert readers("mul") == ["_franel_terms", "rhs_terms"]
 
 
 def test_the_oracle_has_one_join_loop_that_every_consumer_reads():
