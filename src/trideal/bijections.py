@@ -12,10 +12,14 @@ denomination set plus one 3-bit routing code per denomination.  Each has one
 encoder, ``_*_codes(params) -> (subset, codes)``, and one decoder,
 ``_*_params(n, subset, codes)``.  Bit 2 of a code sends the denomination's
 red card to blue's hand (else green's), bit 1 its green card to blue's hand
-(else red's), and bit 0 its blue card to green's hand (else red's).  So
-``code & 3`` says which cards red holds: 0 both off-color cards, 1 only the
-green one, 2 only the blue one, 3 none.  The public ``encode_*``/``decode_*`` functions wrap
-this form in ``Deal`` objects; the ``audit`` subcommand uses it directly.
+(else red's), and bit 0 its blue card to green's hand (else red's).  So a
+code's low two bits say which cards red holds: 0 both off-color cards, 1
+only the green one, 2 only the blue one, 3 none.  One walk, ``_code_list``,
+writes the codes of both families and one split, ``_holdings``, reads them;
+the families differ only in which of their sets say that red holds the green
+card, that red holds the blue card and that blue holds the red card.  The
+public ``encode_*``/``decode_*`` functions wrap this form in ``Deal``
+objects; the ``audit`` subcommand uses it directly.
 """
 
 from __future__ import annotations
@@ -95,31 +99,52 @@ def _check_full_deck(params: FullDeckParams) -> None:
         raise ValueError("need |red_in_blue| = |green_in_red|")
 
 
-def _full_deck_codes(params: FullDeckParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The full-deck deal as (denominations 1..n, routing codes).
+def _code_list(
+    n: int, holds_green: Iterable[int], holds_blue: Iterable[int], to_blue: Iterable[int]
+) -> list[int]:
+    """The routing code of every denomination 1..n, from which sets hold it.
 
     Every code starts at 3 (red holds neither off-color card) and is
-    adjusted by a walk over each choice set, whose members must lie in 1..n.
+    adjusted by a walk over each set, whose members must lie in 1..n:
+    red holds the green card (-2), red holds the blue card (-1), blue holds
+    the red card (+4).  Both families write their codes through this walk.
     """
-    codes = [3] * params.n
-    for d in params.green_in_red:
+    codes = [3] * n
+    for d in holds_green:
         codes[d - 1] -= 2
-    for d in params.blue_in_red:
+    for d in holds_blue:
         codes[d - 1] -= 1
-    for d in params.red_in_blue:
+    for d in to_blue:
         codes[d - 1] += 4
+    return codes
+
+
+def _holdings(subset: tuple[int, ...], codes: tuple[int, ...]) -> tuple[list[int], ...]:
+    """Split a deal's (subset, routing codes) form by what each code says.
+
+    The first four lists are indexed by ``code & 3``: red holds both
+    off-color cards, only the green one, only the blue one, neither.  The
+    fifth lists the denominations whose red card blue holds (``code & 4``).
+    Both families read their codes through this split.
+    """
+    holdings: tuple[list[int], ...] = ([], [], [], [], [])
+    for d, code in zip(subset, codes):
+        holdings[code & 3].append(d)
+        if code & 4:
+            holdings[4].append(d)
+    return holdings
+
+
+def _full_deck_codes(params: FullDeckParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The full-deck deal as (denominations 1..n, routing codes)."""
+    codes = _code_list(params.n, params.green_in_red, params.blue_in_red, params.red_in_blue)
     return tuple(range(1, params.n + 1)), tuple(codes)
 
 
 def _full_deck_params(n: int, subset: tuple[int, ...], codes: tuple[int, ...]) -> FullDeckParams:
     """Read the three choice sets off a full-deck deal's (subset, routing codes) form."""
-    routed = tuple(zip(subset, codes))
-    return FullDeckParams(
-        n,
-        (d for d, code in routed if not code & 2),
-        (d for d, code in routed if not code & 1),
-        (d for d, code in routed if code & 4),
-    )
+    both, green, blue, _, to_blue = _holdings(subset, codes)
+    return FullDeckParams(n, both + green, both + blue, to_blue)
 
 
 def encode_full_deck(params: FullDeckParams) -> Deal:
@@ -201,29 +226,16 @@ def _check_red_set(params: RedSetParams) -> None:
 def _red_set_codes(params: RedSetParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The red-set deal as (sorted denomination set, routing codes)."""
     subset = tuple(sorted(params.red_denoms | params.extra))
-    green_to_blue = params.blue_only | params.extra
-    blue_to_green = params.green_only | params.extra
-    return subset, tuple(
-        4 * (d in params.red_to_blue) + 2 * (d in green_to_blue) + (d in blue_to_green)
-        for d in subset
-    )
+    holds_green = params.red_denoms - params.blue_only
+    holds_blue = params.both_colors | params.blue_only
+    codes = _code_list(params.n, holds_green, holds_blue, params.red_to_blue)
+    return subset, tuple(codes[d - 1] for d in subset)
 
 
 def _red_set_params(n: int, subset: tuple[int, ...], codes: tuple[int, ...]) -> RedSetParams:
     """Read the choice sets off any deal's (subset, routing codes) form."""
-    # indexed by code & 3: both_colors, green_only, blue_only, extra
-    groups: tuple[list[int], ...] = ([], [], [], [])
-    for d, code in zip(subset, codes):
-        groups[code & 3].append(d)
-    both, green_only, blue_only, extra = groups
-    return RedSetParams(
-        n,
-        both + green_only + blue_only,
-        both,
-        blue_only,
-        extra,
-        (d for d, code in zip(subset, codes) if code & 4),
-    )
+    both, green_only, blue_only, extra, to_blue = _holdings(subset, codes)
+    return RedSetParams(n, both + green_only + blue_only, both, blue_only, extra, to_blue)
 
 
 def encode_red_set(params: RedSetParams) -> Deal:

@@ -151,18 +151,19 @@ def red_prefix_sum(n: int) -> int:
     return sum(red_set_count(n, k) for k in range(n + 1))
 
 
-def _central_rows(max_n: int) -> Iterator[tuple[list[int], list[int]]]:
-    """Rows 0..max_n of Pascal's triangle, each with C(0, 0), C(2, 1), ..., C(2n, n).
+def _central_terms(max_n: int) -> Iterator[int]:
+    """C(0, 0), C(2, 1), ..., C(2 max_n, max_n), each from the last.
 
     Step n gets C(2n, n) from C(2n - 2, n - 1) by one exact multiply and
-    divide and appends it to the running list it yields beside row n, so no
-    binomial is computed afresh.  Raises ValueError, on first iteration, for
-    max_n < 0.
+    divide, so no binomial is computed afresh.  Raises ValueError, on first
+    iteration, for max_n < 0.
     """
-    central: list[int] = []
-    for n, row in enumerate(_pascal_rows(max_n)):
-        central.append(central[-1] * (4 * n - 2) // n if n else 1)
-        yield row, central
+    _require_nonneg(max_n)
+    term = 1
+    for n in range(max_n + 1):
+        if n:
+            term = term * (4 * n - 2) // n
+        yield term
 
 
 def rhs_terms(max_n: int) -> Iterator[int]:
@@ -173,7 +174,9 @@ def rhs_terms(max_n: int) -> Iterator[int]:
     so the walk to max_n costs O(max_n**2) of them.  Raises ValueError, on
     first iteration, for max_n < 0.
     """
-    for row, central in _central_rows(max_n):
+    central: list[int] = []
+    for row, term in zip(_pascal_rows(max_n), _central_terms(max_n)):
+        central.append(term)
         yield sum(map(mul, map(mul, row, row), central))
 
 
@@ -183,4 +186,4 @@ def _red_prefix_terms(max_n: int) -> Iterator[int]:
     O(max_n**2) big-integer additions.  Raises ValueError, on first
     iteration, for max_n < 0.
     """
-    return _binomial_transform(central[-1] for _, central in _central_rows(max_n))
+    return _binomial_transform(_central_terms(max_n))

@@ -1,10 +1,14 @@
+from itertools import product
+
 import pytest
 
 from trideal.bijections import (
     FullDeckParams,
     RedSetParams,
+    _code_list,
     _full_deck_codes,
     _full_deck_params,
+    _holdings,
     _red_set_codes,
     _red_set_params,
     decode_full_deck,
@@ -77,6 +81,37 @@ class TestCodeForms:
                     assert subset == tuple(sorted(p.red_denoms | p.extra))
                     assert _deal(n, subset, codes) == reference_encode_red_set(p)
                     assert _red_set_params(n, subset, codes) == p
+
+
+# Whether red holds the green card, red holds the blue card, blue holds the red card.
+MEMBERSHIPS = list(product((False, True), repeat=3))
+
+
+class TestSharedCodec:
+    # Both families route each denomination by the sets that hold it alone:
+    # the walk maps the eight membership patterns onto the eight codes, and
+    # the split reads each code back by itself.
+
+    def test_the_eight_membership_patterns_give_the_eight_codes(self):
+        codes = [
+            _code_list(1, *([1] if member else [] for member in pattern))
+            for pattern in MEMBERSHIPS
+        ]
+        assert sorted(code for [code] in codes) == list(range(8))
+        assert codes == [[3 - 2 * green - blue + 4 * red] for green, blue, red in MEMBERSHIPS]
+
+    @pytest.mark.parametrize("code", range(8))
+    def test_the_split_files_each_code_alone(self, code):
+        holdings = _holdings((1,), (code,))
+        assert [held == [1] for held in holdings[:4]] == [i == code & 3 for i in range(4)]
+        assert holdings[4] == ([1] if code & 4 else [])
+
+    @pytest.mark.parametrize("pattern", MEMBERSHIPS)
+    def test_the_split_inverts_the_walk(self, pattern):
+        green, blue, to_blue = ([1] if member else [] for member in pattern)
+        code = tuple(_code_list(1, green, blue, to_blue))
+        both, green_only, blue_only, _, read_to_blue = _holdings((1,), code)
+        assert (both + green_only, both + blue_only, read_to_blue) == (green, blue, to_blue)
 
 
 class TestFullDeckEncode:

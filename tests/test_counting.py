@@ -161,6 +161,16 @@ class TestRhsTerms:
             next(walk)
 
 
+class TestCentralTerms:
+    def test_each_term_is_the_central_binomial(self):
+        assert list(counting._central_terms(300)) == [binomial(2 * k, k) for k in range(301)]
+
+    def test_negative_rejected_on_first_next(self):
+        walk = counting._central_terms(-1)  # the call itself does not raise
+        with pytest.raises(ValueError):
+            next(walk)
+
+
 class TestBucketCounts:
     def test_red_set_count_at_n2(self):
         assert red_set_count(2, 0) == 1

@@ -293,7 +293,7 @@ ROUTE_IMPORTS = {
 # Within counting, the names each closed form's entry points must never reach:
 # the lhs reads Franel sums and the rhs central binomials, with no shared walk.
 COUNTING_ROUTES = {
-    ("lhs_terms", "lhs_sum"): {"_central_rows", "rhs_terms", "rhs_sum"},
+    ("lhs_terms", "lhs_sum"): {"_central_terms", "rhs_terms", "rhs_sum"},
     ("rhs_terms", "rhs_sum"): {"_franel_terms", "_binomial_transform"},
 }
 
