@@ -10,16 +10,17 @@ the test suite and the ``audit`` CLI subcommand check this).
 Both bijections share one code form, the oracle's: a deal is the sorted
 denomination set plus one 3-bit routing code per denomination.  Each has one
 encoder, ``_*_codes(params) -> (subset, codes)``, and one decoder,
-``_*_params(n, subset, codes)``.  Bit 2 of a code sends the denomination's
-red card to blue's hand (else green's), bit 1 its green card to blue's hand
-(else red's), and bit 0 its blue card to green's hand (else red's).  So a
-code's low two bits say which cards red holds: 0 both off-color cards, 1
-only the green one, 2 only the blue one, 3 none.  One walk, ``_code_list``,
-writes the codes of both families and one split, ``_holdings``, reads them;
-the families differ only in which of their sets say that red holds the green
-card, that red holds the blue card and that blue holds the red card.  The
-public ``encode_*``/``decode_*`` functions wrap this form in ``Deal``
-objects; the ``audit`` subcommand uses it directly.
+``_*_params(n, subset, codes)``.  A code indexes the oracle's route table,
+``enumeration._ROUTES``, whose order gives each bit its meaning: bit 2 of a
+code sends the denomination's red card to blue's hand (else green's), bit 1
+its green card to blue's hand (else red's), and bit 0 its blue card to
+green's hand (else red's).  So a code's low two bits say which cards red
+holds: 0 both off-color cards, 1 only the green one, 2 only the blue one, 3
+none.  One walk, ``_code_list``, writes the codes of both families and one
+split, ``_holdings``, reads them; the families differ only in which of their
+sets say that red holds the green card, that red holds the blue card and that
+blue holds the red card.  The public ``encode_*``/``decode_*`` functions wrap
+this form in ``Deal`` objects; the ``audit`` subcommand uses it directly.
 """
 
 from __future__ import annotations

@@ -2,11 +2,15 @@
 
 One loop forms every deal as a denomination subset plus one routing code per
 denomination: subsets in lexicographic order (as sorted tuples), then codes in
-increasing numeric order.  Only franel(k) of the 8**k code tuples of a size-k
-subset are deals, so the loop forms just those: it joins a head and a tail of
-the tuple on their red and green loads (meet in the middle), never a closed
-form.  The deals whose red hand shows a given set of denominations are formed
-the same way, not filtered from the whole stream: the set fixes, for each
+increasing numeric order.  The eight codes are the routings the deal rule
+allows, each card to one of the two hands not of its color, and one table of
+them (``_ROUTES``, hand positions by code) is read by the loads, the text
+routes, ``_deals`` (which makes ``Deal`` objects) and ``_codes`` (which reads
+them back).  Only franel(k) of the 8**k code tuples of a size-k subset are
+deals, so the loop forms just those: it joins a head and a tail of the tuple
+on their red and green loads (meet in the middle), never a closed form.  The
+deals whose red hand shows a given set of denominations are formed the same
+way, not filtered from the whole stream: the set fixes, for each
 denomination, whether its code puts a card in red's hand.  One pass lists
 each subset with its join, heads with their groups of tails, and its readers
 take it a group at a time: counts add group sizes, the histograms add tallies
@@ -24,7 +28,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Any, Iterable, Iterator, Sequence
 
-from .model import COLORS, Card, Color, Deal, _require_nonneg, _require_within, denom_set_text
+from .model import COLORS, Card, Deal, _require_nonneg, _require_within, denom_set_text
 
 __all__ = [
     "EXHAUSTIVE_GUARD",
@@ -52,22 +56,16 @@ class GuardError(ValueError):
 #: Statistics understood by histogram().
 STATISTICS = ("s_size", "red_distinct")
 
-# One denomination's three cards have two legal hands each (never the hand
-# matching their own color), so a 3-bit code routes them: bit 2 sends the
-# red card (0 -> green, 1 -> blue), bit 1 the green card (0 -> red,
-# 1 -> blue), bit 0 the blue card (0 -> red, 1 -> green).
-_CODES = tuple(range(8))
-_RECIPIENTS: tuple[tuple[Color, Color, Color], ...] = tuple(
-    (
-        Color.BLUE if code & 4 else Color.GREEN,
-        Color.BLUE if code & 2 else Color.RED,
-        Color.GREEN if code & 1 else Color.RED,
-    )
-    for code in _CODES
-)
+# Each card of a denomination goes to one of the two hands not of its own
+# color (hand positions red 0, green 1, blue 2), so a denomination is routed
+# 8 ways.  ``product`` yields them with the red card's choice slowest, so bit 2
+# of a code sends the red card (0 -> green, 1 -> blue), bit 1 the green card
+# (0 -> red, 1 -> blue), bit 0 the blue card (0 -> red, 1 -> green).
+_ROUTES = tuple(product(*([hand for hand in range(3) if hand != card] for card in range(3))))
+_CODES = tuple(range(len(_ROUTES)))
 # Cards each code puts in red's and in green's hand; blue's hand gets the rest.
-_RED_LOAD = tuple(recipients.count(Color.RED) for recipients in _RECIPIENTS)
-_GREEN_LOAD = tuple(recipients.count(Color.GREEN) for recipients in _RECIPIENTS)
+_RED_LOAD = tuple(route.count(0) for route in _ROUTES)
+_GREEN_LOAD = tuple(route.count(1) for route in _ROUTES)
 # Codes that put no card in red's hand, and the codes that show their denomination there.
 _RED_FREE = tuple(code for code in _CODES if not _RED_LOAD[code])
 _RED_SHOWN = tuple(code for code in _CODES if _RED_LOAD[code])
@@ -75,12 +73,8 @@ _RED_SHOWN = tuple(code for code in _CODES if _RED_LOAD[code])
 _Alphabets = tuple[tuple[int, ...], ...]
 # Each head of routing codes with the tails that balance it, heads in increasing order.
 _Join = list[tuple[tuple[int, ...], list[tuple[int, ...]]]]
-# For each code, the hand (by text-form position, red 0, green 1, blue 2) and
-# the letter of the red, green and blue card, in that order.
-_TEXT_ROUTES = tuple(
-    tuple((recipient.order, color.letter) for color, recipient in zip(COLORS, recipients))
-    for recipients in _RECIPIENTS
-)
+# For each code, the hand and the letter of the red, green and blue card, in that order.
+_TEXT_ROUTES = tuple(tuple(zip(route, "rgb")) for route in _ROUTES)
 
 
 def subsets_lex(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -186,14 +180,14 @@ def _deals(
     """
     cards: dict[int, tuple[Card, Card, Card]] = {}
     for subset, codes in routings:
-        hands: dict[Color, list[Card]] = {color: [] for color in COLORS}
+        hands: tuple[list[Card], list[Card], list[Card]] = ([], [], [])
         for denom, code in zip(subset, codes):
             triple = cards.get(denom)
             if triple is None:
                 triple = cards[denom] = tuple(Card(denom, color) for color in COLORS)
-            for card, recipient in zip(triple, _RECIPIENTS[code]):
-                hands[recipient].append(card)
-        yield Deal(n, subset, hands[Color.RED], hands[Color.GREEN], hands[Color.BLUE])
+            for card, hand in zip(triple, _ROUTES[code]):
+                hands[hand].append(card)
+        yield Deal(n, subset, *hands)
 
 
 def _deal(n: int, subset: tuple[int, ...], codes: tuple[int, ...]) -> Deal:
@@ -206,8 +200,8 @@ def _codes(deal: Deal) -> tuple[tuple[int, ...], tuple[int, ...]]:
     subset = tuple(sorted(deal.s))
     codes = dict.fromkeys(subset, 0)
     # code 7 sets every bit, so it names the hand each bit sends its card to
-    for bit, color, recipient in zip((4, 2, 1), COLORS, _RECIPIENTS[7]):
-        for card in deal.hand(recipient):
+    for bit, color, hand in zip((4, 2, 1), COLORS, _ROUTES[7]):
+        for card in deal.hand(COLORS[hand]):
             if card.color is color:
                 codes[card.denomination] |= bit
     return subset, tuple(codes.values())

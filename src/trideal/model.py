@@ -236,12 +236,15 @@ def validate_deal(deal: Deal) -> str | None:
 
     - "range": n not an int >= 0, or ``s`` or a card denomination not an
       int in 1..n
-    - "coverage": the hands do not cover the cards of ``s`` exactly once
+    - "coverage": the hands do not cover the cards of ``s`` exactly once,
+      or hold an entry that is no ``Card``
     - "size": some hand does not hold exactly |s| cards
     - "own-color": a hand contains a card of its own color
     """
     all_cards = [card for color in COLORS for card in deal.hand(color)]
-    n, denoms = deal.n, [*deal.s, *(card.denomination for card in all_cards)]
+    # an entry that is no Card has no denomination to range-check; coverage fails it
+    cards = (card for card in all_cards if isinstance(card, Card))
+    n, denoms = deal.n, [*deal.s, *(card.denomination for card in cards)]
     # the deck size is held to _require_nonneg's rule, so a decoder's range gets an int
     if n.__class__ is not int or n < 0 or not _within(n, denoms):
         return "range"

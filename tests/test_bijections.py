@@ -20,6 +20,7 @@ from trideal.bijections import (
 )
 from trideal.counting import franel, red_set_count
 from trideal.enumeration import (
+    _ROUTES,
     _deal,
     enumerate_deals,
     enumerate_deals_with_red_denoms,
@@ -112,6 +113,16 @@ class TestSharedCodec:
         code = tuple(_code_list(1, green, blue, to_blue))
         both, green_only, blue_only, _, read_to_blue = _holdings((1,), code)
         assert (both + green_only, both + blue_only, read_to_blue) == (green, blue, to_blue)
+
+    @pytest.mark.parametrize("code", range(8))
+    def test_the_walk_and_the_split_read_each_code_as_the_oracle_routes_it(self, code):
+        # red holds the green card when it goes to hand 0, red holds the blue
+        # card when it goes to hand 0, and blue holds the red card when it goes to hand 2
+        red, green, blue = _ROUTES[code]
+        pattern = (green == 0, blue == 0, red == 2)
+        assert _code_list(1, *([1] if member else [] for member in pattern)) == [code]
+        both, green_only, blue_only, _, to_blue = _holdings((1,), (code,))
+        assert (1 in both + green_only, 1 in both + blue_only, 1 in to_blue) == pattern
 
 
 class TestFullDeckEncode:

@@ -10,8 +10,8 @@ from trideal.enumeration import (
     EXHAUSTIVE_GUARD,
     _CODES,
     _GREEN_LOAD,
-    _RECIPIENTS,
     _RED_LOAD,
+    _ROUTES,
     _codes,
     _deal,
     _histograms,
@@ -31,7 +31,6 @@ from trideal.enumeration import (
 )
 from trideal.model import (
     Card,
-    Color,
     deal_from_text,
     deal_stats,
     deal_to_text,
@@ -115,6 +114,27 @@ def test_routing_code_paths_match_the_built_deals():
             ]
 
 
+class TestRouteTable:
+    # The oracle's one fact per code: the hand (red 0, green 1, blue 2) that
+    # each of a denomination's red, green and blue cards goes to.
+
+    def test_holds_every_routing_the_rule_allows_once(self):
+        allowed = {
+            route
+            for route in product(range(3), repeat=3)
+            if all(hand != card for card, hand in enumerate(route))
+        }
+        assert len(_ROUTES) == len(set(_ROUTES)) == len(_CODES) == 8
+        assert set(_ROUTES) == allowed
+
+    @pytest.mark.parametrize("code", _CODES)
+    def test_each_bit_sends_one_card_to_its_second_hand(self, code):
+        # bit 2 sends the red card to blue, bit 1 the green card to blue, bit 0 the blue to green
+        red, green, blue = _ROUTES[code]
+        bits = (bool(code & 4), bool(code & 2), bool(code & 1))
+        assert bits == (red == 2, green == 2, blue == 1)
+
+
 def reference_routings(n, full_deck=False):
     """The readable definition: every code tuple of each subset, kept when balanced."""
     deck = tuple(range(1, n + 1))
@@ -128,7 +148,7 @@ def reference_routings(n, full_deck=False):
 
 def reference_red_set(subset, codes):
     """The readable definition: the denominations with a card routed to red's hand."""
-    return tuple(d for d, code in zip(subset, codes) if Color.RED in _RECIPIENTS[code])
+    return tuple(d for d, code in zip(subset, codes) if 0 in _ROUTES[code])
 
 
 @pytest.fixture

@@ -139,8 +139,13 @@ class TestDealStats:
         # the deal text sorted {1, "a"}, and read the letter of a color that is no Color
         (Deal(2, {1, "a"}, (), (), ()), "range"),
         (Deal(1, {1}, [Card(1, "x")], (), ()), "coverage"),
+        # an entry that is no Card has no denomination, and the checks read one
+        (Deal(1, {1}, [1], (), ()), "coverage"),
+        (Deal(1, {1}, [Card(1, Color.GREEN)], [None], [Card(1, Color.RED)]), "coverage"),
+        # a Card out of range is still reported first
+        (Deal(1, {1}, [Card(2, Color.GREEN)], [None], ()), "range"),
     ],
-    ids=["unsortable-set", "no-color"],
+    ids=["unsortable-set", "no-color", "int-entry", "none-entry", "range-before-no-card"],
 )
 def test_every_deal_validate_deal_judges_is_rejected_with_value_error(bad, kind):
     assert validate_deal(bad) == kind
@@ -148,6 +153,15 @@ def test_every_deal_validate_deal_judges_is_rejected_with_value_error(bad, kind)
     for check in checks:
         with pytest.raises(ValueError, match=rf"^invalid deal \({kind}\): Deal\(n="):
             check(bad)
+
+
+def test_a_hand_entry_that_is_no_card_is_named_by_repr():
+    with pytest.raises(ValueError) as raised:
+        require_valid(Deal(1, {1}, [1], [], []))
+    assert str(raised.value) == (
+        "invalid deal (coverage): Deal(n=1, s=frozenset({1}), red=frozenset({1}), "
+        "green=frozenset(), blue=frozenset())"
+    )
 
 
 def test_a_deal_that_forms_text_keeps_its_message():
