@@ -268,8 +268,9 @@ def iter_red_set_params(n: int, denoms: Iterable[int]) -> Iterator[RedSetParams]
     sorted tuples; its length is red_set_count(n, len(denoms)).
     """
     _require_nonneg(n)
-    red = frozenset(denoms)
-    _require_within(n, red)
+    given = tuple(denoms)
+    _require_within(n, given)
+    red = frozenset(given)
     red_denoms = tuple(sorted(red))
     outside = tuple(d for d in range(1, n + 1) if d not in red)
     for both in subsets_lex(red_denoms):

@@ -105,8 +105,9 @@ def _join_groups(
     formed, and each join is formed once per alphabet tuple.
     """
     _require_nonneg(n)
-    red_set = frozenset(red_denoms or ())
-    _require_within(n, red_set)
+    given = tuple(red_denoms or ())
+    _require_within(n, given)
+    red_set = frozenset(given)
     if n > EXHAUSTIVE_GUARD and not allow_large:
         raise GuardError(
             f"n={n} exceeds the exhaustive guard ({EXHAUSTIVE_GUARD}); "
@@ -285,7 +286,7 @@ def enumerate_deals_with_red_denoms(
     n: int, denoms: Iterable[int], *, allow_large: bool = False
 ) -> Iterator[Deal]:
     """Deals whose red hand shows exactly the given denominations."""
-    yield from _deals(n, _routings(n, allow_large, red_denoms=frozenset(denoms)))
+    yield from _deals(n, _routings(n, allow_large, red_denoms=tuple(denoms)))
 
 
 def histogram(n: int, statistic: str, *, allow_large: bool = False) -> dict[int, int]:

@@ -14,7 +14,7 @@ import enum
 import re
 from functools import cache
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 __all__ = [
     "COLORS",
@@ -53,17 +53,11 @@ class Color(enum.Enum):
     @property
     def order(self) -> int:
         """Canonical position: red < green < blue."""
-        return _ORDER_BY_LETTER[self._value_]
+        return COLORS.index(self)
 
 
 #: The three players/colors in canonical order.
 COLORS: tuple[Color, Color, Color] = (Color.RED, Color.GREEN, Color.BLUE)
-
-# Each color's canonical position, keyed by its letter.  Code that reads a
-# color once a card reads its letter as ``color._value_``, a plain attribute:
-# enum's ``value`` property costs more than the rest of the card's work.
-_ORDER_BY_LETTER = {color.value: order for order, color in enumerate(COLORS)}
-_COLOR_BY_LETTER = {c.value: c for c in Color}
 
 
 # The two parsers' patterns are compiled on first use, not at import: no CLI
@@ -128,29 +122,19 @@ class Card(_Value):
         object.__setattr__(self, "denomination", denomination)
         object.__setattr__(self, "color", color)
 
-    # Every frozenset of cards calls these once per card, so they skip the
-    # generic field getter.
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.denomination, self.color) == (other.denomination, other.color)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.denomination, self.color))
-
     @property
     def token(self) -> str:
-        return f"{self.color._value_}{self.denomination}"
+        return f"{self.color.value}{self.denomination}"
 
     @classmethod
     def from_token(cls, token: str) -> "Card":
         m = _token_re().fullmatch(token)
         if m is None:
             raise ValueError(f"malformed card token: {token!r}")
-        return cls(int(m.group(2)), _COLOR_BY_LETTER[m.group(1)])
+        return cls(int(m.group(2)), Color(m.group(1)))
 
     def sort_key(self) -> tuple[int, int]:
-        return (self.denomination, _ORDER_BY_LETTER[self.color._value_])
+        return (self.denomination, self.color.order)
 
 
 class Deal(_Value):
@@ -216,8 +200,8 @@ def _within(n: int, denoms: Iterable[int]) -> bool:
     return all(d.__class__ is int and 0 < d <= n for d in denoms)
 
 
-def _require_within(n: int, denoms: frozenset) -> None:
-    """Raise ValueError unless ``_within(n, denoms)``, listing the set sorted.
+def _require_within(n: int, denoms: Collection) -> None:
+    """Raise ValueError unless ``_within(n, denoms)``, listing the values sorted, as given.
 
     A set that does not sort, such as {1, "a"}, is listed by repr instead.
     """
@@ -288,13 +272,7 @@ def denom_set_text(denoms: Iterable[int]) -> str:
 
 def _hand_tokens(hand: Iterable[Card]) -> list[str]:
     """The tokens of a hand's cards, sorted by (denomination, color)."""
-    keys = sorted(
-        [
-            (card.denomination, _ORDER_BY_LETTER[letter := card.color._value_], letter)
-            for card in hand
-        ]
-    )
-    return [f"{letter}{denomination}" for denomination, _, letter in keys]
+    return [card.token for card in sorted(hand, key=Card.sort_key)]
 
 
 def hand_text(hand: Iterable[Card]) -> str:

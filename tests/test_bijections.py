@@ -305,10 +305,16 @@ def test_a_denomination_equal_to_1_but_no_int_is_out_of_range(fake):
         encode_red_set(RedSetParams(1, {fake}, (), {fake}, (), ()))
     with pytest.raises(ValueError, match=r"^green_in_red must lie within 1\.\.1$"):
         encode_full_deck(FullDeckParams(1, {fake}, (), {1}))
-    message = rf"^denominations \[{fake!r}\] not within 1\.\.1$"
-    for stream in (iter_red_set_params(1, [fake]), enumerate_deals_with_red_denoms(1, [fake])):
-        with pytest.raises(ValueError, match=message):
-            next(stream)
+    for given in ([fake], [1, fake]):
+        # checked as given, before a set merges the fake into an equal int
+        shown = ", ".join(map(repr, given))
+        message = rf"^denominations \[{shown}\] not within 1\.\.1$"
+        for stream in (iter_red_set_params(1, given), enumerate_deals_with_red_denoms(1, given)):
+            with pytest.raises(ValueError, match=message):
+                next(stream)
+    # a repeated exact int still runs as {1}
+    for stream in (iter_red_set_params, enumerate_deals_with_red_denoms):
+        assert list(stream(1, [1, 1])) == list(stream(1, [1]))
 
 
 def test_a_red_set_that_does_not_sort_is_out_of_range():

@@ -5,6 +5,7 @@ import pytest
 
 import trideal
 from trideal.model import (
+    COLORS,
     Card,
     Color,
     Deal,
@@ -59,6 +60,16 @@ class TestCard:
     def test_sort_key_orders_by_denomination_then_color(self):
         cards = [Card.from_token(t) for t in ("b1", "r2", "g1", "r1")]
         assert [c.token for c in sorted(cards, key=Card.sort_key)] == ["r1", "g1", "b1", "r2"]
+
+
+class TestColor:
+    def test_letter_and_order_follow_colors(self):
+        assert [color.letter for color in COLORS] == ["r", "g", "b"]
+        assert [color.order for color in COLORS] == [0, 1, 2]
+
+    def test_from_token_returns_the_color_member(self):
+        for color in COLORS:
+            assert Card.from_token(f"{color.letter}1").color is color
 
 
 class TestValidateDeal:
