@@ -57,6 +57,20 @@ def _params_text(params: _Value) -> str:
     return ";".join(f"{label}={denom_set_text(value)}" for label, value in fields)
 
 
+def _frozen(name: str, n: int, values: Iterable[int]) -> frozenset[int]:
+    """``frozenset(values)``, raising ValueError if it merged away a value that is no ``int``.
+
+    An equal float or bool would otherwise vanish into its int before the
+    encoder's checks, which reject it alone, read the set.  Only a set smaller
+    than ``values`` is scanned, and ``[1, 1]`` still freezes to ``{1}``.
+    """
+    given = tuple(values)
+    frozen = frozenset(given)
+    if len(frozen) < len(given) and not all(d.__class__ is int for d in given):
+        raise ValueError(f"{name} must lie within 1..{n}")
+    return frozen
+
+
 class FullDeckParams(_Value):
     """Free choices that pin down a deal using every denomination 1..n.
 
@@ -67,8 +81,9 @@ class FullDeckParams(_Value):
     rest.  Equal hand sizes force |blue_in_red| = n - |green_in_red| and
     |red_in_blue| = |green_in_red|, giving C(n, j)**3 choices for each size
     j of ``green_in_red`` and franel(n) tuples in total.  The constructor
-    coerces the set fields to frozensets.  Immutable: assigning or deleting
-    an attribute raises AttributeError.
+    coerces the set fields to frozensets, checking each as given, so a value
+    that is no int and merges into an equal one raises ValueError.
+    Immutable: assigning or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ("n", "green_in_red", "blue_in_red", "red_in_blue")
@@ -82,9 +97,9 @@ class FullDeckParams(_Value):
         red_in_blue: Iterable[int],
     ) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "green_in_red", frozenset(green_in_red))
-        object.__setattr__(self, "blue_in_red", frozenset(blue_in_red))
-        object.__setattr__(self, "red_in_blue", frozenset(red_in_blue))
+        object.__setattr__(self, "green_in_red", _frozen("green_in_red", n, green_in_red))
+        object.__setattr__(self, "blue_in_red", _frozen("blue_in_red", n, blue_in_red))
+        object.__setattr__(self, "red_in_blue", _frozen("red_in_blue", n, red_in_blue))
 
     to_text = _params_text
 
@@ -175,8 +190,10 @@ class RedSetParams(_Value):
     ``extra`` denominations are forced into blue's hand, which is topped up
     with the red cards of ``red_to_blue`` (|red_to_blue| = |both_colors| +
     |green_only|); green's hand takes everything left.  The constructor
-    coerces the set fields to frozensets.  Immutable: assigning or deleting
-    an attribute raises AttributeError.  Audit rendering (``to_text``):
+    coerces the set fields to frozensets, checking each as given, so a value
+    that is no int and merges into an equal one raises ValueError.
+    Immutable: assigning or deleting an attribute raises AttributeError.
+    Audit rendering (``to_text``):
     ``D={..};A={..};B={..};E={..};R={..}``, sorted elements.
     """
 
@@ -193,11 +210,11 @@ class RedSetParams(_Value):
         red_to_blue: Iterable[int],
     ) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "red_denoms", frozenset(red_denoms))
-        object.__setattr__(self, "both_colors", frozenset(both_colors))
-        object.__setattr__(self, "blue_only", frozenset(blue_only))
-        object.__setattr__(self, "extra", frozenset(extra))
-        object.__setattr__(self, "red_to_blue", frozenset(red_to_blue))
+        object.__setattr__(self, "red_denoms", _frozen("red_denoms", n, red_denoms))
+        object.__setattr__(self, "both_colors", _frozen("both_colors", n, both_colors))
+        object.__setattr__(self, "blue_only", _frozen("blue_only", n, blue_only))
+        object.__setattr__(self, "extra", _frozen("extra", n, extra))
+        object.__setattr__(self, "red_to_blue", _frozen("red_to_blue", n, red_to_blue))
 
     @property
     def green_only(self) -> frozenset[int]:
@@ -207,20 +224,22 @@ class RedSetParams(_Value):
 
 
 def _check_red_set(params: RedSetParams) -> None:
-    _require_nonneg(params.n)
-    if not _within(params.n, params.red_denoms):
-        raise ValueError(f"red_denoms must lie within 1..{params.n}")
-    if not params.both_colors <= params.red_denoms:
+    n, red, both, blue_only, extra, to_blue = params._astuple(params)
+    _require_nonneg(n)
+    if not _within(n, red):
+        raise ValueError(f"red_denoms must lie within 1..{n}")
+    # a subset test compares by ==, so each subset is also held to _within's exact ints
+    if not (_within(n, both) and both <= red):
         raise ValueError("both_colors must be a subset of red_denoms")
-    if not params.blue_only <= params.red_denoms - params.both_colors:
+    if not (_within(n, blue_only) and blue_only <= red - both):
         raise ValueError("blue_only must be a subset of red_denoms disjoint from both_colors")
-    if not _within(params.n, params.extra) or not params.extra.isdisjoint(params.red_denoms):
-        raise ValueError(f"extra must lie within 1..{params.n} and avoid red_denoms")
-    if len(params.extra) != len(params.both_colors):
+    if not _within(n, extra) or not extra.isdisjoint(red):
+        raise ValueError(f"extra must lie within 1..{n} and avoid red_denoms")
+    if len(extra) != len(both):
         raise ValueError("need |extra| = |both_colors|")
-    if not params.red_to_blue <= params.red_denoms | params.extra:
+    if not (_within(n, to_blue) and to_blue <= red | extra):
         raise ValueError("red_to_blue must lie within red_denoms plus extra")
-    if len(params.red_to_blue) != len(params.both_colors) + len(params.green_only):
+    if len(to_blue) != len(both) + len(params.green_only):
         raise ValueError("need |red_to_blue| = |both_colors| + |green_only|")
 
 

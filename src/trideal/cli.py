@@ -36,7 +36,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence
 
 from . import bijections, counting, enumeration, laurent
-from .model import deal_to_text, denom_set_text
+from .model import _INT, deal_to_text, denom_set_text
 
 if TYPE_CHECKING:
     import argparse
@@ -143,7 +143,7 @@ def _parse_denoms(text: str) -> frozenset[int]:
     underscore or leading zero.
     """
     tokens = text.split(",") if text else []
-    if not all(re.fullmatch(r"0|[1-9][0-9]*", tok) for tok in tokens):
+    if not all(re.fullmatch(_INT, tok) for tok in tokens):
         raise ValueError(f"malformed denomination list: {text!r}")
     denoms = list(map(int, tokens))
     if len(set(denoms)) != len(denoms):

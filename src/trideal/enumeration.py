@@ -74,7 +74,7 @@ _Alphabets = tuple[tuple[int, ...], ...]
 # Each head of routing codes with the tails that balance it, heads in increasing order.
 _Join = list[tuple[tuple[int, ...], list[tuple[int, ...]]]]
 # For each code, the hand and the letter of the red, green and blue card, in that order.
-_TEXT_ROUTES = tuple(tuple(zip(route, "rgb")) for route in _ROUTES)
+_TEXT_ROUTES = tuple(tuple(zip(route, [color.value for color in COLORS])) for route in _ROUTES)
 
 
 def subsets_lex(items: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import re
-from functools import cache
 from operator import attrgetter
 from typing import Collection, Iterable, NamedTuple
 
@@ -60,16 +59,11 @@ class Color(enum.Enum):
 COLORS: tuple[Color, Color, Color] = (Color.RED, Color.GREEN, Color.BLUE)
 
 
-# The two parsers' patterns are compiled on first use, not at import: no CLI
-# command parses a card token or a deal.
-@cache
-def _token_re() -> re.Pattern[str]:
-    return re.compile(r"([rgb])(0|[1-9][0-9]*)")
-
-
-@cache
-def _deal_re() -> re.Pattern[str]:
-    return re.compile(r"S=\{([^}]*)\};R=\[([^\]]*)\];G=\[([^\]]*)\];B=\[([^\]]*)\]")
+# The parsers' patterns, as ``str`` writes an int, a card and a deal.  ``re``
+# compiles each on first use and caches it, so no CLI start compiles them.
+_INT = r"0|[1-9][0-9]*"
+_TOKEN = rf"([rgb])({_INT})"
+_DEAL = r"S=\{([^}]*)\};R=\[([^\]]*)\];G=\[([^\]]*)\];B=\[([^\]]*)\]"
 
 
 class _Value:
@@ -128,7 +122,7 @@ class Card(_Value):
 
     @classmethod
     def from_token(cls, token: str) -> "Card":
-        m = _token_re().fullmatch(token)
+        m = re.fullmatch(_TOKEN, token)
         if m is None:
             raise ValueError(f"malformed card token: {token!r}")
         return cls(int(m.group(2)), Color(m.group(1)))
@@ -303,10 +297,13 @@ def deal_from_text(text: str, n: int) -> Deal:
     or unsorted items, leading zeros, stray commas or whitespace) raises
     ValueError.  No validity check is performed; pair with validate_deal.
     """
-    m = _deal_re().fullmatch(text.strip())
+    m = re.fullmatch(_DEAL, text.strip())
     if m is None:
         raise ValueError(f"malformed deal text: {text!r}")
-    s = frozenset(int(tok) for tok in m.group(1).split(",") if tok)
+    try:
+        s = frozenset(int(tok) for tok in m.group(1).split(",") if tok)
+    except ValueError:
+        raise ValueError(f"malformed deal text: {text!r}") from None
     red, green, blue = (
         frozenset(Card.from_token(tok) for tok in group.split(",") if tok)
         for group in m.groups()[1:]

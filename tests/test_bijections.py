@@ -301,10 +301,15 @@ class TestRedSetBijection:
 @pytest.mark.parametrize("fake", [1.0, True], ids=repr)
 def test_a_denomination_equal_to_1_but_no_int_is_out_of_range(fake):
     # a test by == passed these, and the deal printed S={1.0} or R=[bTrue]
-    with pytest.raises(ValueError, match=r"^red_denoms must lie within 1\.\.1$"):
-        encode_red_set(RedSetParams(1, {fake}, (), {fake}, (), ()))
-    with pytest.raises(ValueError, match=r"^green_in_red must lie within 1\.\.1$"):
-        encode_full_deck(FullDeckParams(1, {fake}, (), {1}))
+    for given in ({fake}, [1, fake]):
+        # checked as given, before the constructor's set merges the fake into an equal int
+        with pytest.raises(ValueError, match=r"^red_denoms must lie within 1\.\.1$"):
+            encode_red_set(RedSetParams(1, given, (), given, (), ()))
+        with pytest.raises(ValueError, match=r"^green_in_red must lie within 1\.\.1$"):
+            encode_full_deck(FullDeckParams(1, given, (), {1}))
+    # a repeated exact int still freezes to {1}, and a generator is still read
+    assert FullDeckParams(1, [1, 1], (), iter([1])) == FullDeckParams(1, {1}, (), {1})
+    assert RedSetParams(1, [1, 1], (), iter([1]), (), ()) == RedSetParams(1, {1}, (), {1}, (), ())
     for given in ([fake], [1, fake]):
         # checked as given, before a set merges the fake into an equal int
         shown = ", ".join(map(repr, given))
@@ -315,6 +320,24 @@ def test_a_denomination_equal_to_1_but_no_int_is_out_of_range(fake):
     # a repeated exact int still runs as {1}
     for stream in (iter_red_set_params, enumerate_deals_with_red_denoms):
         assert list(stream(1, [1, 1])) == list(stream(1, [1]))
+
+
+@pytest.mark.parametrize("fake", [1.0, True], ids=repr)
+@pytest.mark.parametrize(
+    "field, base",
+    [
+        pytest.param("both_colors", RedSetParams(2, {1}, {1}, (), {2}, {1}), id="both_colors"),
+        pytest.param("blue_only", RedSetParams(1, {1}, (), {1}, (), ()), id="blue_only"),
+        pytest.param("red_to_blue", RedSetParams(1, {1}, (), (), (), {1}), id="red_to_blue"),
+    ],
+)
+def test_a_subset_holding_a_value_equal_to_1_but_no_int_is_refused(field, base, fake):
+    # the subset tests compared by ==: 1.0 then failed in _code_list with
+    # TypeError, and True encoded a deal such as S={1};R=[b1];G=[r1];B=[g1]
+    encode_red_set(base)
+    fields = dict(zip(RedSetParams.__slots__, base._astuple(base)), **{field: {fake}})
+    with pytest.raises(ValueError, match=rf"^{field} must "):
+        encode_red_set(RedSetParams(**fields))
 
 
 def test_a_red_set_that_does_not_sort_is_out_of_range():

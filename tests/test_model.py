@@ -198,6 +198,23 @@ class TestRedDenominationSet:
             assert deal_stats(d).red_distinct == len(red_denomination_set(d))
 
 
+# Each text deal_from_text rejects, with its exact message.
+MALFORMED_TEXT = {
+    "": "malformed deal text: ''",
+    "S={1}": "malformed deal text: 'S={1}'",
+    "S={1};R=[g1];G=[b1]": "malformed deal text: 'S={1};R=[g1];G=[b1]'",
+    "R=[];G=[];B=[];S={}": "malformed deal text: 'R=[];G=[];B=[];S={}'",
+    "S={1};R=(g1);G=[b1];B=[r1]": "malformed deal text: 'S={1};R=(g1);G=[b1];B=[r1]'",
+    # int() raised its own message for a denomination that is no integer
+    "S={a};R=[];G=[];B=[]": "malformed deal text: 'S={a};R=[];G=[];B=[]'",
+    # well-formed but non-canonical: each would otherwise be silently rewritten
+    "S={1};R=[g1,g1];G=[b1];B=[r1]": "non-canonical deal text: 'S={1};R=[g1,g1];G=[b1];B=[r1]'",
+    "S={1};R=[g01];G=[b1];B=[r1]": "malformed card token: 'g01'",
+    "S={1,,};R=[g1];G=[b1];B=[r1]": "non-canonical deal text: 'S={1,,};R=[g1];G=[b1];B=[r1]'",
+    "S={1};R=[g1];G=[b1];B=[r1] ": "non-canonical deal text: 'S={1};R=[g1];G=[b1];B=[r1] '",
+}
+
+
 class TestTextForm:
     def test_canonical_rendering(self):
         d = encode_red_set(RedSetParams(2, {1}, {1}, (), {2}, {1}))
@@ -211,24 +228,11 @@ class TestTextForm:
             for d in enumerate_deals(n):
                 assert deal_from_text(deal_to_text(d), n) == d
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "",
-            "S={1}",
-            "S={1};R=[g1];G=[b1]",
-            "R=[];G=[];B=[];S={}",
-            "S={1};R=(g1);G=[b1];B=[r1]",
-            # well-formed but non-canonical: each would otherwise be silently rewritten
-            "S={1};R=[g1,g1];G=[b1];B=[r1]",
-            "S={1};R=[g01];G=[b1];B=[r1]",
-            "S={1,,};R=[g1];G=[b1];B=[r1]",
-            "S={1};R=[g1];G=[b1];B=[r1] ",
-        ],
-    )
+    @pytest.mark.parametrize("bad", MALFORMED_TEXT)
     def test_malformed_text_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             deal_from_text(bad, 1)
+        assert str(raised.value) == MALFORMED_TEXT[bad]
 
     def test_record_mirrors_text_fields(self):
         d = encode_red_set(RedSetParams(2, {1}, {1}, (), {2}, {1}))

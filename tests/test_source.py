@@ -229,22 +229,26 @@ def test_a_well_formed_command_runs_without_argparse_and_help_still_loads_it():
 
 
 def test_the_cli_starts_without_compiling_the_parsers_patterns():
-    # no CLI command parses a card token or a deal, so importing it compiles neither pattern
+    # no CLI command parses a card token or a deal, so importing it compiles none of the
+    # three patterns; re.compile and re.fullmatch both compile through re._compile, which
+    # sees a pattern on every call, cached or not
     script = (
         "import re\n"
-        "compiled, compile = [], re.compile\n"
-        "re.compile = lambda pattern, flags=0: compiled.append(pattern) or compile(pattern, flags)\n"
+        "seen, compile = [], re._compile\n"
+        "re._compile = lambda pattern, flags: seen.append(pattern) or compile(pattern, flags)\n"
         "import trideal.cli\n"
-        "at_import = set(compiled)\n"
-        "from trideal import model\n"
-        "patterns = {model._token_re().pattern, model._deal_re().pattern}\n"
-        "print(len(patterns), sorted(patterns & at_import))\n"
+        "at_import = set(seen)\n"
+        "from trideal import cli, model\n"
+        "patterns = {model._INT, model._TOKEN, model._DEAL}\n"
+        "model.deal_from_text('S={1};R=[g1];G=[b1];B=[r1]', 1)\n"
+        "cli._parse_denoms('1')\n"
+        "print(len(patterns), sorted(patterns & at_import), patterns <= set(seen))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     result = subprocess.run(
         [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout == "2 []\n"
+    assert result.stdout == "3 [] True\n"
 
 
 def test_laurent_has_one_walk_that_both_powers_step_through():
