@@ -22,8 +22,12 @@ x = LaurentPoly.monomial(1, 0)
 x_inv = LaurentPoly.monomial(-1, 0)
 print("(x + 1/x)^2 =", ((x + x_inv) ** 2).to_text())
 
-# The identity: base = 1 + (1+x)(1+y/x)(1+1/y) factors as
-# (1 + (1+x)/y) * (1 + y(1+1/x)).
+# The base is one denomination's choices under the deal rule: 1 for out of
+# play, plus x^(red's load - 1) * y^(green's load - 1) for each of the eight
+# routings in model._ROUTES, so the constant term of base**n keeps the deals
+# whose three hands each hold as many cards as there are denominations.
+# The published base = 1 + (1+x)(1+y/x)(1+1/y) and its factorization
+# (1 + (1+x)/y) * (1 + y(1+1/x)) check it.
 base, factor1, factor2 = identity_polynomials()
 print("\nbase    =", base.to_text())
 print("factor1 =", factor1.to_text())

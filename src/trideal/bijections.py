@@ -10,8 +10,8 @@ the test suite and the ``audit`` CLI subcommand check this).
 Both bijections share one code form, the oracle's: a deal is the sorted
 denomination set plus one 3-bit routing code per denomination.  Each has one
 encoder, ``_*_codes(params) -> (subset, codes)``, and one decoder,
-``_*_params(n, subset, codes)``.  A code indexes the oracle's route table,
-``enumeration._ROUTES``, whose order gives each bit its meaning: bit 2 of a
+``_*_params(n, subset, codes)``.  A code indexes the deal rule's route
+table, ``model._ROUTES``, whose order gives each bit its meaning: bit 2 of a
 code sends the denomination's red card to blue's hand (else green's), bit 1
 its green card to blue's hand (else red's), and bit 0 its blue card to
 green's hand (else red's).  So a code's low two bits say which cards red
@@ -32,6 +32,7 @@ from .enumeration import _codes, _deal, subsets_lex
 from .model import (
     Deal,
     _Value,
+    _frozen,
     _require_nonneg,
     _require_within,
     _within,
@@ -57,20 +58,6 @@ def _params_text(params: _Value) -> str:
     return ";".join(f"{label}={denom_set_text(value)}" for label, value in fields)
 
 
-def _frozen(name: str, n: int, values: Iterable[int]) -> frozenset[int]:
-    """``frozenset(values)``, raising ValueError if it merged away a value that is no ``int``.
-
-    An equal float or bool would otherwise vanish into its int before the
-    encoder's checks, which reject it alone, read the set.  Only a set smaller
-    than ``values`` is scanned, and ``[1, 1]`` still freezes to ``{1}``.
-    """
-    given = tuple(values)
-    frozen = frozenset(given)
-    if len(frozen) < len(given) and not all(d.__class__ is int for d in given):
-        raise ValueError(f"{name} must lie within 1..{n}")
-    return frozen
-
-
 class FullDeckParams(_Value):
     """Free choices that pin down a deal using every denomination 1..n.
 
@@ -82,7 +69,7 @@ class FullDeckParams(_Value):
     |red_in_blue| = |green_in_red|, giving C(n, j)**3 choices for each size
     j of ``green_in_red`` and franel(n) tuples in total.  The constructor
     coerces the set fields to frozensets, checking each as given, so a value
-    that is no int and merges into an equal one raises ValueError.
+    that is no int and merges into an equal int raises ValueError.
     Immutable: assigning or deleting an attribute raises AttributeError.
     """
 
@@ -191,7 +178,7 @@ class RedSetParams(_Value):
     with the red cards of ``red_to_blue`` (|red_to_blue| = |both_colors| +
     |green_only|); green's hand takes everything left.  The constructor
     coerces the set fields to frozensets, checking each as given, so a value
-    that is no int and merges into an equal one raises ValueError.
+    that is no int and merges into an equal int raises ValueError.
     Immutable: assigning or deleting an attribute raises AttributeError.
     Audit rendering (``to_text``):
     ``D={..};A={..};B={..};E={..};R={..}``, sorted elements.

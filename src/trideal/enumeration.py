@@ -3,8 +3,8 @@
 One loop forms every deal as a denomination subset plus one routing code per
 denomination: subsets in lexicographic order (as sorted tuples), then codes in
 increasing numeric order.  The eight codes are the routings the deal rule
-allows, each card to one of the two hands not of its color, and one table of
-them (``_ROUTES``, hand positions by code) is read by the loads, the text
+allows, each card to one of the two hands not of its color; ``model._ROUTES``
+holds them (hand positions by code) and is read here by the loads, the text
 routes, ``_deals`` (which makes ``Deal`` objects) and ``_codes`` (which reads
 them back).  Only franel(k) of the 8**k code tuples of a size-k subset are
 deals, so the loop forms just those: it joins a head and a tail of the tuple
@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Any, Iterable, Iterator, Sequence
 
-from .model import COLORS, Card, Deal, _require_nonneg, _require_within, denom_set_text
+from .model import COLORS, _ROUTES, Card, Deal, _require_nonneg, _require_within, denom_set_text
 
 __all__ = [
     "EXHAUSTIVE_GUARD",
@@ -56,12 +56,6 @@ class GuardError(ValueError):
 #: Statistics understood by histogram().
 STATISTICS = ("s_size", "red_distinct")
 
-# Each card of a denomination goes to one of the two hands not of its own
-# color (hand positions red 0, green 1, blue 2), so a denomination is routed
-# 8 ways.  ``product`` yields them with the red card's choice slowest, so bit 2
-# of a code sends the red card (0 -> green, 1 -> blue), bit 1 the green card
-# (0 -> red, 1 -> blue), bit 0 the blue card (0 -> red, 1 -> green).
-_ROUTES = tuple(product(*([hand for hand in range(3) if hand != card] for card in range(3))))
 _CODES = tuple(range(len(_ROUTES)))
 # Cards each code puts in red's and in green's hand; blue's hand gets the rest.
 _RED_LOAD = tuple(route.count(0) for route in _ROUTES)

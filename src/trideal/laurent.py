@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, Iterator, Mapping
 
-from .model import _require_nonneg
+from .model import _ROUTES, _require_nonneg
 
 __all__ = [
     "CT_GUARD",
@@ -214,22 +214,22 @@ class LaurentPoly:
 def identity_polynomials() -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     """The three polynomials of the product identity behind the deal counts.
 
-    Returns (base, factor1, factor2) built structurally from
+    Returns (base, factor1, factor2).  The base is one denomination's
+    choices: 1 (out of play) plus x**(red's load - 1) * y**(green's load - 1)
+    for each routing of the deal rule in ``model._ROUTES``.  The published
 
-        base    = 1 + (1 + x)(1 + y/x)(1 + 1/y)
-        factor1 = 1 + (1 + x)/y
-        factor2 = 1 + y(1 + 1/x)
+        base = 1 + (1 + x)(1 + y/x)(1 + 1/y) = factor1 * factor2
 
-    Since factor1 * factor2 = base, also base**n = factor1**n * factor2**n
-    for every n, and the constant term of base**n equals the total number of
-    deals over n denominations.
+    with factor1 = 1 + (1 + x)/y and factor2 = 1 + y(1 + 1/x) is its check.
+    The constant term of base**n = factor1**n * factor2**n counts the deals
+    over n denominations.
     """
     one = LaurentPoly.constant(1)
     x = LaurentPoly.monomial(1, 0)
     x_inv = LaurentPoly.monomial(-1, 0)
     y = LaurentPoly.monomial(0, 1)
     y_inv = LaurentPoly.monomial(0, -1)
-    base = one + (one + x) * (one + y * x_inv) * (one + y_inv)
+    base = sum((LaurentPoly.monomial(r.count(0) - 1, r.count(1) - 1) for r in _ROUTES), one)
     factor1 = one + (one + x) * y_inv
     factor2 = one + y * (one + x_inv)
     return base, factor1, factor2

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import re
+from itertools import product
 from operator import attrgetter
 from typing import Collection, Iterable, NamedTuple
 
@@ -57,6 +58,13 @@ class Color(enum.Enum):
 
 #: The three players/colors in canonical order.
 COLORS: tuple[Color, Color, Color] = (Color.RED, Color.GREEN, Color.BLUE)
+
+# The deal rule: each card of a denomination goes to one of the two hands not
+# of its own color (hand positions red 0, green 1, blue 2), so a denomination
+# is routed 8 ways.  ``product`` yields them with the red card's choice
+# slowest, so bit 2 of a code sends the red card (0 -> green, 1 -> blue), bit 1
+# the green card (0 -> red, 1 -> blue), bit 0 the blue card (0 -> red, 1 -> green).
+_ROUTES = tuple(product(*([hand for hand in range(3) if hand != card] for card in range(3))))
 
 
 # The parsers' patterns, as ``str`` writes an int, a card and a deal.  ``re``
@@ -136,7 +144,10 @@ class Deal(_Value):
 
     Hands are keyed by the avoiding player: ``red`` is red's hand and must
     hold no red cards, and so on.  The constructor coerces all set fields to
-    frozensets, so deals are hashable and compare by value.  Immutable:
+    frozensets, so deals are hashable and compare by value; a field holding
+    an exact int, or a card of one, beside an equal value that is no such
+    thing (``1.0``, ``True`` or a card of either) raises ValueError.  Other
+    repeats merge and are left for ``validate_deal`` to judge.  Immutable:
     assigning or deleting an attribute raises AttributeError.
     """
 
@@ -151,10 +162,10 @@ class Deal(_Value):
         blue: Iterable[Card],
     ) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "s", frozenset(s))
-        object.__setattr__(self, "red", frozenset(red))
-        object.__setattr__(self, "green", frozenset(green))
-        object.__setattr__(self, "blue", frozenset(blue))
+        object.__setattr__(self, "s", _frozen("s", n, s))
+        object.__setattr__(self, "red", _frozen("red", n, red))
+        object.__setattr__(self, "green", _frozen("green", n, green))
+        object.__setattr__(self, "blue", _frozen("blue", n, blue))
 
     def hand(self, color: Color) -> frozenset[Card]:
         if color is Color.RED:
@@ -205,6 +216,29 @@ def _require_within(n: int, denoms: Collection) -> None:
         except TypeError:
             shown = sorted(denoms, key=repr)
         raise ValueError(f"denominations {shown} not within 1..{n}")
+
+
+def _exact(value: object) -> bool:
+    """True for an exact ``int``, or a ``Card`` whose denomination is one."""
+    return (value.denomination if value.__class__ is Card else value).__class__ is int
+
+
+def _frozen(name: str, n: int, values: Iterable) -> frozenset:
+    """``frozenset(values)``, raising ValueError if it merged a value into an equal exact one.
+
+    An equal float or bool, or a card of one, would otherwise vanish into its
+    exact twin (see ``_exact``) before the checks, which reject it alone, read
+    the set, so the verdict would hang on the input's order.  Only a set
+    smaller than ``values`` is scanned; ``[1, 1]`` still freezes to ``{1}``,
+    and ``[None, None]`` to ``{None}``.
+    """
+    given = tuple(values)
+    frozen = frozenset(given)
+    if len(frozen) < len(given):
+        exact = frozenset(filter(_exact, given))
+        if any(value in exact for value in given if not _exact(value)):
+            raise ValueError(f"{name} must lie within 1..{n}")
+    return frozen
 
 
 def validate_deal(deal: Deal) -> str | None:

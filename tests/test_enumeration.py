@@ -1,11 +1,18 @@
 import re
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from trideal import enumeration
-from trideal.counting import binomial, franel, lhs_sum, red_distinct_count, red_set_count
+from trideal.counting import (
+    binomial,
+    franel,
+    lhs_sum,
+    red_distinct_count,
+    red_prefix_sum,
+    red_set_count,
+)
 from trideal.enumeration import (
     EXHAUSTIVE_GUARD,
     _CODES,
@@ -133,6 +140,72 @@ class TestRouteTable:
         red, green, blue = _ROUTES[code]
         bits = (bool(code & 4), bool(code & 2), bool(code & 1))
         assert bits == (red == 2, green == 2, blue == 1)
+
+
+def symmetry_maps():
+    """The twelve maps on the codes: a colour permutation, then the complement or not.
+
+    A permutation ``perm`` of the colours, applied to cards and hands alike,
+    sends the card of colour c routed to hand h to the card of colour perm[c]
+    routed to hand perm[h].  The complement then sends each card to its other
+    allowed hand, the one of neither its colour nor its current hand.
+    """
+    code_of = {route: code for code, route in enumerate(_ROUTES)}
+    maps = {}
+    for perm in permutations(range(3)):
+        for complement in (False, True):
+            images = []
+            for route in _ROUTES:
+                image = [0, 0, 0]
+                for card, hand in enumerate(route):
+                    image[perm[card]] = perm[hand]
+                if complement:
+                    image = [3 - card - hand for card, hand in enumerate(image)]
+                images.append(code_of[tuple(image)])
+            maps[perm, complement] = tuple(images)
+    return maps
+
+
+def exponent(code):
+    """The loads of red's, green's and blue's hand under ``code``, each minus 1."""
+    return tuple(_ROUTES[code].count(hand) - 1 for hand in range(3))
+
+
+class TestTwelveSymmetries:
+    # The walk stores a twelfth of each power of the base and trusts the
+    # hexagon's twelve symmetries for the rest; in deal terms they are twelve
+    # maps on routings, derived here from the rule, not from laurent.
+
+    def test_the_twelve_maps_are_distinct(self):
+        assert len(set(symmetry_maps().values())) == 12
+
+    @pytest.mark.parametrize("n", range(EXHAUSTIVE_GUARD + 1))
+    def test_the_deals_are_closed_under_each_map(self, n):
+        deals = set(_routings(n, False))
+        for codes_map in symmetry_maps().values():
+            images = {(subset, tuple(codes_map[c] for c in codes)) for subset, codes in deals}
+            assert images == deals
+
+    def test_each_map_permutes_the_exponents_and_may_negate_them(self):
+        # the exponent maps of the hexagon, in (ex, ey, ez) = (red, green, blue)
+        for (perm, complement), codes_map in symmetry_maps().items():
+            sign = -1 if complement else 1
+            for code in _CODES:
+                permuted = [0, 0, 0]
+                for hand, e in enumerate(exponent(code)):
+                    permuted[perm[hand]] = sign * e
+                assert exponent(codes_map[code]) == tuple(permuted)
+
+    @pytest.mark.parametrize("n", range(EXHAUSTIVE_GUARD + 1))
+    def test_fixed_deals_per_map(self, n):
+        # the identity fixes every deal, the two 3-cycles 3**n, each complemented
+        # transposition red_prefix_sum(n), and the other six the empty deal alone
+        deals = list(_routings(n, False))
+        for (perm, complement), codes_map in symmetry_maps().items():
+            fixed = sum(all(codes_map[c] == c for c in codes) for _, codes in deals)
+            kind = (sum(p == c for c, p in enumerate(perm)), complement)
+            expected = {(3, False): lhs_sum(n), (0, False): 3**n, (1, True): red_prefix_sum(n)}
+            assert fixed == expected.get(kind, 1)
 
 
 def reference_routings(n, full_deck=False):

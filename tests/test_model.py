@@ -98,6 +98,33 @@ class TestValidateDeal:
             hands = ({Card(fake, color)} for color in (Color.GREEN, Color.BLUE, Color.RED))
             assert validate_deal(Deal(1, s, *hands)) == "range"
 
+    @pytest.mark.parametrize("fake_first", [False, True], ids=["int-first", "fake-first"])
+    @pytest.mark.parametrize("field", ["s", "red", "green", "blue"])
+    def test_a_field_holding_1_and_an_equal_fake_is_refused_in_either_order(
+        self, field, fake_first
+    ):
+        # frozenset kept whichever came first: S=[1, 1.0] validated, S=[1.0, 1] was "range"
+        for fake in (1.0, True):
+            fields = {"s": [1], "red": [G1], "green": [B1], "blue": [R1]}
+            (value,) = fields[field]
+            twin = fake if field == "s" else Card(fake, value.color)
+            fields[field] = [twin, value] if fake_first else [value, twin]
+            with pytest.raises(ValueError, match=f"^{field} must lie within 1..1$"):
+                Deal(1, **fields)
+
+    def test_a_repeated_int_or_card_still_merges(self):
+        merged = Deal(1, [1, 1], [G1, Card(1, Color.GREEN)], (B1, B1), iter([R1, R1]))
+        assert merged == Deal(1, {1}, {G1}, {B1}, {R1})
+        assert validate_deal(merged) is None
+
+    def test_a_repeated_value_with_no_exact_twin_merges_and_is_judged(self):
+        for fake in (1.0, True):
+            assert Deal(1, [fake, fake], (), (), ()).s == {1}
+            assert validate_deal(Deal(1, [fake, fake], [G1], [B1], [R1])) == "range"
+            twin = Card(fake, Color.GREEN)
+            assert validate_deal(Deal(1, [1], [twin, twin], [B1], [R1])) == "range"
+        assert validate_deal(Deal(1, [1], [None, None], [B1], [R1])) == "coverage"
+
     @pytest.mark.parametrize("fake", [True, 1.0, 0.5], ids=repr)
     def test_range_detected_for_a_deck_size_that_is_no_int(self, fake):
         # only n < 0 was tested: True passed as 1, and 1.0 reached range in a decoder
@@ -153,10 +180,19 @@ class TestDealStats:
         # an entry that is no Card has no denomination, and the checks read one
         (Deal(1, {1}, [1], (), ()), "coverage"),
         (Deal(1, {1}, [Card(1, Color.GREEN)], [None], [Card(1, Color.RED)]), "coverage"),
+        # a repeat with no exact twin merges, whatever it is, and is judged as one value
+        (Deal(1, {1}, [None, None], (), ()), "coverage"),
         # a Card out of range is still reported first
         (Deal(1, {1}, [Card(2, Color.GREEN)], [None], ()), "range"),
     ],
-    ids=["unsortable-set", "no-color", "int-entry", "none-entry", "range-before-no-card"],
+    ids=[
+        "unsortable-set",
+        "no-color",
+        "int-entry",
+        "none-entry",
+        "repeated-none-entry",
+        "range-before-no-card",
+    ],
 )
 def test_every_deal_validate_deal_judges_is_rejected_with_value_error(bad, kind):
     assert validate_deal(bad) == kind

@@ -284,6 +284,23 @@ def test_the_constant_term_never_goes_through_the_factorization():
     assert "identity_polynomials" not in reached
 
 
+def test_the_deal_rule_is_written_once_in_the_model_and_the_base_reads_it():
+    # the routings are built from the rule in model alone; the oracle and the
+    # constant term's base both read that table, never a copy of their own
+    writers = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and name.id == "_ROUTES"
+    ]
+    assert writers == ["model.py"]
+    assert "_ROUTES" in function_reads((PACKAGE / "laurent.py").read_text())["identity_polynomials"]
+    assert "_ROUTES" in imported_names((PACKAGE / "enumeration.py").read_text())
+
+
 # Each route to the count reads the deal model and nothing else of the package,
 # so none can borrow another's count; the bijections read the oracle's codes too.
 ROUTE_IMPORTS = {
