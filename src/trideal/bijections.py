@@ -7,20 +7,29 @@ form pins down a deal with a prescribed red denomination set.  In both,
 exactly as large as the deal family it maps onto (the exhaustive audits in
 the test suite and the ``audit`` CLI subcommand check this).
 
-Both bijections share one code form, the oracle's: a deal is the sorted
-denomination set plus one 3-bit routing code per denomination.  Each has one
-encoder, ``_*_codes(params) -> (subset, codes)``, and one decoder,
-``_*_params(n, subset, codes)``.  A code indexes the deal rule's route
-table, ``model._ROUTES``, whose order gives each bit its meaning: bit 2 of a
-code sends the denomination's red card to blue's hand (else green's), bit 1
-its green card to blue's hand (else red's), and bit 0 its blue card to
-green's hand (else red's).  So a code's low two bits say which cards red
-holds: 0 both off-color cards, 1 only the green one, 2 only the blue one, 3
-none.  One walk, ``_code_list``, writes the codes of both families and one
-split, ``_holdings``, reads them; the families differ only in which of their
-sets say that red holds the green card, that red holds the blue card and that
-blue holds the red card.  The public ``encode_*``/``decode_*`` functions wrap
-this form in ``Deal`` objects; the ``audit`` subcommand uses it directly.
+Both bijections share one form, denomination bitmasks: bit d - 1 of a mask
+stands for denomination d, and several sets pack their masks in order, ``n``
+bits a set.  A parameter set is its set fields so packed: ``g | b << n | r
+<< 2n`` for the full-deck form (green_in_red, blue_in_red, red_in_blue)
+and ``red | both << n | blue_only << 2n | extra << 3n | red_to_blue << 4n``
+for the red-set form.  A deal is the oracle's key (``enumeration._key``),
+``subset | plane2 << n | plane1 << 2n | plane0 << 3n``, where plane k holds
+the denominations whose routing code has bit k set.  A code indexes the deal
+rule's route table, ``model._ROUTES``, whose order gives each bit its
+meaning: bit 2 of a code sends the denomination's red card to blue's hand
+(else green's), bit 1 its green card to blue's hand (else red's), and bit 0
+its blue card to green's hand (else red's).  So red holds the green card of
+each denomination of the subset outside plane 1 and the blue card of each
+outside plane 0, and plane 2 is the red cards blue holds.  One packing,
+``_deal_key``, writes the key of both families from those three sets and
+one reading, ``_key_sets``, reads them back; the families differ only in
+how their fields give the sets.  Each encoder, ``_encode_*(n, params) ->
+key``, and each decoder, ``_decode_*(n, key) -> params``, is a handful of
+``& | ^ <<`` operations, with no loop over the denominations, and the mask
+streams ``_*_masks`` yield the parameters in the public order.  The public
+``iter_*_params``, ``encode_*`` and ``decode_*`` functions convert
+``*Params`` and ``Deal`` objects to and from these masks; the ``audit``
+subcommand uses the masks directly.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .enumeration import _codes, _deal, subsets_lex
+from .enumeration import _codes, _deal, _denoms, _key, _routing, subsets_lex
 from .model import (
     Deal,
     _Value,
@@ -102,66 +111,71 @@ def _check_full_deck(params: FullDeckParams) -> None:
         raise ValueError("need |red_in_blue| = |green_in_red|")
 
 
-def _code_list(
-    n: int, holds_green: Iterable[int], holds_blue: Iterable[int], to_blue: Iterable[int]
-) -> list[int]:
-    """The routing code of every denomination 1..n, from which sets hold it.
+def _mask(denoms: Iterable[int]) -> int:
+    """The bitmask of distinct denominations: bit d - 1 set for each d."""
+    return sum(1 << d - 1 for d in denoms)
 
-    Every code starts at 3 (red holds neither off-color card) and is
-    adjusted by a walk over each set, whose members must lie in 1..n:
-    red holds the green card (-2), red holds the blue card (-1), blue holds
-    the red card (+4).  Both families write their codes through this walk.
+
+def _params_mask(params: FullDeckParams | RedSetParams) -> int:
+    """A parameter set's set fields as masks, packed in field order, ``n`` bits a field."""
+    n, *fields = params._astuple(params)
+    return sum(_mask(field) << i * n for i, field in enumerate(fields))
+
+
+def _params(cls: type, n: int, mask: int) -> FullDeckParams | RedSetParams:
+    """The ``cls`` parameter set over 1..n that ``mask`` packs; the inverse of ``_params_mask``."""
+    full, fields = (1 << n) - 1, []
+    for _ in cls._LABELS:
+        fields.append(_denoms(mask & full))
+        mask >>= n
+    return cls(n, *fields)
+
+
+def _deal_key(n: int, subset: int, holds_green: int, holds_blue: int, to_blue: int) -> int:
+    """The key of the deal over ``subset`` whose holdings are given as masks within it.
+
+    Red holds the green card of each denomination of ``holds_green`` and the
+    blue card of each of ``holds_blue``; blue holds the red card of each of
+    ``to_blue``.  Both families write their keys through this packing.
     """
-    codes = [3] * n
-    for d in holds_green:
-        codes[d - 1] -= 2
-    for d in holds_blue:
-        codes[d - 1] -= 1
-    for d in to_blue:
-        codes[d - 1] += 4
-    return codes
+    return subset | to_blue << n | (subset ^ holds_green) << 2 * n | (subset ^ holds_blue) << 3 * n
 
 
-def _holdings(subset: tuple[int, ...], codes: tuple[int, ...]) -> tuple[list[int], ...]:
-    """Split a deal's (subset, routing codes) form by what each code says.
+def _key_sets(n: int, key: int) -> tuple[int, int, int, int]:
+    """A key's (subset, holds_green, holds_blue, to_blue) masks; the inverse of ``_deal_key``.
 
-    The first four lists are indexed by ``code & 3``: red holds both
-    off-color cards, only the green one, only the blue one, neither.  The
-    fifth lists the denominations whose red card blue holds (``code & 4``).
-    Both families read their codes through this split.
+    Both families read their keys through this split.
     """
-    holdings: tuple[list[int], ...] = ([], [], [], [], [])
-    for d, code in zip(subset, codes):
-        holdings[code & 3].append(d)
-        if code & 4:
-            holdings[4].append(d)
-    return holdings
+    subset = key & (1 << n) - 1
+    return subset, subset & ~(key >> 2 * n), subset & ~(key >> 3 * n), key >> n & subset
 
 
-def _full_deck_codes(params: FullDeckParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The full-deck deal as (denominations 1..n, routing codes)."""
-    codes = _code_list(params.n, params.green_in_red, params.blue_in_red, params.red_in_blue)
-    return tuple(range(1, params.n + 1)), tuple(codes)
+def _encode_full_deck(n: int, params: int) -> int:
+    """The key of the full-deck deal a parameter mask ``g | b << n | r << 2n`` pins down."""
+    full = (1 << n) - 1
+    return _deal_key(n, full, params & full, params >> n & full, params >> 2 * n)
 
 
-def _full_deck_params(n: int, subset: tuple[int, ...], codes: tuple[int, ...]) -> FullDeckParams:
-    """Read the three choice sets off a full-deck deal's (subset, routing codes) form."""
-    both, green, blue, _, to_blue = _holdings(subset, codes)
-    return FullDeckParams(n, both + green, both + blue, to_blue)
+def _decode_full_deck(n: int, key: int) -> int:
+    """The parameter mask of a full-deck deal's key."""
+    _, holds_green, holds_blue, to_blue = _key_sets(n, key)
+    return holds_green | holds_blue << n | to_blue << 2 * n
 
 
 def encode_full_deck(params: FullDeckParams) -> Deal:
     """Build the unique full-deck deal realizing the given choices."""
     _check_full_deck(params)
-    return _deal(params.n, *_full_deck_codes(params))
+    n = params.n
+    return _deal(n, *_routing(n, _encode_full_deck(n, _params_mask(params))))
 
 
 def decode_full_deck(deal: Deal) -> FullDeckParams:
     """Read the three choice sets back off a full-deck deal."""
     require_valid(deal)
-    if deal.s != frozenset(range(1, deal.n + 1)):
+    n = deal.n
+    if deal.s != frozenset(range(1, n + 1)):
         raise ValueError("not a full-deck deal: the denomination set must be all of 1..n")
-    return _full_deck_params(deal.n, *_codes(deal))
+    return _params(FullDeckParams, n, _decode_full_deck(n, _key(n, *_codes(deal))))
 
 
 class RedSetParams(_Value):
@@ -230,41 +244,78 @@ def _check_red_set(params: RedSetParams) -> None:
         raise ValueError("need |red_to_blue| = |both_colors| + |green_only|")
 
 
-def _red_set_codes(params: RedSetParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The red-set deal as (sorted denomination set, routing codes)."""
-    subset = tuple(sorted(params.red_denoms | params.extra))
-    holds_green = params.red_denoms - params.blue_only
-    holds_blue = params.both_colors | params.blue_only
-    codes = _code_list(params.n, holds_green, holds_blue, params.red_to_blue)
-    return subset, tuple(codes[d - 1] for d in subset)
+def _encode_red_set(n: int, params: int) -> int:
+    """The key of the deal a red-set parameter mask pins down.
+
+    The mask is ``red | both << n | blue_only << 2n | extra << 3n |
+    red_to_blue << 4n``; red holds the green card of ``red`` outside
+    ``blue_only`` and the blue card of ``both`` and ``blue_only``.
+    """
+    full = (1 << n) - 1
+    red, both = params & full, params >> n & full
+    blue_only, extra = params >> 2 * n & full, params >> 3 * n & full
+    return _deal_key(n, red | extra, red & ~blue_only, both | blue_only, params >> 4 * n)
 
 
-def _red_set_params(n: int, subset: tuple[int, ...], codes: tuple[int, ...]) -> RedSetParams:
-    """Read the choice sets off any deal's (subset, routing codes) form."""
-    both, green_only, blue_only, extra, to_blue = _holdings(subset, codes)
-    return RedSetParams(n, both + green_only + blue_only, both, blue_only, extra, to_blue)
+def _decode_red_set(n: int, key: int) -> int:
+    """The red-set parameter mask of any deal's key."""
+    subset, holds_green, holds_blue, to_blue = _key_sets(n, key)
+    red, both = holds_green | holds_blue, holds_green & holds_blue
+    blue_only, extra = holds_blue & ~holds_green, subset & ~red
+    return red | both << n | blue_only << 2 * n | extra << 3 * n | to_blue << 4 * n
 
 
 def encode_red_set(params: RedSetParams) -> Deal:
     """Build the unique deal whose red hand shows exactly ``red_denoms``."""
     _check_red_set(params)
-    return _deal(params.n, *_red_set_codes(params))
+    n = params.n
+    return _deal(n, *_routing(n, _encode_red_set(n, _params_mask(params))))
 
 
 def decode_red_set(deal: Deal) -> RedSetParams:
     """Read the choice sets back off any valid deal."""
     require_valid(deal)
-    return _red_set_params(deal.n, *_codes(deal))
+    n = deal.n
+    return _params(RedSetParams, n, _decode_red_set(n, _key(n, *_codes(deal))))
+
+
+def _full_deck_masks(n: int) -> Iterator[int]:
+    """Every full-deck parameter mask, in ``iter_full_deck_params`` order."""
+    _require_nonneg(n)
+    bits = tuple(1 << d for d in range(n))
+    # each size's subsets of 1..n as masks, in lexicographic order
+    masks = [list(map(sum, combinations(bits, size))) for size in range(n + 1)]
+    for greens in subsets_lex(bits):
+        reds = [mask << 2 * n for mask in masks[len(greens)]]
+        for blues in masks[n - len(greens)]:
+            yield from map((sum(greens) | blues << n).__or__, reds)
+
+
+def _red_set_masks(n: int, denoms: Iterable[int]) -> Iterator[int]:
+    """Every parameter mask for one red denomination set, in ``iter_red_set_params`` order."""
+    _require_nonneg(n)
+    given = tuple(denoms)
+    _require_within(n, given)
+    red = _mask(frozenset(given))
+    bits = tuple(1 << d for d in range(n))
+    red_bits = tuple(bit for bit in bits if bit & red)
+    outside = tuple(bit for bit in bits if not bit & red)
+    for both in subsets_lex(red_bits):
+        rest = tuple(bit for bit in red_bits if bit not in both)
+        for blue_only in subsets_lex(rest):
+            to_blue_size = len(both) + len(rest) - len(blue_only)
+            head = red | sum(both) << n | sum(blue_only) << 2 * n
+            for extra in combinations(outside, len(both)):
+                # red_to_blue's pool, its bits shifted into the field, in increasing order
+                pool = sorted(bit << 4 * n for bit in red_bits + extra)
+                fields = head | sum(extra) << 3 * n
+                yield from map(fields.__or__, map(sum, combinations(pool, to_blue_size)))
 
 
 def iter_full_deck_params(n: int) -> Iterator[FullDeckParams]:
     """All valid full-deck tuples, lexicographic by (green, blue, red) choice sets."""
-    _require_nonneg(n)
-    universe = tuple(range(1, n + 1))
-    for greens in subsets_lex(universe):
-        for blues in combinations(universe, n - len(greens)):
-            for reds in combinations(universe, len(greens)):
-                yield FullDeckParams(n, greens, blues, reds)
+    for mask in _full_deck_masks(n):
+        yield _params(FullDeckParams, n, mask)
 
 
 def iter_red_set_params(n: int, denoms: Iterable[int]) -> Iterator[RedSetParams]:
@@ -273,17 +324,5 @@ def iter_red_set_params(n: int, denoms: Iterable[int]) -> Iterator[RedSetParams]
     The stream is ordered by (both_colors, blue_only, extra, red_to_blue) as
     sorted tuples; its length is red_set_count(n, len(denoms)).
     """
-    _require_nonneg(n)
-    given = tuple(denoms)
-    _require_within(n, given)
-    red = frozenset(given)
-    red_denoms = tuple(sorted(red))
-    outside = tuple(d for d in range(1, n + 1) if d not in red)
-    for both in subsets_lex(red_denoms):
-        rest = tuple(d for d in red_denoms if d not in both)
-        for blue_only in subsets_lex(rest):
-            green_only_size = len(rest) - len(blue_only)
-            for extra in combinations(outside, len(both)):
-                pool = tuple(sorted(red_denoms + extra))
-                for red_to_blue in combinations(pool, len(both) + green_only_size):
-                    yield RedSetParams(n, red, both, blue_only, extra, red_to_blue)
+    for mask in _red_set_masks(n, denoms):
+        yield _params(RedSetParams, n, mask)

@@ -152,38 +152,50 @@ def _parse_denoms(text: str) -> frozenset[int]:
 
 
 def _audit(
-    n: int, params: Iterable, encode: Callable, decode: Callable, enumerated: list, expected: int
+    n: int,
+    kind: type,
+    params: Iterable[int],
+    encode: Callable[[int, int], int],
+    decode: Callable[[int, int], int],
+    enumerated: list[int],
+    expected: int,
 ) -> str | None:
     """Check one bijection against the oracle's deals; return what failed, else None.
 
-    Each parameter is encoded once into a routing -> parameter table, which
-    must match the deals and the closed form ``expected``.  One walk over the
-    deals then decodes each and encodes it again, so a drifting encoder fails.
+    Parameters and deals are masks (see ``bijections``).  Each parameter is
+    encoded once into a key -> parameter table, which must match the deals
+    and the closed form ``expected``.  One walk over the deals then decodes
+    each and encodes it again, so a drifting encoder fails.  A ``kind``
+    parameter set or a ``Deal`` is built only to name a failure.
     """
-    table: dict = {}
+    table: dict[int, int] = {}
     for p in params:
-        routing = encode(p)
-        if routing in table:
-            return f"encode collision: {table[routing].to_text()} and {p.to_text()}"
-        table[routing] = p
+        key = encode(n, p)
+        if key in table:
+            first, second = (bijections._params(kind, n, q).to_text() for q in (table[key], p))
+            return f"encode collision: {first} and {second}"
+        table[key] = p
     if not len(table) == len(enumerated) == expected or table.keys() != set(enumerated):
         return f"params={len(table)} enumerated={len(enumerated)} expected={expected}"
-    for routing in enumerated:
-        p = decode(n, *routing)
-        if p != table[routing]:
-            return f"decode(encode) roundtrip at {table[routing].to_text()}"
-        if encode(p) != routing:
-            return f"encode(decode) roundtrip at {deal_to_text(enumeration._deal(n, *routing))}"
+    for key in enumerated:
+        p = decode(n, key)
+        if p != table[key]:
+            text = bijections._params(kind, n, table[key]).to_text()
+            return f"decode(encode) roundtrip at {text}"
+        if encode(n, p) != key:
+            deal = enumeration._deal(n, *enumeration._routing(n, key))
+            return f"encode(decode) roundtrip at {deal_to_text(deal)}"
     return None
 
 
 def _audit_full_deck(n: int, allow_large: bool) -> int:
     # the oracle runs first, so the guard fires before any parameter is built
-    enumerated = list(enumeration._routings(n, allow_large, full_deck=True))
+    enumerated = enumeration._keys(n, allow_large, full_deck=True)
     print(f"audit full-deck n={n}")
-    params = bijections.iter_full_deck_params(n)
-    codec = bijections._full_deck_codes, bijections._full_deck_params
-    failure = _audit(n, params, *codec, enumerated, counting.franel(n))
+    params = bijections._full_deck_masks(n)
+    codec = bijections._encode_full_deck, bijections._decode_full_deck
+    expected = counting.franel(n)
+    failure = _audit(n, bijections.FullDeckParams, params, *codec, enumerated, expected)
     if failure:
         return _mismatch(f"FAIL {failure}")
     size = len(enumerated)
@@ -194,16 +206,17 @@ def _audit_full_deck(n: int, allow_large: bool) -> int:
 
 
 def _audit_red_set(n: int, allow_large: bool) -> int:
-    codec = bijections._red_set_codes, bijections._red_set_params
+    codec = bijections._encode_red_set, bijections._decode_red_set
     total = 0
     for denoms in enumeration.subsets_lex(tuple(range(1, n + 1))):
-        enumerated = list(enumeration._routings(n, allow_large, red_denoms=denoms))
+        enumerated = enumeration._keys(n, allow_large, red_denoms=denoms)
         # the first set, (), checks the arguments, so a usage error leaves stdout empty
         if not denoms:
             print(f"audit red-set n={n}")
         label = f"D={denom_set_text(denoms)}"
-        params = bijections.iter_red_set_params(n, denoms)
-        failure = _audit(n, params, *codec, enumerated, counting.red_set_count(n, len(denoms)))
+        params = bijections._red_set_masks(n, denoms)
+        expected = counting.red_set_count(n, len(denoms))
+        failure = _audit(n, bijections.RedSetParams, params, *codec, enumerated, expected)
         if failure:
             return _mismatch(f"FAIL {label}: {failure}")
         size = len(enumerated)
@@ -217,9 +230,9 @@ def _audit_red_set(n: int, allow_large: bool) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     """Exhaustively audit one of the two bijections at a given n.
 
-    Both audits go through ``_audit``, which compares the bijection's
-    (subset, codes) pairs with the oracle's ``_routings`` stream; a ``Deal``
-    is built only to name a failing one.
+    Both audits go through ``_audit``, which compares the bijection's mask
+    codec with the oracle's ``_keys``; a parameter set or a ``Deal`` is
+    built only to name a failing one.
     """
     if args.which == "full-deck":
         return _audit_full_deck(args.n, args.allow_large)

@@ -16,7 +16,9 @@ each subset with its join, heads with their groups of tails, and its readers
 take it a group at a time: counts add group sizes, the histograms add tallies
 of each tail group, and every printed line is a head's part of each hand
 followed by a tail's, parts formed once a head and once a tail a subset.
-``Deal`` objects are built only for the public ``enumerate_*`` streams, for
+The audits read the deals as keys, ``_keys``: one int a deal, packed the
+same way, a head's bits ORed with a tail's (``_key`` packs a routing and
+``_routing`` reads it back).  ``Deal`` objects are built only for the public ``enumerate_*`` streams, for
 the bijections' ``encode_*`` (through ``_deal``) and to name the deal a
 failing audit reports.
 Every closed-form count in the package is checked against the totals and
@@ -163,6 +165,59 @@ def _routings(
         for head, tails in joins
         for tail in tails
     )
+
+
+def _keys(n: int, allow_large: bool, **options: Any) -> list[int]:
+    """Every deal over 1..n as its key (see ``_key``), in ``_routings`` order.
+
+    Takes the options of ``_join_groups`` and reads its join groups: each
+    head is packed once and each tail once per subset, over its own
+    denominations, so a deal's key is its head's ORed with its tail's.
+    """
+    keys: list[int] = []
+    for subset, joins in _join_groups(n, allow_large, **options):
+        head_denoms, tail_denoms = subset[: len(subset) // 2], subset[len(subset) // 2 :]
+        tail_keys: dict[tuple[int, ...], list[int]] = {}
+        for head, tails in joins:
+            # a group is never empty and shares no tail with another, so its first tail names it
+            if tails[0] not in tail_keys:
+                tail_keys[tails[0]] = [_key(n, tail_denoms, tail) for tail in tails]
+            keys += map(_key(n, head_denoms, head).__or__, tail_keys[tails[0]])
+    return keys
+
+
+def _key(n: int, denoms: tuple[int, ...], codes: tuple[int, ...]) -> int:
+    """Pack denominations in 1..n and their routing codes into one int, the deal's key.
+
+    Bit d - 1 of each n-bit field stands for denomination d: the key is
+    ``subset | plane2 << n | plane1 << 2n | plane0 << 3n``, where plane k
+    holds the denominations whose code has bit k set.
+    """
+    key = 0
+    for d, code in zip(denoms, codes):
+        key |= (1 | (code >> 2 & 1) << n | (code >> 1 & 1) << 2 * n | (code & 1) << 3 * n) << d - 1
+    return key
+
+
+def _routing(n: int, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Read a key back into (subset, routing codes); the inverse of ``_key``."""
+    subset = tuple(_denoms(key & (1 << n) - 1))
+    plane2, plane1, plane0 = key >> n, key >> 2 * n, key >> 3 * n
+    codes = tuple(
+        (plane2 >> d - 1 & 1) << 2 | (plane1 >> d - 1 & 1) << 1 | plane0 >> d - 1 & 1
+        for d in subset
+    )
+    return subset, codes
+
+
+def _denoms(mask: int) -> list[int]:
+    """The denominations of a mask, increasing: d for each set bit d - 1."""
+    denoms = []
+    while mask:
+        low = mask & -mask
+        denoms.append(low.bit_length())
+        mask ^= low
+    return denoms
 
 
 def _deals(

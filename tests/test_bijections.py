@@ -1,16 +1,22 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trideal.bijections import (
     FullDeckParams,
     RedSetParams,
-    _code_list,
-    _full_deck_codes,
-    _full_deck_params,
-    _holdings,
-    _red_set_codes,
-    _red_set_params,
+    _deal_key,
+    _decode_full_deck,
+    _decode_red_set,
+    _encode_full_deck,
+    _encode_red_set,
+    _full_deck_masks,
+    _key_sets,
+    _params,
+    _params_mask,
+    _red_set_masks,
     decode_full_deck,
     decode_red_set,
     encode_full_deck,
@@ -22,6 +28,8 @@ from trideal.counting import franel, red_set_count
 from trideal.enumeration import (
     _ROUTES,
     _deal,
+    _key,
+    _routing,
     enumerate_deals,
     enumerate_deals_with_red_denoms,
     enumerate_full_deck_deals,
@@ -65,64 +73,125 @@ def reference_encode_red_set(params):
     return Deal(params.n, s, red, green, blue)
 
 
+# Readable references for the public order: each stream's loops over sorted tuples.
+
+
+def reference_full_deck_params(n):
+    universe = tuple(range(1, n + 1))
+    for greens in subsets_lex(universe):
+        for blues in combinations(universe, n - len(greens)):
+            for reds in combinations(universe, len(greens)):
+                yield FullDeckParams(n, greens, blues, reds)
+
+
+def reference_red_set_params(n, denoms):
+    outside = tuple(d for d in range(1, n + 1) if d not in denoms)
+    for both in subsets_lex(denoms):
+        rest = tuple(d for d in denoms if d not in both)
+        for blue_only in subsets_lex(rest):
+            for extra in combinations(outside, len(both)):
+                pool = tuple(sorted(denoms + extra))
+                for to_blue in combinations(pool, len(both) + len(rest) - len(blue_only)):
+                    yield RedSetParams(n, denoms, both, blue_only, extra, to_blue)
+
+
 class TestCodeForms:
+    # each mask stream runs in the public order, and each key's deal is the reference's
+
     def test_full_deck_codes_match_the_reference(self):
         for n in range(6):
-            for p in iter_full_deck_params(n):
-                subset, codes = _full_deck_codes(p)
-                assert subset == tuple(range(1, n + 1))
-                assert _deal(n, subset, codes) == reference_encode_full_deck(p)
-                assert _full_deck_params(n, subset, codes) == p
+            masks = _full_deck_masks(n)
+            for mask, p in zip(masks, reference_full_deck_params(n), strict=True):
+                assert _params(FullDeckParams, n, mask) == p and _params_mask(p) == mask
+                key = _encode_full_deck(n, mask)
+                assert _deal(n, *_routing(n, key)) == reference_encode_full_deck(p)
+                assert _decode_full_deck(n, key) == mask
 
     def test_red_set_codes_match_the_reference(self):
-        for n in range(5):
+        for n in range(6):
             for denoms in subsets_lex(tuple(range(1, n + 1))):
-                for p in iter_red_set_params(n, denoms):
-                    subset, codes = _red_set_codes(p)
-                    assert subset == tuple(sorted(p.red_denoms | p.extra))
-                    assert _deal(n, subset, codes) == reference_encode_red_set(p)
-                    assert _red_set_params(n, subset, codes) == p
+                masks = _red_set_masks(n, denoms)
+                for mask, p in zip(masks, reference_red_set_params(n, denoms), strict=True):
+                    assert _params(RedSetParams, n, mask) == p and _params_mask(p) == mask
+                    key = _encode_red_set(n, mask)
+                    assert _deal(n, *_routing(n, key)) == reference_encode_red_set(p)
+                    assert _decode_red_set(n, key) == mask
+
+
+@st.composite
+def full_deck_params(draw):
+    n = draw(st.integers(0, 16))
+    deck = range(1, n + 1)
+    green = draw(st.permutations(deck))[: draw(st.integers(0, n))]
+    blue = draw(st.permutations(deck))[len(green) :]
+    red = draw(st.permutations(deck))[: len(green)]
+    return FullDeckParams(n, green, blue, red)
+
+
+@st.composite
+def red_set_params(draw):
+    n = draw(st.integers(0, 16))
+    deck = draw(st.permutations(range(1, n + 1)))
+    size = draw(st.integers(0, n))
+    red, outside = deck[:size], deck[size:]
+    pairs = draw(st.integers(0, min(size, n - size)))
+    both, rest = red[:pairs], red[pairs:]
+    blue_only = rest[: draw(st.integers(0, len(rest)))]
+    extra = outside[:pairs]
+    to_blue = draw(st.permutations(red + extra))[: pairs + len(rest) - len(blue_only)]
+    return RedSetParams(n, red, both, blue_only, extra, to_blue)
+
+
+class TestCodecPastTheGuard:
+    # every field width up to 16 bits, n = 0 (empty fields) and n = 1 (one bit) included
+
+    @settings(max_examples=300, deadline=None)
+    @given(full_deck_params())
+    def test_full_deck_round_trip_and_reference(self, p):
+        deal = encode_full_deck(p)
+        assert deal == reference_encode_full_deck(p)
+        assert decode_full_deck(deal) == p
+
+    @settings(max_examples=300, deadline=None)
+    @given(red_set_params())
+    def test_red_set_round_trip_and_reference(self, p):
+        deal = encode_red_set(p)
+        assert deal == reference_encode_red_set(p)
+        assert decode_red_set(deal) == p
 
 
 # Whether red holds the green card, red holds the blue card, blue holds the red card.
-MEMBERSHIPS = list(product((False, True), repeat=3))
+MEMBERSHIPS = list(product((0, 1), repeat=3))
 
 
 class TestSharedCodec:
     # Both families route each denomination by the sets that hold it alone:
-    # the walk maps the eight membership patterns onto the eight codes, and
-    # the split reads each code back by itself.
+    # the packing maps the eight membership patterns onto one denomination's
+    # eight patterns of plane bits, and the split reads each back by itself.
 
     def test_the_eight_membership_patterns_give_the_eight_codes(self):
-        codes = [
-            _code_list(1, *([1] if member else [] for member in pattern))
-            for pattern in MEMBERSHIPS
-        ]
-        assert sorted(code for [code] in codes) == list(range(8))
-        assert codes == [[3 - 2 * green - blue + 4 * red] for green, blue, red in MEMBERSHIPS]
+        codes = [_routing(1, _deal_key(1, 1, *pattern)) for pattern in MEMBERSHIPS]
+        assert sorted(code for _, [code] in codes) == list(range(8))
+        expected = [3 - 2 * green - blue + 4 * red for green, blue, red in MEMBERSHIPS]
+        assert codes == [((1,), (code,)) for code in expected]
 
     @pytest.mark.parametrize("code", range(8))
     def test_the_split_files_each_code_alone(self, code):
-        holdings = _holdings((1,), (code,))
-        assert [held == [1] for held in holdings[:4]] == [i == code & 3 for i in range(4)]
-        assert holdings[4] == ([1] if code & 4 else [])
+        key = _key(1, (1,), (code,))
+        assert _key_sets(1, key) == (1, 1 - (code >> 1 & 1), 1 - (code & 1), code >> 2)
 
     @pytest.mark.parametrize("pattern", MEMBERSHIPS)
-    def test_the_split_inverts_the_walk(self, pattern):
-        green, blue, to_blue = ([1] if member else [] for member in pattern)
-        code = tuple(_code_list(1, green, blue, to_blue))
-        both, green_only, blue_only, _, read_to_blue = _holdings((1,), code)
-        assert (both + green_only, both + blue_only, read_to_blue) == (green, blue, to_blue)
+    def test_the_split_inverts_the_packing(self, pattern):
+        assert _key_sets(1, _deal_key(1, 1, *pattern)) == (1, *pattern)
 
     @pytest.mark.parametrize("code", range(8))
-    def test_the_walk_and_the_split_read_each_code_as_the_oracle_routes_it(self, code):
+    def test_the_packing_and_the_split_read_each_code_as_the_oracle_routes_it(self, code):
         # red holds the green card when it goes to hand 0, red holds the blue
         # card when it goes to hand 0, and blue holds the red card when it goes to hand 2
         red, green, blue = _ROUTES[code]
-        pattern = (green == 0, blue == 0, red == 2)
-        assert _code_list(1, *([1] if member else [] for member in pattern)) == [code]
-        both, green_only, blue_only, _, to_blue = _holdings((1,), (code,))
-        assert (1 in both + green_only, 1 in both + blue_only, 1 in to_blue) == pattern
+        pattern = (int(green == 0), int(blue == 0), int(red == 2))
+        assert _deal_key(1, 1, *pattern) == _key(1, (1,), (code,))
+        assert _key_sets(1, _key(1, (1,), (code,))) == (1, *pattern)
 
 
 class TestFullDeckEncode:
@@ -332,7 +401,7 @@ def test_a_denomination_equal_to_1_but_no_int_is_out_of_range(fake):
     ],
 )
 def test_a_subset_holding_a_value_equal_to_1_but_no_int_is_refused(field, base, fake):
-    # the subset tests compared by ==: 1.0 then failed in _code_list with
+    # the subset tests compared by ==: 1.0 then failed in the encoder with
     # TypeError, and True encoded a deal such as S={1};R=[b1];G=[r1];B=[g1]
     encode_red_set(base)
     fields = dict(zip(RedSetParams.__slots__, base._astuple(base)), **{field: {fake}})

@@ -393,8 +393,8 @@ class TestAudit:
 
             return record
 
-        monkeypatch.setattr(bijections, "iter_full_deck_params", spy("iter_full_deck_params"))
-        monkeypatch.setattr(bijections, "encode_full_deck", spy("encode_full_deck"))
+        monkeypatch.setattr(bijections, "_full_deck_masks", spy("_full_deck_masks"))
+        monkeypatch.setattr(bijections, "_encode_full_deck", spy("_encode_full_deck"))
         code, out, err = run(capsys, "audit", "--n", "30", "--which", "full-deck")
         assert code == 2
         assert out == ""
@@ -414,29 +414,31 @@ class TestAudit:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_full_deck_roundtrip_failure_names_the_deal(self, capsys, monkeypatch):
-        original, calls = bijections._full_deck_codes, []
+        original, calls = bijections._encode_full_deck, []
 
-        def drifting(params):
-            # honest for the franel(2) = 10 encodes, then flips the red card
+        def drifting(n, params):
+            # honest for the franel(2) = 10 encodes, then flips the red card:
+            # plane 2 XOR the subset
             calls.append(1)
-            subset, codes = original(params)
-            return (subset, codes) if len(calls) <= 10 else (subset, tuple(c ^ 4 for c in codes))
+            key = original(n, params)
+            return key if len(calls) <= 10 else key ^ (key & (1 << n) - 1) << n
 
-        monkeypatch.setattr(bijections, "_full_deck_codes", drifting)
+        monkeypatch.setattr(bijections, "_encode_full_deck", drifting)
         code, _, err = run(capsys, "audit", "--n", "2", "--which", "full-deck")
         assert code == 1
         assert err == "FAIL encode(decode) roundtrip at S={1,2};R=[g1,b1];G=[r1,b2];B=[r2,g2]\n"
 
     def test_red_set_roundtrip_failure_names_the_deal(self, capsys, monkeypatch):
-        original, calls = bijections._red_set_codes, []
+        original, calls = bijections._encode_red_set, []
 
-        def drifting(params):
-            # honest through D={} and the 4 encodes of D={1}, then flips the red card
+        def drifting(n, params):
+            # honest through D={} and the 4 encodes of D={1}, then flips the red
+            # card: plane 2 XOR the subset
             calls.append(1)
-            subset, codes = original(params)
-            return (subset, codes) if len(calls) <= 6 else (subset, tuple(c ^ 4 for c in codes))
+            key = original(n, params)
+            return key if len(calls) <= 6 else key ^ (key & (1 << n) - 1) << n
 
-        monkeypatch.setattr(bijections, "_red_set_codes", drifting)
+        monkeypatch.setattr(bijections, "_encode_red_set", drifting)
         code, out, err = run(capsys, "audit", "--n", "2", "--which", "red-set")
         assert code == 1
         assert out == "audit red-set n=2\nD={} params=1 image=1 enumerated=1 roundtrips=OK\n"
@@ -450,14 +452,13 @@ class TestAudit:
         ],
     )
     def test_a_repeated_deal_fails(self, capsys, monkeypatch, which, message):
-        original = enumeration._routings
+        original = enumeration._keys
 
         def repeating(*args, **kwargs):
-            stream = original(*args, **kwargs)
-            first = next(stream)
-            return iter((first, first, *stream))
+            first, *rest = original(*args, **kwargs)
+            return [first, first, *rest]
 
-        monkeypatch.setattr(enumeration, "_routings", repeating)
+        monkeypatch.setattr(enumeration, "_keys", repeating)
         code, _, err = run(capsys, "audit", "--n", "2", "--which", which)
         # the image still equals the set of enumerated deals; only the count tells
         assert (code, err) == (1, f"{message}\n")
@@ -467,30 +468,30 @@ class TestAudit:
         [
             (
                 "full-deck",
-                "_full_deck_codes",
-                lambda params: ((), ()),
+                "_encode_full_deck",
+                lambda n, params: 0,
                 "FAIL encode collision: green_in_red={};blue_in_red={1,2};red_in_blue={} and "
                 "green_in_red={1};blue_in_red={1};red_in_blue={1}",
             ),
             (
                 "full-deck",
-                "_full_deck_params",
-                lambda n, subset, codes: None,
+                "_decode_full_deck",
+                lambda n, key: None,
                 # the first enumerated deal's parameter, as the walk reads the deals
                 "FAIL decode(encode) roundtrip at green_in_red={1};blue_in_red={1};red_in_blue={2}",
             ),
             # D={} has the one empty routing, so this fake passes it and fails D={1}
             (
                 "red-set",
-                "_red_set_codes",
-                lambda params: ((), ()),
+                "_encode_red_set",
+                lambda n, params: 0,
                 "FAIL D={1}: encode collision: D={1};A={};B={};E={};R={1} and "
                 "D={1};A={};B={1};E={};R={}",
             ),
             (
                 "red-set",
-                "_red_set_params",
-                lambda n, subset, codes: None,
+                "_decode_red_set",
+                lambda n, key: None,
                 "FAIL D={}: decode(encode) roundtrip at D={};A={};B={};E={};R={}",
             ),
         ],
@@ -503,8 +504,8 @@ class TestAudit:
     @pytest.mark.parametrize(
         "which, encoder, decoder, deals",
         [
-            ("full-deck", "_full_deck_codes", "_full_deck_params", 346),
-            ("red-set", "_red_set_codes", "_red_set_params", 639),
+            ("full-deck", "_encode_full_deck", "_decode_full_deck", 346),
+            ("red-set", "_encode_red_set", "_decode_red_set", 639),
         ],
     )
     def test_each_deal_is_decoded_once_and_encoded_twice(
@@ -564,6 +565,26 @@ def test_audits_and_text_enumerate_build_no_deal(argv, capsys, monkeypatch):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.startswith(FIRST_LINES[argv])
+    assert calls == []
+
+
+@pytest.mark.parametrize("which", ["full-deck", "red-set"])
+def test_audits_build_no_parameter_set(which, capsys, monkeypatch):
+    # both audits run on masks; a decoder that built a parameter set per deal fails here
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for cls in (bijections.FullDeckParams, bijections.RedSetParams):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    code, out, _ = run(capsys, "audit", "--n", "4", "--which", which)
+    assert code == 0
+    assert out.endswith("PASS\n")
     assert calls == []
 
 

@@ -24,7 +24,10 @@ from trideal.enumeration import (
     _histograms,
     _join_groups,
     _joins,
+    _key,
+    _keys,
     _lines,
+    _routing,
     _routing_hands,
     _routings,
     STATISTICS,
@@ -291,19 +294,39 @@ class TestRoutings:
             shown = {tuple(d in red_denoms for d in subset) for subset in subsets}
             assert len(alphabets) == len(set(alphabets)) == len(shown)
 
-    def test_arguments_are_checked_before_the_stream_starts(self):
+    @pytest.mark.parametrize("stream", [_routings, _keys])
+    def test_arguments_are_checked_before_the_stream_starts(self, stream):
         # so enumerate can print its first line before the stream ends
         for full_deck in (False, True):
             with pytest.raises(GuardError):
-                _routings(EXHAUSTIVE_GUARD + 1, False, full_deck=full_deck)
+                stream(EXHAUSTIVE_GUARD + 1, False, full_deck=full_deck)
             with pytest.raises(ValueError):
-                _routings(-1, True, full_deck=full_deck)
+                stream(-1, True, full_deck=full_deck)
         with pytest.raises(GuardError):
-            _routings(EXHAUSTIVE_GUARD + 1, False, red_denoms=())
+            stream(EXHAUSTIVE_GUARD + 1, False, red_denoms=())
         with pytest.raises(ValueError, match="not within"):
-            _routings(2, False, red_denoms=(3,))
+            stream(2, False, red_denoms=(3,))
         with pytest.raises(ValueError, match="need n >= 0"):
-            _routings(-1, False, red_denoms=(1,))
+            stream(-1, False, red_denoms=(1,))
+
+
+def reference_key(n, subset, codes):
+    # the subset, then the denominations whose code sets bit 2, bit 1 and bit 0, n bits each
+    planes = [subset, *([d for d, c in zip(subset, codes) if c >> bit & 1] for bit in (2, 1, 0))]
+    return sum(1 << i * n + d - 1 for i, plane in enumerate(planes) for d in plane)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_keys_pack_the_routings_in_order(n):
+    # element for element, for the whole pass, the full deck and every red set
+    options = [{}, {"full_deck": True}]
+    options += [{"red_denoms": denoms} for denoms in subsets_lex(tuple(range(1, n + 1)))]
+    for option in options:
+        routings = list(_routings(n, True, **option))
+        keys = _keys(n, True, **option)
+        assert keys == [reference_key(n, *routing) for routing in routings]
+        assert [_key(n, *routing) for routing in routings] == keys
+        assert [_routing(n, key) for key in keys] == routings
 
 
 def test_code_text_and_code_reading_match_the_built_deal():

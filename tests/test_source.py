@@ -364,6 +364,7 @@ def test_the_oracle_has_one_join_loop_that_every_consumer_reads():
         "cli.cmd_enumerate",
         "cli.cmd_table",
         "enumeration._histograms",
+        "enumeration._keys",
         "enumeration._routings",
         "enumeration.count_deals",
     ]
@@ -413,7 +414,7 @@ def test_one_function_writes_the_n_check_and_every_range_check_reads_within():
         return sorted(function for function, read in reads.items() if name in read)
 
     checks = ["bijections._check_full_deck", "bijections._check_red_set", "model.validate_deal"]
-    streams = ["bijections.iter_red_set_params", "enumeration._join_groups"]
+    streams = ["bijections._red_set_masks", "enumeration._join_groups"]
     assert readers("_within") == sorted([*checks, "model._require_within"])
     assert readers("_require_within") == streams
     assert sum(path.read_text().count("not within 1..") for path in SOURCES) == 1
