@@ -28,8 +28,11 @@ key``, and each decoder, ``_decode_*(n, key) -> params``, is a handful of
 ``& | ^ <<`` operations, with no loop over the denominations, and the mask
 streams ``_*_masks`` yield the parameters in the public order.  The public
 ``iter_*_params``, ``encode_*`` and ``decode_*`` functions convert
-``*Params`` and ``Deal`` objects to and from these masks; the ``audit``
-subcommand uses the masks directly.
+``*Params`` objects to and from their masks, and a ``Deal`` to and from its
+key in one step each: ``encode_*`` builds the deal from its key with the
+oracle's ``_deal``, and ``decode_*`` reads the three sets off the deal's
+hands and packs them with ``_deal_key`` (``_held_key``).  The ``audit``
+subcommand uses the masks and keys directly.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .enumeration import _codes, _deal, _denoms, _key, _routing, subsets_lex
+from .enumeration import _deal, _denoms, subsets_lex
 from .model import (
+    Color,
     Deal,
     _Value,
-    _frozen,
     _require_nonneg,
     _require_within,
     _within,
@@ -92,10 +95,7 @@ class FullDeckParams(_Value):
         blue_in_red: Iterable[int],
         red_in_blue: Iterable[int],
     ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "green_in_red", _frozen("green_in_red", n, green_in_red))
-        object.__setattr__(self, "blue_in_red", _frozen("blue_in_red", n, blue_in_red))
-        object.__setattr__(self, "red_in_blue", _frozen("red_in_blue", n, red_in_blue))
+        self._set(n, green_in_red, blue_in_red, red_in_blue)
 
     to_text = _params_text
 
@@ -150,6 +150,14 @@ def _key_sets(n: int, key: int) -> tuple[int, int, int, int]:
     return subset, subset & ~(key >> 2 * n), subset & ~(key >> 3 * n), key >> n & subset
 
 
+def _held_key(deal: Deal) -> int:
+    """A valid deal's key: the three sets ``_deal_key`` packs, read off its hands."""
+    holds_green = _mask(card.denomination for card in deal.red if card.color is Color.GREEN)
+    holds_blue = _mask(card.denomination for card in deal.red if card.color is Color.BLUE)
+    to_blue = _mask(card.denomination for card in deal.blue if card.color is Color.RED)
+    return _deal_key(deal.n, _mask(deal.s), holds_green, holds_blue, to_blue)
+
+
 def _encode_full_deck(n: int, params: int) -> int:
     """The key of the full-deck deal a parameter mask ``g | b << n | r << 2n`` pins down."""
     full = (1 << n) - 1
@@ -165,17 +173,15 @@ def _decode_full_deck(n: int, key: int) -> int:
 def encode_full_deck(params: FullDeckParams) -> Deal:
     """Build the unique full-deck deal realizing the given choices."""
     _check_full_deck(params)
-    n = params.n
-    return _deal(n, *_routing(n, _encode_full_deck(n, _params_mask(params))))
+    return _deal(params.n, _encode_full_deck(params.n, _params_mask(params)))
 
 
 def decode_full_deck(deal: Deal) -> FullDeckParams:
     """Read the three choice sets back off a full-deck deal."""
     require_valid(deal)
-    n = deal.n
-    if deal.s != frozenset(range(1, n + 1)):
+    if deal.s != frozenset(range(1, deal.n + 1)):
         raise ValueError("not a full-deck deal: the denomination set must be all of 1..n")
-    return _params(FullDeckParams, n, _decode_full_deck(n, _key(n, *_codes(deal))))
+    return _params(FullDeckParams, deal.n, _decode_full_deck(deal.n, _held_key(deal)))
 
 
 class RedSetParams(_Value):
@@ -210,12 +216,7 @@ class RedSetParams(_Value):
         extra: Iterable[int],
         red_to_blue: Iterable[int],
     ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "red_denoms", _frozen("red_denoms", n, red_denoms))
-        object.__setattr__(self, "both_colors", _frozen("both_colors", n, both_colors))
-        object.__setattr__(self, "blue_only", _frozen("blue_only", n, blue_only))
-        object.__setattr__(self, "extra", _frozen("extra", n, extra))
-        object.__setattr__(self, "red_to_blue", _frozen("red_to_blue", n, red_to_blue))
+        self._set(n, red_denoms, both_colors, blue_only, extra, red_to_blue)
 
     @property
     def green_only(self) -> frozenset[int]:
@@ -268,15 +269,13 @@ def _decode_red_set(n: int, key: int) -> int:
 def encode_red_set(params: RedSetParams) -> Deal:
     """Build the unique deal whose red hand shows exactly ``red_denoms``."""
     _check_red_set(params)
-    n = params.n
-    return _deal(n, *_routing(n, _encode_red_set(n, _params_mask(params))))
+    return _deal(params.n, _encode_red_set(params.n, _params_mask(params)))
 
 
 def decode_red_set(deal: Deal) -> RedSetParams:
     """Read the choice sets back off any valid deal."""
     require_valid(deal)
-    n = deal.n
-    return _params(RedSetParams, n, _decode_red_set(n, _key(n, *_codes(deal))))
+    return _params(RedSetParams, deal.n, _decode_red_set(deal.n, _held_key(deal)))
 
 
 def _full_deck_masks(n: int) -> Iterator[int]:

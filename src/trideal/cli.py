@@ -183,7 +183,7 @@ def _audit(
             text = bijections._params(kind, n, table[key]).to_text()
             return f"decode(encode) roundtrip at {text}"
         if encode(n, p) != key:
-            deal = enumeration._deal(n, *enumeration._routing(n, key))
+            deal = enumeration._deal(n, key)
             return f"encode(decode) roundtrip at {deal_to_text(deal)}"
     return None
 

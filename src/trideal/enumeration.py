@@ -5,22 +5,22 @@ denomination: subsets in lexicographic order (as sorted tuples), then codes in
 increasing numeric order.  The eight codes are the routings the deal rule
 allows, each card to one of the two hands not of its color; ``model._ROUTES``
 holds them (hand positions by code) and is read here by the loads, the text
-routes, ``_deals`` (which makes ``Deal`` objects) and ``_codes`` (which reads
-them back).  Only franel(k) of the 8**k code tuples of a size-k subset are
-deals, so the loop forms just those: it joins a head and a tail of the tuple
-on their red and green loads (meet in the middle), never a closed form.  The
-deals whose red hand shows a given set of denominations are formed the same
-way, not filtered from the whole stream: the set fixes, for each
-denomination, whether its code puts a card in red's hand.  One pass lists
-each subset with its join, heads with their groups of tails, and its readers
-take it a group at a time: counts add group sizes, the histograms add tallies
-of each tail group, and every printed line is a head's part of each hand
-followed by a tail's, parts formed once a head and once a tail a subset.
+routes and ``_deals``, which makes ``Deal`` objects.  Only franel(k) of the
+8**k code tuples of a size-k subset are deals, so the loop forms just those:
+it joins a head and a tail of the tuple on their red and green loads (meet
+in the middle), never a closed form.  The deals whose red hand shows a given
+set of denominations are formed the same way, not filtered from the whole
+stream: the set fixes, for each denomination, whether its code puts a card
+in red's hand.  One pass lists each subset with its join, heads with their
+groups of tails, and its readers take it a group at a time: counts add group
+sizes, the histograms add tallies of each tail group, and every printed line
+is a head's part of each hand followed by a tail's, parts formed once a head
+and once a tail a subset.
 The audits read the deals as keys, ``_keys``: one int a deal, packed the
 same way, a head's bits ORed with a tail's (``_key`` packs a routing and
-``_routing`` reads it back).  ``Deal`` objects are built only for the public ``enumerate_*`` streams, for
-the bijections' ``encode_*`` (through ``_deal``) and to name the deal a
-failing audit reports.
+``_routing`` reads it back).  ``Deal`` objects are built only for the
+public ``enumerate_*`` streams and from a key by ``_deal``: for the
+bijections' ``encode_*`` and to name the deal a failing audit reports.
 Every closed-form count in the package is checked against the totals and
 histograms computed here.
 """
@@ -240,21 +240,10 @@ def _deals(
         yield Deal(n, subset, *hands)
 
 
-def _deal(n: int, subset: tuple[int, ...], codes: tuple[int, ...]) -> Deal:
-    (deal,) = _deals(n, [(subset, codes)])
+def _deal(n: int, key: int) -> Deal:
+    """The ``Deal`` over 1..n that a key packs (see ``_key``)."""
+    (deal,) = _deals(n, [_routing(n, key)])
     return deal
-
-
-def _codes(deal: Deal) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Read a valid deal back into (subset, routing codes); the inverse of ``_deal``."""
-    subset = tuple(sorted(deal.s))
-    codes = dict.fromkeys(subset, 0)
-    # code 7 sets every bit, so it names the hand each bit sends its card to
-    for bit, color, hand in zip((4, 2, 1), COLORS, _ROUTES[7]):
-        for card in deal.hand(COLORS[hand]):
-            if card.color is color:
-                codes[card.denomination] |= bit
-    return subset, tuple(codes.values())
 
 
 def _routing_hands(

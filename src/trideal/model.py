@@ -81,8 +81,9 @@ class _Value:
     tuples are equal; a value hashes as its field tuple, prints as
     ``Name(field=value, ...)`` and pickles and copies by calling its class
     with the fields.  Assigning or deleting any attribute raises
-    AttributeError, so a subclass's ``__init__`` sets each field with
-    ``object.__setattr__``.
+    AttributeError, so ``__init__`` sets the fields with
+    ``object.__setattr__``: ``Card`` its two directly, and ``Deal`` and the
+    parameter sets, whose fields are ``n`` and then sets, through ``_set``.
     """
 
     __slots__ = ()
@@ -101,6 +102,12 @@ class _Value:
     def __repr__(self) -> str:
         fields = zip(self.__slots__, self._astuple(self))
         return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def _set(self, n: int, *fields: Iterable) -> None:
+        """Set ``n``, then each field after it in ``__slots__`` order, frozen by ``_frozen``."""
+        object.__setattr__(self, "n", n)
+        for name, values in zip(self.__slots__[1:], fields):
+            object.__setattr__(self, name, _frozen(name, n, values))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -161,11 +168,7 @@ class Deal(_Value):
         green: Iterable[Card],
         blue: Iterable[Card],
     ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "s", _frozen("s", n, s))
-        object.__setattr__(self, "red", _frozen("red", n, red))
-        object.__setattr__(self, "green", _frozen("green", n, green))
-        object.__setattr__(self, "blue", _frozen("blue", n, blue))
+        self._set(n, s, red, green, blue)
 
     def hand(self, color: Color) -> frozenset[Card]:
         if color is Color.RED:

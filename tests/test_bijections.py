@@ -13,6 +13,7 @@ from trideal.bijections import (
     _encode_full_deck,
     _encode_red_set,
     _full_deck_masks,
+    _held_key,
     _key_sets,
     _params,
     _params_mask,
@@ -29,6 +30,7 @@ from trideal.enumeration import (
     _ROUTES,
     _deal,
     _key,
+    _keys,
     _routing,
     enumerate_deals,
     enumerate_deals_with_red_denoms,
@@ -104,7 +106,7 @@ class TestCodeForms:
             for mask, p in zip(masks, reference_full_deck_params(n), strict=True):
                 assert _params(FullDeckParams, n, mask) == p and _params_mask(p) == mask
                 key = _encode_full_deck(n, mask)
-                assert _deal(n, *_routing(n, key)) == reference_encode_full_deck(p)
+                assert _deal(n, key) == reference_encode_full_deck(p)
                 assert _decode_full_deck(n, key) == mask
 
     def test_red_set_codes_match_the_reference(self):
@@ -114,8 +116,18 @@ class TestCodeForms:
                 for mask, p in zip(masks, reference_red_set_params(n, denoms), strict=True):
                     assert _params(RedSetParams, n, mask) == p and _params_mask(p) == mask
                     key = _encode_red_set(n, mask)
-                    assert _deal(n, *_routing(n, key)) == reference_encode_red_set(p)
+                    assert _deal(n, key) == reference_encode_red_set(p)
                     assert _decode_red_set(n, key) == mask
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_the_held_key_reads_every_oracle_key_back_off_its_deal(n):
+    # the whole pass, the full deck and every red set, key for key
+    options = [{}, {"full_deck": True}]
+    options += [{"red_denoms": denoms} for denoms in subsets_lex(tuple(range(1, n + 1)))]
+    for option in options:
+        keys = _keys(n, True, **option)
+        assert [_held_key(_deal(n, key)) for key in keys] == keys
 
 
 @st.composite

@@ -302,7 +302,7 @@ def test_the_deal_rule_is_written_once_in_the_model_and_the_base_reads_it():
 
 
 # Each route to the count reads the deal model and nothing else of the package,
-# so none can borrow another's count; the bijections read the oracle's codes too.
+# so none can borrow another's count; the bijections read the oracle's deals too.
 ROUTE_IMPORTS = {
     "model": set(),
     "enumeration": {"model"},
@@ -383,6 +383,36 @@ def test_the_cli_has_one_roundtrip_walk_that_both_audits_share():
 
     assert readers("deal_to_text") == readers("_deal") == ["_audit"]
     assert readers("_audit") == ["_audit_full_deck", "_audit_red_set"]
+
+
+def setter_calls(node: ast.AST) -> int:
+    """How many ``object.__setattr__`` calls lie within a node."""
+    calls = (n for n in ast.walk(node) if isinstance(n, ast.Call))
+    return sum(ast.unparse(call.func) == "object.__setattr__" for call in calls)
+
+
+def test_a_deal_and_its_key_convert_in_one_step_and_one_setter_freezes_the_fields():
+    # bijections turns a key into a Deal through the oracle's _deal and reads
+    # a Deal's key off its hands itself, so it takes no routing codes
+    imported = [
+        alias.name
+        for node in ast.parse((PACKAGE / "bijections.py").read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.module == "enumeration"
+        for alias in node.names
+    ]
+    assert sorted(imported) == ["_deal", "_denoms", "subsets_lex"]
+    # Card sets its two fields; every other value sets n and its sets through _Value._set
+    methods = {
+        f"{node.name}.{method.name}": method
+        for node in ast.parse((PACKAGE / "model.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, ast.FunctionDef)
+    }
+    setters = sorted(name for name, method in methods.items() if setter_calls(method))
+    assert setters == ["Card.__init__", "_Value._set"]
+    everywhere = sum(setter_calls(ast.parse(path.read_text())) for path in SOURCES)
+    assert everywhere == sum(map(setter_calls, methods.values()))
 
 
 def test_only_main_turns_an_error_into_a_usage_line():
