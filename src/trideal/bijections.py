@@ -12,27 +12,22 @@ stands for denomination d, and several sets pack their masks in order, ``n``
 bits a set.  A parameter set is its set fields so packed: ``g | b << n | r
 << 2n`` for the full-deck form (green_in_red, blue_in_red, red_in_blue)
 and ``red | both << n | blue_only << 2n | extra << 3n | red_to_blue << 4n``
-for the red-set form.  A deal is the oracle's key (``enumeration._key``),
-``subset | plane2 << n | plane1 << 2n | plane0 << 3n``, where plane k holds
-the denominations whose routing code has bit k set.  A code indexes the deal
-rule's route table, ``model._ROUTES``, whose order gives each bit its
-meaning: bit 2 of a code sends the denomination's red card to blue's hand
-(else green's), bit 1 its green card to blue's hand (else red's), and bit 0
-its blue card to green's hand (else red's).  So red holds the green card of
-each denomination of the subset outside plane 1 and the blue card of each
-outside plane 0, and plane 2 is the red cards blue holds.  One packing,
-``_deal_key``, writes the key of both families from those three sets and
-one reading, ``_key_sets``, reads them back; the families differ only in
-how their fields give the sets.  Each encoder, ``_encode_*(n, params) ->
-key``, and each decoder, ``_decode_*(n, key) -> params``, is a handful of
-``& | ^ <<`` operations, with no loop over the denominations, and the mask
-streams ``_*_masks`` yield the parameters in the public order.  The public
-``iter_*_params``, ``encode_*`` and ``decode_*`` functions convert
-``*Params`` objects to and from their masks, and a ``Deal`` to and from its
-key in one step each: ``encode_*`` builds the deal from its key with the
-oracle's ``_deal``, and ``decode_*`` reads the three sets off the deal's
-hands and packs them with ``_deal_key`` (``_held_key``).  The ``audit``
-subcommand uses the masks and keys directly.
+for the red-set form.  A deal is the oracle's key, which ``enumeration``
+packs and reads: its subset and three holdings, the green cards red holds,
+the blue cards red holds and the red cards blue holds, each as a mask
+within the subset.  ``enumeration._deal_key`` packs a key from those four
+masks and ``_key_sets`` reads them back, so both families write and read
+their keys through one pair and differ only in how their fields give the
+holdings.  Each encoder, ``_encode_*(n, params) -> key``, and each decoder,
+``_decode_*(n, key) -> params``, is a handful of set operations on masks,
+with no loop over the denominations, and the mask streams ``_*_masks``
+yield the parameters in the public order.  The public ``iter_*_params``,
+``encode_*`` and ``decode_*`` functions convert ``*Params`` objects to and
+from their masks, and a ``Deal`` to and from its key in one step each:
+``encode_*`` builds the deal from its key with the oracle's ``_deal``, and
+``decode_*`` reads the holdings off the deal's hands and packs them with
+``_deal_key`` (``_held_key``).  The ``audit`` subcommand uses the masks and
+keys directly.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .enumeration import _deal, _denoms, subsets_lex
+from .enumeration import _deal, _deal_key, _denoms, _key_sets, subsets_lex
 from .model import (
     Color,
     Deal,
@@ -131,27 +126,8 @@ def _params(cls: type, n: int, mask: int) -> FullDeckParams | RedSetParams:
     return cls(n, *fields)
 
 
-def _deal_key(n: int, subset: int, holds_green: int, holds_blue: int, to_blue: int) -> int:
-    """The key of the deal over ``subset`` whose holdings are given as masks within it.
-
-    Red holds the green card of each denomination of ``holds_green`` and the
-    blue card of each of ``holds_blue``; blue holds the red card of each of
-    ``to_blue``.  Both families write their keys through this packing.
-    """
-    return subset | to_blue << n | (subset ^ holds_green) << 2 * n | (subset ^ holds_blue) << 3 * n
-
-
-def _key_sets(n: int, key: int) -> tuple[int, int, int, int]:
-    """A key's (subset, holds_green, holds_blue, to_blue) masks; the inverse of ``_deal_key``.
-
-    Both families read their keys through this split.
-    """
-    subset = key & (1 << n) - 1
-    return subset, subset & ~(key >> 2 * n), subset & ~(key >> 3 * n), key >> n & subset
-
-
 def _held_key(deal: Deal) -> int:
-    """A valid deal's key: the three sets ``_deal_key`` packs, read off its hands."""
+    """A valid deal's key: the three holdings ``_deal_key`` packs, read off its hands."""
     holds_green = _mask(card.denomination for card in deal.red if card.color is Color.GREEN)
     holds_blue = _mask(card.denomination for card in deal.red if card.color is Color.BLUE)
     to_blue = _mask(card.denomination for card in deal.blue if card.color is Color.RED)

@@ -5,23 +5,25 @@ denomination: subsets in lexicographic order (as sorted tuples), then codes in
 increasing numeric order.  The eight codes are the routings the deal rule
 allows, each card to one of the two hands not of its color; ``model._ROUTES``
 holds them (hand positions by code) and is read here by the loads, the text
-routes and ``_deals``, which makes ``Deal`` objects.  Only franel(k) of the
-8**k code tuples of a size-k subset are deals, so the loop forms just those:
-it joins a head and a tail of the tuple on their red and green loads (meet
-in the middle), never a closed form.  The deals whose red hand shows a given
-set of denominations are formed the same way, not filtered from the whole
-stream: the set fixes, for each denomination, whether its code puts a card
-in red's hand.  One pass lists each subset with its join, heads with their
-groups of tails, and its readers take it a group at a time: counts add group
-sizes, the histograms add tallies of each tail group, and every printed line
-is a head's part of each hand followed by a tail's, parts formed once a head
-and once a tail a subset.
-The audits read the deals as keys, ``_keys``: one int a deal, packed the
-same way, a head's bits ORed with a tail's (``_key`` packs a routing and
-``_routing`` reads it back).  ``Deal`` objects are built only for the
-public ``enumerate_*`` streams and from a key by ``_deal``: for the
-bijections' ``encode_*`` and to name the deal a failing audit reports.
-Every closed-form count in the package is checked against the totals and
+routes, the holdings and ``_deals``, which makes ``Deal`` objects.  Only
+franel(k) of the 8**k code tuples of a size-k subset are deals, so the loop
+forms just those: it joins a head and a tail of the tuple on their red and
+green loads (meet in the middle), never a closed form.  The deals whose red
+hand shows a given set of denominations are formed the same way, not
+filtered from the whole stream: the set fixes, for each denomination,
+whether its code puts a card in red's hand.  One pass lists each subset with
+its join, heads with their groups of tails, and its readers take it a group
+at a time: counts add group sizes, the histograms add tallies of each tail
+group, and every printed line is a head's part of each hand followed by a
+tail's, parts formed once a head and once a tail a subset.
+The audits read the deals as keys, ``_keys``: one int a deal, a head's bits
+ORed with a tail's.  A key is the subset and the three holdings each code
+gives (``_HOLDINGS``), an n-bit mask each; this module alone packs that
+layout, in ``_deal_key``, and reads it, in ``_key_sets``, and the bijections
+share the pair.  ``Deal`` objects are built only for the public
+``enumerate_*`` streams and from a key by ``_deal``: for the bijections'
+``encode_*`` and to name the deal a failing audit reports.  Every
+closed-form count in the package is checked against the totals and
 histograms computed here.
 """
 
@@ -71,6 +73,8 @@ _Alphabets = tuple[tuple[int, ...], ...]
 _Join = list[tuple[tuple[int, ...], list[tuple[int, ...]]]]
 # For each code, the hand and the letter of the red, green and blue card, in that order.
 _TEXT_ROUTES = tuple(tuple(zip(route, [color.value for color in COLORS])) for route in _ROUTES)
+# For each code, whether red holds the green card, red the blue card, blue the red card.
+_HOLDINGS = tuple((int(g == 0), int(b == 0), int(r == 2)) for r, g, b in _ROUTES)
 
 
 def subsets_lex(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -187,27 +191,37 @@ def _keys(n: int, allow_large: bool, **options: Any) -> list[int]:
 
 
 def _key(n: int, denoms: tuple[int, ...], codes: tuple[int, ...]) -> int:
-    """Pack denominations in 1..n and their routing codes into one int, the deal's key.
-
-    Bit d - 1 of each n-bit field stands for denomination d: the key is
-    ``subset | plane2 << n | plane1 << 2n | plane0 << 3n``, where plane k
-    holds the denominations whose code has bit k set.
-    """
+    """The key of denominations in 1..n and their codes: each one's ``_HOLDINGS``, packed."""
     key = 0
     for d, code in zip(denoms, codes):
-        key |= (1 | (code >> 2 & 1) << n | (code >> 1 & 1) << 2 * n | (code & 1) << 3 * n) << d - 1
+        key |= _deal_key(n, 1, *_HOLDINGS[code]) << d - 1
     return key
 
 
 def _routing(n: int, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Read a key back into (subset, routing codes); the inverse of ``_key``."""
-    subset = tuple(_denoms(key & (1 << n) - 1))
-    plane2, plane1, plane0 = key >> n, key >> 2 * n, key >> 3 * n
-    codes = tuple(
-        (plane2 >> d - 1 & 1) << 2 | (plane1 >> d - 1 & 1) << 1 | plane0 >> d - 1 & 1
-        for d in subset
-    )
-    return subset, codes
+    subset, green, blue, red = _key_sets(n, key)
+    denoms = _denoms(subset)
+    held = ((green >> d - 1 & 1, blue >> d - 1 & 1, red >> d - 1 & 1) for d in denoms)
+    return tuple(denoms), tuple(map(_HOLDINGS.index, held))
+
+
+def _deal_key(n: int, subset: int, holds_green: int, holds_blue: int, to_blue: int) -> int:
+    """The key of the deal over ``subset`` whose holdings are given as masks within it.
+
+    Bit d - 1 of each n-bit field stands for denomination d: the key is
+    ``subset | holds_green << n | holds_blue << 2n | to_blue << 3n``.  Red
+    holds the green card of each denomination of ``holds_green`` and the
+    blue card of each of ``holds_blue``; blue holds the red card of each of
+    ``to_blue``.  The oracle's keys and both bijections' are packed here.
+    """
+    return subset | holds_green << n | holds_blue << 2 * n | to_blue << 3 * n
+
+
+def _key_sets(n: int, key: int) -> tuple[int, int, int, int]:
+    """A key's (subset, holds_green, holds_blue, to_blue) masks; the inverse of ``_deal_key``."""
+    full = (1 << n) - 1
+    return key & full, key >> n & full, key >> 2 * n & full, key >> 3 * n
 
 
 def _denoms(mask: int) -> list[int]:

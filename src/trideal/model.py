@@ -263,8 +263,10 @@ def validate_deal(deal: Deal) -> str | None:
     # the deck size is held to _require_nonneg's rule, so a decoder's range gets an int
     if n.__class__ is not int or n < 0 or not _within(n, denoms):
         return "range"
-    expected = {Card(d, color) for d in deal.s for color in COLORS}
-    if len(all_cards) != len(expected) or set(all_cards) != expected:
+    # each card as its (denomination, color) pair; an entry that is not exactly a Card has none
+    held = {(card.denomination, card.color) for card in all_cards if card.__class__ is Card}
+    expected = set(product(deal.s, COLORS))
+    if len(all_cards) != len(expected) or held != expected:
         return "coverage"
     if any(len(deal.hand(color)) != len(deal.s) for color in COLORS):
         return "size"

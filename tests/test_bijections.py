@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from trideal.bijections import (
     FullDeckParams,
     RedSetParams,
-    _deal_key,
     _decode_full_deck,
     _decode_red_set,
     _encode_full_deck,
     _encode_red_set,
     _full_deck_masks,
     _held_key,
-    _key_sets,
     _params,
     _params_mask,
     _red_set_masks,
@@ -29,7 +27,9 @@ from trideal.counting import franel, red_set_count
 from trideal.enumeration import (
     _ROUTES,
     _deal,
+    _deal_key,
     _key,
+    _key_sets,
     _keys,
     _routing,
     enumerate_deals,

@@ -417,8 +417,8 @@ class TestAudit:
         original, calls = bijections._encode_full_deck, []
 
         def drifting(n, params):
-            # honest for the franel(2) = 10 encodes, then flips the red card:
-            # plane 2 XOR the subset
+            # honest for the franel(2) = 10 encodes, then flips the green cards
+            # red holds: the holds_green plane XOR the subset
             calls.append(1)
             key = original(n, params)
             return key if len(calls) <= 10 else key ^ (key & (1 << n) - 1) << n
@@ -432,8 +432,8 @@ class TestAudit:
         original, calls = bijections._encode_red_set, []
 
         def drifting(n, params):
-            # honest through D={} and the 4 encodes of D={1}, then flips the red
-            # card: plane 2 XOR the subset
+            # honest through D={} and the 4 encodes of D={1}, then flips the
+            # green cards red holds: the holds_green plane XOR the subset
             calls.append(1)
             key = original(n, params)
             return key if len(calls) <= 6 else key ^ (key & (1 << n) - 1) << n

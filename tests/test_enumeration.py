@@ -17,6 +17,7 @@ from trideal.enumeration import (
     EXHAUSTIVE_GUARD,
     _CODES,
     _GREEN_LOAD,
+    _HOLDINGS,
     _RED_LOAD,
     _ROUTES,
     _deal,
@@ -142,6 +143,20 @@ class TestRouteTable:
         red, green, blue = _ROUTES[code]
         bits = (bool(code & 4), bool(code & 2), bool(code & 1))
         assert bits == (red == 2, green == 2, blue == 1)
+
+    def test_each_code_gives_its_holdings(self):
+        # whether red holds the green card, red holds the blue card and blue
+        # holds the red card, written out here rather than read off the routes
+        assert _HOLDINGS == (
+            (1, 1, 0),
+            (1, 0, 0),
+            (0, 1, 0),
+            (0, 0, 0),
+            (1, 1, 1),
+            (1, 0, 1),
+            (0, 1, 1),
+            (0, 0, 1),
+        )
 
 
 def symmetry_maps():
@@ -310,8 +325,14 @@ class TestRoutings:
 
 
 def reference_key(n, subset, codes):
-    # the subset, then the denominations whose code sets bit 2, bit 1 and bit 0, n bits each
-    planes = [subset, *([d for d, c in zip(subset, codes) if c >> bit & 1] for bit in (2, 1, 0))]
+    # the subset, then the denominations whose green card red holds (bit 1 clear), whose
+    # blue card red holds (bit 0 clear) and whose red card blue holds (bit 2 set), n bits each
+    planes = [
+        subset,
+        [d for d, c in zip(subset, codes) if not c & 2],
+        [d for d, c in zip(subset, codes) if not c & 1],
+        [d for d, c in zip(subset, codes) if c & 4],
+    ]
     return sum(1 << i * n + d - 1 for i, plane in enumerate(planes) for d in plane)
 
 

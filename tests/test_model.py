@@ -147,6 +147,26 @@ class TestValidateDeal:
         bad = Deal(1, {1}, {g1}, {g1}, {Card.from_token("r1")})
         assert validate_deal(bad) == "coverage"
 
+    def test_an_entry_that_is_not_exactly_a_card_is_coverage(self):
+        # an instance of a subclass carries the same denomination and color, but is no Card
+        class Twin(Card):
+            pass
+
+        assert validate_deal(Deal(1, {1}, [G1], [B1], [R1])) is None
+        assert validate_deal(Deal(1, {1}, [Twin(1, Color.GREEN)], [B1], [R1])) == "coverage"
+
+    def test_builds_no_card(self, monkeypatch):
+        # coverage compares (denomination, color) pairs, so it needs no Card of its own
+        deals = list(enumerate_deals(3))
+        bad = deal(2, "S={1};R=[g1,b1];G=[r2,b2];B=[r1,g2]")
+
+        def refuse(*args):
+            raise AssertionError("validate_deal built a Card")
+
+        monkeypatch.setattr(Card, "__init__", refuse)
+        assert [validate_deal(d) for d in deals] == [None] * len(deals)
+        assert validate_deal(bad) == "coverage"
+
     def test_empty_deal_valid_for_any_n(self):
         for n in (0, 1, 4):
             assert validate_deal(Deal(n, (), (), (), ())) is None

@@ -301,6 +301,26 @@ def test_the_deal_rule_is_written_once_in_the_model_and_the_base_reads_it():
     assert "_ROUTES" in imported_names((PACKAGE / "enumeration.py").read_text())
 
 
+def test_one_module_owns_the_deal_key_and_reads_its_holdings_off_the_rule():
+    # enumeration alone packs and reads a key, through one holdings table built
+    # from the rule; bijections keeps set algebra on holdings and no code bit
+    definers = sorted(
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in ("_deal_key", "_key_sets")
+    )
+    assert definers == ["enumeration._deal_key", "enumeration._key_sets"]
+    tables = [
+        ast.unparse(node.value)
+        for node in ast.parse((PACKAGE / "enumeration.py").read_text()).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_HOLDINGS"
+    ]
+    assert len(tables) == 1 and "_ROUTES" in tables[0]
+    source = (PACKAGE / "bijections.py").read_text()
+    assert [token for token in ("_ROUTES", "_HOLDINGS", "^") if token in source] == []
+
+
 # Each route to the count reads the deal model and nothing else of the package,
 # so none can borrow another's count; the bijections read the oracle's deals too.
 ROUTE_IMPORTS = {
@@ -392,15 +412,16 @@ def setter_calls(node: ast.AST) -> int:
 
 
 def test_a_deal_and_its_key_convert_in_one_step_and_one_setter_freezes_the_fields():
-    # bijections turns a key into a Deal through the oracle's _deal and reads
-    # a Deal's key off its hands itself, so it takes no routing codes
+    # bijections turns a key into a Deal through the oracle's _deal and packs
+    # a Deal's holdings into its key through the oracle's _deal_key, so it
+    # takes no routing codes
     imported = [
         alias.name
         for node in ast.parse((PACKAGE / "bijections.py").read_text()).body
         if isinstance(node, ast.ImportFrom) and node.module == "enumeration"
         for alias in node.names
     ]
-    assert sorted(imported) == ["_deal", "_denoms", "subsets_lex"]
+    assert sorted(imported) == ["_deal", "_deal_key", "_denoms", "_key_sets", "subsets_lex"]
     # Card sets its two fields; every other value sets n and its sets through _Value._set
     methods = {
         f"{node.name}.{method.name}": method
