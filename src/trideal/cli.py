@@ -117,9 +117,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     The oracle's join groups are formed, and the arguments checked, before
     anything is written, so a usage error leaves stdout empty.  The text
-    form sums the groups for ``total=`` first.  Each head's lines go out in
-    one write.  No CSV field holds a comma, quote or newline, so plain
-    joins write what a CSV writer would.
+    form has ``enumeration`` count their deals for ``total=`` first.  Each
+    head's lines go out in one write.  No CSV field holds a comma, quote or
+    newline, so plain joins write what a CSV writer would.
     """
     denoms = None if args.red_denoms is None else _parse_denoms(args.red_denoms)
     groups = enumeration._join_groups(
@@ -129,7 +129,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.format == "csv":
         write("s,red,green,blue\n")
     else:
-        total = sum(len(tails) for _, joins in groups for _, tails in joins)
+        total = enumeration._deal_total(groups)
         write(f"n={args.n} total={total}\n")
     for block in enumeration._lines(groups, args.format):
         write(block)
@@ -290,9 +290,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     groups = enumeration._join_groups(args.n, args.allow_large)
     header = ("S", "#", "avoid red", "avoid green", "avoid blue")
     rows: list[tuple[str, ...]] = []
-    for subset, joins in sorted(groups, key=lambda group: (-len(group[0]), group[0])):
+    for subset, join in sorted(groups, key=lambda group: (-len(group[0]), group[0])):
         label = denom_set_text(subset)
-        for heads, tails in enumeration._hand_parts(subset, joins, ","):
+        for heads, tails in enumeration._hand_parts(subset, join, ","):
             for tail in tails:
                 hands = (f"[{head}{part}]" for head, part in zip(heads, tail))
                 rows.append((label, str(len(rows) + 1), *hands))

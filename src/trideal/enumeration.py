@@ -12,10 +12,10 @@ green loads (meet in the middle), never a closed form.  The deals whose red
 hand shows a given set of denominations are formed the same way, not
 filtered from the whole stream: the set fixes, for each denomination,
 whether its code puts a card in red's hand.  One pass lists each subset with
-its join, heads with their groups of tails, and its readers take it a group
-at a time: counts add group sizes, the histograms add tallies of each tail
-group, and every printed line is a head's part of each hand followed by a
-tail's, parts formed once a head and once a tail a subset.
+its join: heads, each with the index of its group of tails, and the groups,
+each listed once.  Counts add group sizes, the histograms add tallies of
+each tail group, and every printed line is a head's part of each hand
+followed by a tail's, parts formed once a head and once a tail a subset.
 The audits read the deals as keys, ``_keys``: one int a deal, a head's bits
 ORed with a tail's.  A key is the subset and the three holdings each code
 gives (``_HOLDINGS``), an n-bit mask each; this module alone packs that
@@ -69,8 +69,8 @@ _RED_FREE = tuple(code for code in _CODES if not _RED_LOAD[code])
 _RED_SHOWN = tuple(code for code in _CODES if _RED_LOAD[code])
 # The codes each position of a code tuple may take, one alphabet per position.
 _Alphabets = tuple[tuple[int, ...], ...]
-# Each head of routing codes with the tails that balance it, heads in increasing order.
-_Join = list[tuple[tuple[int, ...], list[tuple[int, ...]]]]
+# Heads in increasing order, each with the index of its tail group; then each met group once.
+_Join = tuple[list[tuple[tuple[int, ...], int]], list[list[tuple[int, ...]]]]
 # For each code, the hand and the letter of the red, green and blue card, in that order.
 _TEXT_ROUTES = tuple(tuple(zip(route, [color.value for color in COLORS])) for route in _ROUTES)
 # For each code, whether red holds the green card, red the blue card, blue the red card.
@@ -96,8 +96,8 @@ def _join_groups(
 ) -> list[tuple[tuple[int, ...], _Join]]:
     """Every deal over 1..n, a join group at a time, in canonical order.
 
-    Returns each subset with its join: each head of routing codes with the
-    tails that balance it (see ``_joins``), so head + tail, taken in order,
+    Returns each subset with its join (see ``_joins``): each head of routing
+    codes meets every tail of its group, so head + tail, taken in order,
     runs through the subset's deals.  With ``red_denoms``, only the deals
     whose red hand shows exactly those denominations: the subsets holding
     them, with codes outside ``_RED_FREE`` on those denominations and codes
@@ -127,25 +127,26 @@ def _join_groups(
 
 
 def _joins(alphabets: _Alphabets) -> _Join:
-    """Each head, drawn from the first ``size // 2`` alphabets, with the tails that balance it.
+    """(heads, groups): each head of the first ``size // 2`` alphabets with its tail group's index.
 
     A code tuple is balanced, and so a deal, when red's and green's loads both
     equal its size; blue's then does too.  Tails (drawn from the other
     alphabets) are grouped by load, so a head with loads (r, g) meets the group
-    (size - r, size - g).  Heads and each group keep increasing order, so
-    head + tail runs through the balanced tuples in increasing order.  Heads
-    with the same loads share one group, and no two groups share a tail.
+    (size - r, size - g).  Each group some head meets is listed once, numbered
+    in the order heads first meet it, and heads and each group keep increasing
+    order, so head + tail runs through the balanced tuples in increasing order.
     """
     size = len(alphabets)
     tails: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for tail, load in _loads(alphabets[size // 2 :]):
         tails.setdefault(load, []).append(tail)
-    joins = []
+    numbers: dict[tuple[int, int], int] = {}
+    heads = []
     for head, (red, green) in _loads(alphabets[: size // 2]):
-        group = tails.get((size - red, size - green))
-        if group:
-            joins.append((head, group))
-    return joins
+        load = (size - red, size - green)
+        if load in tails:
+            heads.append((head, numbers.setdefault(load, len(numbers))))
+    return heads, [tails[load] for load in numbers]
 
 
 def _loads(alphabets: _Alphabets) -> Iterator[tuple[tuple[int, ...], tuple[int, int]]]:
@@ -165,9 +166,9 @@ def _routings(
     """
     return (
         (subset, head + tail)
-        for subset, joins in _join_groups(n, allow_large, **options)
-        for head, tails in joins
-        for tail in tails
+        for subset, (heads, groups) in _join_groups(n, allow_large, **options)
+        for head, index in heads
+        for tail in groups[index]
     )
 
 
@@ -179,14 +180,11 @@ def _keys(n: int, allow_large: bool, **options: Any) -> list[int]:
     denominations, so a deal's key is its head's ORed with its tail's.
     """
     keys: list[int] = []
-    for subset, joins in _join_groups(n, allow_large, **options):
+    for subset, (heads, groups) in _join_groups(n, allow_large, **options):
         head_denoms, tail_denoms = subset[: len(subset) // 2], subset[len(subset) // 2 :]
-        tail_keys: dict[tuple[int, ...], list[int]] = {}
-        for head, tails in joins:
-            # a group is never empty and shares no tail with another, so its first tail names it
-            if tails[0] not in tail_keys:
-                tail_keys[tails[0]] = [_key(n, tail_denoms, tail) for tail in tails]
-            keys += map(_key(n, head_denoms, head).__or__, tail_keys[tails[0]])
+        tail_keys = [[_key(n, tail_denoms, tail) for tail in group] for group in groups]
+        for head, index in heads:
+            keys += map(_key(n, head_denoms, head).__or__, tail_keys[index])
     return keys
 
 
@@ -276,7 +274,7 @@ def _routing_hands(
 
 
 def _hand_parts(
-    subset: tuple[int, ...], joins: _Join, sep: str
+    subset: tuple[int, ...], join: _Join, sep: str
 ) -> Iterator[tuple[tuple[str, str, str], list[tuple[str, str, str]]]]:
     """Per head of ``subset``'s join, its part of each hand and each of its tails' parts.
 
@@ -284,21 +282,20 @@ def _hand_parts(
     and blue's hand, joined by ``sep``; a hand of a deal is its head part
     then its tail part.  Every hand holds ``len(subset)`` cards, so a head
     knows which hands its tail adds to, and its part of those ends in
-    ``sep``.  Each head's parts are formed once, and each tail's once per
-    subset.
+    ``sep``.  Each head's parts are formed once, and each tail group's
+    parts once, when the first head is read.
     """
     size = len(subset)
     head_denoms, tail_denoms = subset[: size // 2], subset[size // 2 :]
-    tail_parts: dict[tuple[int, ...], list[tuple[str, str, str]]] = {}
-    for head, tails in joins:
+    heads, groups = join
+    tail_parts = [
+        [tuple(map(sep.join, _routing_hands(tail_denoms, tail))) for tail in group]
+        for group in groups
+    ]
+    for head, index in heads:
         hands = _routing_hands(head_denoms, head)
-        heads = tuple(sep.join(hand) + sep * (0 < len(hand) < size) for hand in hands)
-        # a group is never empty and shares no tail with another, so its first tail names it
-        if tails[0] not in tail_parts:
-            tail_parts[tails[0]] = [
-                tuple(map(sep.join, _routing_hands(tail_denoms, tail))) for tail in tails
-            ]
-        yield heads, tail_parts[tails[0]]
+        parts = tuple(sep.join(hand) + sep * (0 < len(hand) < size) for hand in hands)
+        yield parts, tail_parts[index]
 
 
 def _lines(groups: Iterable[tuple[tuple[int, ...], _Join]], form: str) -> Iterator[str]:
@@ -310,12 +307,12 @@ def _lines(groups: Iterable[tuple[tuple[int, ...], _Join]], form: str) -> Iterat
     ahead of a fresh slot, and each of its tails fills those.
     """
     sep = "," if form == "text" else " "
-    for subset, joins in groups:
+    for subset, join in groups:
         if form == "text":
             line = f"S={denom_set_text(subset)};R=[%s];G=[%s];B=[%s]\n"
         else:
             line = f"{' '.join(map(str, subset))},%s,%s,%s\n"
-        for heads, tails in _hand_parts(subset, joins, sep):
+        for heads, tails in _hand_parts(subset, join, sep):
             deal = line % tuple(f"{part}%s" for part in heads)
             yield "".join(map(deal.__mod__, tails))
 
@@ -364,32 +361,29 @@ def _histograms(n: int, allow_large: bool) -> tuple[dict[int, int], dict[int, in
     by_size = dict.fromkeys(range(n + 1), 0)
     by_red = dict.fromkeys(range(n + 1), 0)
     tallies: dict[int, dict[int, int]] = {}
-    for subset, joins in groups:
+    for subset, join in groups:
         size = len(subset)
         if size not in tallies:
-            tallies[size] = _red_distinct_tally(joins)
+            tallies[size] = _red_distinct_tally(join)
         for red, deals in tallies[size].items():
             by_size[size] += deals
             by_red[red] += deals
     return by_size, by_red
 
 
-def _red_distinct_tally(joins: _Join) -> dict[int, int]:
+def _red_distinct_tally(join: _Join) -> dict[int, int]:
     """The deals of one join counted by red-distinct, read a head and a tail group at a time.
 
     A deal's red-distinct is its head's plus its tail's, so each tail group
     is tallied once and each head adds that tally, shifted by its own.
     """
+    heads, groups = join
+    reds = [[*map(_red_distinct, group)] for group in groups]
+    tallies = [{red: group.count(red) for red in set(group)} for group in reds]
     tally: dict[int, int] = {}
-    groups: dict[tuple[int, ...], dict[int, int]] = {}
-    for head, tails in joins:
-        # a group is never empty and shares no tail with another, so its first tail names it
-        if tails[0] not in groups:
-            group = groups[tails[0]] = {}
-            for red in map(_red_distinct, tails):
-                group[red] = group.get(red, 0) + 1
+    for head, index in heads:
         shift = _red_distinct(head)
-        for red, deals in groups[tails[0]].items():
+        for red, deals in tallies[index].items():
             tally[shift + red] = tally.get(shift + red, 0) + deals
     return tally
 
@@ -401,4 +395,9 @@ def _red_distinct(codes: tuple[int, ...]) -> int:
 
 def count_deals(n: int, *, allow_large: bool = False) -> int:
     """Total number of deals over denominations 1..n."""
-    return sum(len(tails) for _, joins in _join_groups(n, allow_large) for _, tails in joins)
+    return _deal_total(_join_groups(n, allow_large))
+
+
+def _deal_total(groups: Iterable[tuple[tuple[int, ...], _Join]]) -> int:
+    """How many deals ``_join_groups``' groups hold: each head meets every tail of its group."""
+    return sum(len(tails[index]) for _, (heads, tails) in groups for _, index in heads)

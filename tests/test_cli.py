@@ -311,7 +311,7 @@ class TestEnumerate:
         # out in one write before the next head is read.
         original, written, calls, when = enumeration._join_groups, [], [], []
 
-        class SpyJoin(list):
+        class SpyHeads(list):
             def __iter__(self):
                 for head in super().__iter__():
                     when.append(len(written))
@@ -319,7 +319,8 @@ class TestEnumerate:
 
         def spy_groups(*args, **kwargs):
             calls.append(args)
-            return [(subset, SpyJoin(joins)) for subset, joins in original(*args, **kwargs)]
+            groups = original(*args, **kwargs)
+            return [(subset, (SpyHeads(heads), tails)) for subset, (heads, tails) in groups]
 
         monkeypatch.setattr(enumeration, "_join_groups", spy_groups)
         monkeypatch.setattr(sys, "stdout", Recorder(sys.stdout, written))

@@ -3,6 +3,8 @@ from collections import Counter
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trideal import enumeration
 from trideal.counting import (
@@ -359,6 +361,32 @@ def test_code_text_and_code_reading_match_the_built_deal():
             assert [f"[{','.join(t)}]" for t in tokens] == [hand_text(h) for h in hands]
 
 
+# A code tuple's alphabets: up to five positions, each any non-empty sorted subset of the codes.
+alphabet_tuples = st.lists(
+    st.sets(st.sampled_from(_CODES), min_size=1).map(lambda codes: tuple(sorted(codes))),
+    max_size=5,
+).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alphabet_tuples)
+def test_a_join_lists_each_met_tail_group_once(alphabets):
+    size = len(alphabets)
+    heads, groups = _joins(alphabets)
+    # head + tail runs through the balanced tuples, in increasing order
+    balanced = [
+        codes
+        for codes in product(*alphabets)
+        if sum(_RED_LOAD[c] for c in codes) == sum(_GREEN_LOAD[c] for c in codes) == size
+    ]
+    assert [head + tail for head, index in heads for tail in groups[index]] == balanced
+    # each group is non-empty, shares no tail with another, and is numbered
+    # in the order heads first meet it, so every group is met
+    assert all(groups)
+    assert len({tail for group in groups for tail in group}) == sum(map(len, groups))
+    assert list(dict.fromkeys(index for _, index in heads)) == list(range(len(groups)))
+
+
 @pytest.mark.parametrize(
     "stream, options",
     [
@@ -406,7 +434,7 @@ class TestLines:
         for n, options in every_stream():
             deals = enumeration._deals(n, _routings(n, True, **options))
             texts = list(map(deal_to_text, deals))
-            heads = sum(len(joins) for _, joins in _join_groups(n, True, **options))
+            heads = sum(len(join[0]) for _, join in _join_groups(n, True, **options))
             for form, lines in (("text", texts), ("csv", list(map(csv_line, texts)))):
                 blocks = list(_lines(_join_groups(n, True, **options), form))
                 assert "".join(blocks).splitlines() == lines
@@ -425,12 +453,12 @@ class TestLines:
         monkeypatch.setattr(enumeration, "_routing_hands", counting_hands)
         groups = list(_join_groups(5, False))
         assert sum(1 for _ in _lines(groups, "text")) == 550
-        # per subset, its heads and the distinct tails of its join
+        # per subset, its heads and the distinct tails they meet
         expected = Counter()
-        for subset, joins in groups:
+        for subset, (heads, tails) in groups:
             head, tail = subset[: len(subset) // 2], subset[len(subset) // 2 :]
-            expected.update((head, h) for h, _ in joins)
-            expected.update((tail, t) for t in {t for _, tails in joins for t in tails})
+            expected.update((head, h) for h, _ in heads)
+            expected.update((tail, t) for t in {t for _, i in heads for t in tails[i]})
         assert Counter(rendered) == expected
         # rendering every deal whole would take 4653 calls
         assert len(rendered) < 4653
@@ -543,9 +571,9 @@ class TestHistogram:
         # one alphabet tuple per size: each head once, and each tail once
         allowed = Counter()
         for size in range(n + 1):
-            joins = _joins((_CODES,) * size)
-            allowed.update(head for head, _ in joins)
-            allowed.update({tail for _, tails in joins for tail in tails})
+            heads, groups = _joins((_CODES,) * size)
+            allowed.update(head for head, _ in heads)
+            allowed.update({tail for _, index in heads for tail in groups[index]})
         assert Counter(reads) <= allowed
         # one read per deal would be 272,835
         assert len(reads) <= 8000

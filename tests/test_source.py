@@ -393,6 +393,20 @@ def test_the_oracle_has_one_join_loop_that_every_consumer_reads():
     assert readers("_hand_parts") == ["cli.cmd_table", "enumeration._lines"]
 
 
+def test_a_join_lists_each_tail_group_once_so_no_reader_names_one_by_its_first_tail():
+    # _joins numbers the groups its heads meet, so readers index them and keep
+    # no memo keyed by a group's first tail; one helper counts a join's deals,
+    # so cli passes the join groups on and never looks inside one
+    assert not [path.name for path in SOURCES if "tails[0]" in path.read_text()]
+    reads = {
+        f"{module}.{function}": read
+        for module in ("enumeration", "cli")
+        for function, read in function_reads((PACKAGE / f"{module}.py").read_text()).items()
+    }
+    readers = sorted(function for function, read in reads.items() if "_deal_total" in read)
+    assert readers == ["cli.cmd_enumerate", "enumeration.count_deals"]
+
+
 def test_the_cli_has_one_roundtrip_walk_that_both_audits_share():
     # a failing deal is rebuilt and named in _audit alone, so no second
     # roundtrip loop (one per bijection, say) can survive beside it
