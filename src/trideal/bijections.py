@@ -23,11 +23,10 @@ holdings.  Each encoder, ``_encode_*(n, params) -> key``, and each decoder,
 with no loop over the denominations, and the mask streams ``_*_masks``
 yield the parameters in the public order.  The public ``iter_*_params``,
 ``encode_*`` and ``decode_*`` functions convert ``*Params`` objects to and
-from their masks, and a ``Deal`` to and from its key in one step each:
-``encode_*`` builds the deal from its key with the oracle's ``_deal``, and
-``decode_*`` reads the holdings off the deal's hands and packs them with
-``_deal_key`` (``_held_key``).  The ``audit`` subcommand uses the masks and
-keys directly.
+from their masks, and a ``Deal`` to and from its key in one step each,
+through ``enumeration``: ``encode_*`` builds the deal with ``_deal`` and
+``decode_*`` reads its key with ``_held_key``, so this module reads no
+hand.  The ``audit`` subcommand uses the masks and keys directly.
 """
 
 from __future__ import annotations
@@ -35,9 +34,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .enumeration import _deal, _deal_key, _denoms, _key_sets, subsets_lex
+from .enumeration import _deal, _deal_key, _denoms, _held_key, _key_sets, _mask, subsets_lex
 from .model import (
-    Color,
     Deal,
     _Value,
     _require_nonneg,
@@ -97,18 +95,13 @@ class FullDeckParams(_Value):
 
 def _check_full_deck(params: FullDeckParams) -> None:
     _require_nonneg(params.n)
-    for name in ("green_in_red", "blue_in_red", "red_in_blue"):
+    for name in params._LABELS:
         if not _within(params.n, getattr(params, name)):
             raise ValueError(f"{name} must lie within 1..{params.n}")
     if len(params.blue_in_red) != params.n - len(params.green_in_red):
         raise ValueError("need |blue_in_red| = n - |green_in_red|")
     if len(params.red_in_blue) != len(params.green_in_red):
         raise ValueError("need |red_in_blue| = |green_in_red|")
-
-
-def _mask(denoms: Iterable[int]) -> int:
-    """The bitmask of distinct denominations: bit d - 1 set for each d."""
-    return sum(1 << d - 1 for d in denoms)
 
 
 def _params_mask(params: FullDeckParams | RedSetParams) -> int:
@@ -124,14 +117,6 @@ def _params(cls: type, n: int, mask: int) -> FullDeckParams | RedSetParams:
         fields.append(_denoms(mask & full))
         mask >>= n
     return cls(n, *fields)
-
-
-def _held_key(deal: Deal) -> int:
-    """A valid deal's key: the three holdings ``_deal_key`` packs, read off its hands."""
-    holds_green = _mask(card.denomination for card in deal.red if card.color is Color.GREEN)
-    holds_blue = _mask(card.denomination for card in deal.red if card.color is Color.BLUE)
-    to_blue = _mask(card.denomination for card in deal.blue if card.color is Color.RED)
-    return _deal_key(deal.n, _mask(deal.s), holds_green, holds_blue, to_blue)
 
 
 def _encode_full_deck(n: int, params: int) -> int:

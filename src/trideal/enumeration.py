@@ -17,12 +17,13 @@ each listed once.  Counts add group sizes, the histograms add tallies of
 each tail group, and every printed line is a head's part of each hand
 followed by a tail's, parts formed once a head and once a tail a subset.
 The audits read the deals as keys, ``_keys``: one int a deal, a head's bits
-ORed with a tail's.  A key is the subset and the three holdings each code
-gives (``_HOLDINGS``), an n-bit mask each; this module alone packs that
-layout, in ``_deal_key``, and reads it, in ``_key_sets``, and the bijections
-share the pair.  ``Deal`` objects are built only for the public
-``enumerate_*`` streams and from a key by ``_deal``: for the bijections'
-``encode_*`` and to name the deal a failing audit reports.  Every
+ORed with a tail's.  A key is the subset and three holdings, an n-bit mask
+each, whose planes the one ``_PLANES`` table names.  This module holds both
+directions of every key conversion: packing and reading the layout
+(``_deal_key``, ``_key_sets``), a mask and its denominations (``_mask``,
+``_denoms``), and a ``Deal`` and its key (``_held_key``, ``_deal``, for the
+bijections and to name the deal a failing audit reports).  ``Deal`` objects
+are built only there and for the public ``enumerate_*`` streams.  Every
 closed-form count in the package is checked against the totals and
 histograms computed here.
 """
@@ -73,8 +74,11 @@ _Alphabets = tuple[tuple[int, ...], ...]
 _Join = tuple[list[tuple[tuple[int, ...], int]], list[list[tuple[int, ...]]]]
 # For each code, the hand and the letter of the red, green and blue card, in that order.
 _TEXT_ROUTES = tuple(tuple(zip(route, [color.value for color in COLORS])) for route in _ROUTES)
-# For each code, whether red holds the green card, red the blue card, blue the red card.
-_HOLDINGS = tuple((int(g == 0), int(b == 0), int(r == 2)) for r, g, b in _ROUTES)
+# The key's planes, each a card and the hand that holds it (0 red, 1 green, 2 blue):
+# red holds the green card, red the blue card, blue the red card.  For each code,
+# its holdings: whether it sends each plane's card to that plane's hand.
+_PLANES = ((1, 0), (2, 0), (0, 2))
+_HOLDINGS = tuple(tuple(int(route[card] == hand) for card, hand in _PLANES) for route in _ROUTES)
 
 
 def subsets_lex(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -208,10 +212,9 @@ def _deal_key(n: int, subset: int, holds_green: int, holds_blue: int, to_blue: i
     """The key of the deal over ``subset`` whose holdings are given as masks within it.
 
     Bit d - 1 of each n-bit field stands for denomination d: the key is
-    ``subset | holds_green << n | holds_blue << 2n | to_blue << 3n``.  Red
-    holds the green card of each denomination of ``holds_green`` and the
-    blue card of each of ``holds_blue``; blue holds the red card of each of
-    ``to_blue``.  The oracle's keys and both bijections' are packed here.
+    ``subset | holds_green << n | holds_blue << 2n | to_blue << 3n``, its
+    holdings in ``_PLANES`` order.  The oracle's keys and both bijections'
+    are packed here.
     """
     return subset | holds_green << n | holds_blue << 2 * n | to_blue << 3 * n
 
@@ -220,6 +223,11 @@ def _key_sets(n: int, key: int) -> tuple[int, int, int, int]:
     """A key's (subset, holds_green, holds_blue, to_blue) masks; the inverse of ``_deal_key``."""
     full = (1 << n) - 1
     return key & full, key >> n & full, key >> 2 * n & full, key >> 3 * n
+
+
+def _mask(denoms: Iterable[int]) -> int:
+    """The bitmask of distinct denominations, bit d - 1 for each d; the inverse of ``_denoms``."""
+    return sum(1 << d - 1 for d in denoms)
 
 
 def _denoms(mask: int) -> list[int]:
@@ -253,9 +261,16 @@ def _deals(
 
 
 def _deal(n: int, key: int) -> Deal:
-    """The ``Deal`` over 1..n that a key packs (see ``_key``)."""
+    """The ``Deal`` over 1..n that a key packs (see ``_key``); the inverse of ``_held_key``."""
     (deal,) = _deals(n, [_routing(n, key)])
     return deal
+
+
+def _held_key(deal: Deal) -> int:
+    """A valid deal's key: each plane's cards read off its hand (see ``_PLANES``), packed."""
+    planes = ((deal.hand(COLORS[hand]), COLORS[card]) for card, hand in _PLANES)
+    held = (_mask(c.denomination for c in hand if c.color is color) for hand, color in planes)
+    return _deal_key(deal.n, _mask(deal.s), *held)
 
 
 def _routing_hands(

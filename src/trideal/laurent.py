@@ -382,10 +382,9 @@ def base_power_text(n: int) -> Iterator[str]:
 def _degree_texts(frame: list[list[str | None]]) -> Iterator[str]:
     """The chunks of ``base_power_text`` from the frame of "c*" texts, "" for c = 1."""
     n = len(frame) // 2
-    # x^ex with its "*" at index n - ex, so ex descends along the list, and
-    # y^ey at index n + ey, each written as _monomial_text writes it
-    xs = ["" if ex == 0 else "x*" if ex == 1 else f"x^{ex}*" for ex in range(n, -n - 1, -1)]
-    ys = ["" if ey == 0 else "y" if ey == 1 else f"y^{ey}" for ey in range(-n, n + 1)]
+    # x^ex with its "*" at index n - ex, so ex descends along the list; y^ey at index n + ey
+    xs = [f"{_monomial_text(ex, 0)}*" if ex else "" for ex in range(n, -n - 1, -1)]
+    ys = [_monomial_text(0, ey) for ey in range(-n, n + 1)]
     for t in range(n, -n - 1, -1):
         # ey = low..high and ex = high..low: " + ", c*, x^ex and y^ey a term
         low, high = max(-n, t - n), min(n, t + n)

@@ -12,7 +12,6 @@ from trideal.bijections import (
     _encode_full_deck,
     _encode_red_set,
     _full_deck_masks,
-    _held_key,
     _params,
     _params_mask,
     _red_set_masks,
@@ -28,6 +27,7 @@ from trideal.enumeration import (
     _ROUTES,
     _deal,
     _deal_key,
+    _held_key,
     _key,
     _key_sets,
     _keys,

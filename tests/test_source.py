@@ -284,41 +284,56 @@ def test_the_constant_term_never_goes_through_the_factorization():
     assert "identity_polynomials" not in reached
 
 
-def test_the_deal_rule_is_written_once_in_the_model_and_the_base_reads_it():
-    # the routings are built from the rule in model alone; the oracle and the
-    # constant term's base both read that table, never a copy of their own
-    writers = [
+def writers(variable: str) -> list[str]:
+    """The package's files that assign ``variable``, once per assignment."""
+    return [
         path.name
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, (ast.Assign, ast.AnnAssign))
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         for name in ast.walk(target)
-        if isinstance(name, ast.Name) and name.id == "_ROUTES"
+        if isinstance(name, ast.Name) and name.id == variable
     ]
-    assert writers == ["model.py"]
+
+
+def test_the_deal_rule_is_written_once_in_the_model_and_the_base_reads_it():
+    # the routings are built from the rule in model alone; the oracle and the
+    # constant term's base both read that table, never a copy of their own
+    assert writers("_ROUTES") == ["model.py"]
     assert "_ROUTES" in function_reads((PACKAGE / "laurent.py").read_text())["identity_polynomials"]
     assert "_ROUTES" in imported_names((PACKAGE / "enumeration.py").read_text())
 
 
 def test_one_module_owns_the_deal_key_and_reads_its_holdings_off_the_rule():
-    # enumeration alone packs and reads a key, through one holdings table built
-    # from the rule; bijections keeps set algebra on holdings and no code bit
+    # enumeration alone packs and reads a key and turns a deal into its key and
+    # back, and names the key's planes once, in _PLANES, which both the holdings
+    # table built from the rule and _held_key read; bijections keeps set
+    # algebra on masks and keys, with no code bit, color or hand
+    conversions = ("_deal_key", "_key_sets", "_held_key", "_mask")
     definers = sorted(
         f"{path.stem}.{node.name}"
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.FunctionDef) and node.name in ("_deal_key", "_key_sets")
+        if isinstance(node, ast.FunctionDef) and node.name in conversions
     )
-    assert definers == ["enumeration._deal_key", "enumeration._key_sets"]
+    assert definers == sorted(f"enumeration.{name}" for name in conversions)
+    assert writers("_PLANES") == ["enumeration.py"]
+    source = (PACKAGE / "enumeration.py").read_text()
     tables = [
         ast.unparse(node.value)
-        for node in ast.parse((PACKAGE / "enumeration.py").read_text()).body
+        for node in ast.parse(source).body
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_HOLDINGS"
     ]
-    assert len(tables) == 1 and "_ROUTES" in tables[0]
+    assert len(tables) == 1 and "_ROUTES" in tables[0] and "_PLANES" in tables[0]
+    assert "_PLANES" in function_reads(source)["_held_key"]
     source = (PACKAGE / "bijections.py").read_text()
     assert [token for token in ("_ROUTES", "_HOLDINGS", "^") if token in source] == []
+    tree = ast.parse(source)
+    names = imported_names(source) | {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not names & {"Color", "COLORS"}
+    assert not attributes & {"red", "green", "blue", "hand", "hands"}
 
 
 # Each route to the count reads the deal model and nothing else of the package,
@@ -426,16 +441,18 @@ def setter_calls(node: ast.AST) -> int:
 
 
 def test_a_deal_and_its_key_convert_in_one_step_and_one_setter_freezes_the_fields():
-    # bijections turns a key into a Deal through the oracle's _deal and packs
-    # a Deal's holdings into its key through the oracle's _deal_key, so it
-    # takes no routing codes
+    # bijections turns a key into a Deal through the oracle's _deal and a Deal
+    # into its key through the oracle's _held_key, so it takes no routing
+    # codes and reads no hand
     imported = [
         alias.name
         for node in ast.parse((PACKAGE / "bijections.py").read_text()).body
         if isinstance(node, ast.ImportFrom) and node.module == "enumeration"
         for alias in node.names
     ]
-    assert sorted(imported) == ["_deal", "_deal_key", "_denoms", "_key_sets", "subsets_lex"]
+    assert sorted(imported) == [
+        "_deal", "_deal_key", "_denoms", "_held_key", "_key_sets", "_mask", "subsets_lex"
+    ]
     # Card sets its two fields; every other value sets n and its sets through _Value._set
     methods = {
         f"{node.name}.{method.name}": method
