@@ -190,7 +190,7 @@ def _audit(
 
 def _audit_full_deck(n: int, allow_large: bool) -> int:
     # the oracle runs first, so the guard fires before any parameter is built
-    enumerated = enumeration._keys(n, allow_large, full_deck=True)
+    enumerated = list(enumeration._keys(n, allow_large, full_deck=True))
     print(f"audit full-deck n={n}")
     params = bijections._full_deck_masks(n)
     codec = bijections._encode_full_deck, bijections._decode_full_deck
@@ -209,7 +209,7 @@ def _audit_red_set(n: int, allow_large: bool) -> int:
     codec = bijections._encode_red_set, bijections._decode_red_set
     total = 0
     for denoms in enumeration.subsets_lex(tuple(range(1, n + 1))):
-        enumerated = enumeration._keys(n, allow_large, red_denoms=denoms)
+        enumerated = list(enumeration._keys(n, allow_large, red_denoms=denoms))
         # the first set, (), checks the arguments, so a usage error leaves stdout empty
         if not denoms:
             print(f"audit red-set n={n}")

@@ -5,27 +5,27 @@ denomination: subsets in lexicographic order (as sorted tuples), then codes in
 increasing numeric order.  The eight codes are the routings the deal rule
 allows, each card to one of the two hands not of its color; ``model._ROUTES``
 holds them (hand positions by code) and is read here by the loads, the text
-routes, the holdings and ``_deals``, which makes ``Deal`` objects.  Only
-franel(k) of the 8**k code tuples of a size-k subset are deals, so the loop
-forms just those: it joins a head and a tail of the tuple on their red and
-green loads (meet in the middle), never a closed form.  The deals whose red
-hand shows a given set of denominations are formed the same way, not
-filtered from the whole stream: the set fixes, for each denomination,
-whether its code puts a card in red's hand.  One pass lists each subset with
-its join: heads, each with the index of its group of tails, and the groups,
-each listed once.  Counts add group sizes, the histograms add tallies of
-each tail group, and every printed line is a head's part of each hand
-followed by a tail's, parts formed once a head and once a tail a subset.
-The audits read the deals as keys, ``_keys``: one int a deal, a head's bits
-ORed with a tail's.  A key is the subset and three holdings, an n-bit mask
-each, whose planes the one ``_PLANES`` table names.  This module holds both
-directions of every key conversion: packing and reading the layout
-(``_deal_key``, ``_key_sets``), a mask and its denominations (``_mask``,
-``_denoms``), and a ``Deal`` and its key (``_held_key``, ``_deal``, for the
-bijections and to name the deal a failing audit reports).  ``Deal`` objects
-are built only there and for the public ``enumerate_*`` streams.  Every
-closed-form count in the package is checked against the totals and
-histograms computed here.
+routes, the holdings and the other hands.  Only franel(k) of the 8**k code
+tuples of a size-k subset are deals, so the loop forms just those: it joins
+a head and a tail of the tuple on their red and green loads (meet in the
+middle), never a closed form.  The deals whose red hand shows a given set of
+denominations are formed the same way, not filtered from the whole stream:
+the set fixes, for each denomination, whether its code puts a card in red's
+hand.  One pass lists each subset with its join: heads, each with the index
+of its group of tails, and the groups, each listed once.  Counts add group
+sizes, the histograms add tallies of each tail group, and every printed line
+is a head's part of each hand followed by a tail's, parts formed once a head
+and once a tail a subset.  The audits and the public ``enumerate_*`` streams
+read the deals as keys, ``_keys``: one int a deal, a head's bits ORed with a
+tail's.  A key is the subset and three holdings, an n-bit mask each, whose
+planes the one ``_PLANES`` table names.  This module holds both directions
+of every key conversion: packing and reading the layout (``_deal_key``,
+``_key_sets``), a mask and its denominations (``_mask``, ``_denoms``), and a
+``Deal`` and its key (``_deals``, ``_held_key``, both through ``_PLANES``).
+Every ``Deal`` the package builds comes from a key through ``_deals``: for
+the public streams, for the bijections (``_deal``, its one-key form) and to
+name the deal a failing audit reports.  Every closed-form count in the
+package is checked against the totals and histograms computed here.
 """
 
 from __future__ import annotations
@@ -79,6 +79,9 @@ _TEXT_ROUTES = tuple(tuple(zip(route, [color.value for color in COLORS])) for ro
 # its holdings: whether it sends each plane's card to that plane's hand.
 _PLANES = ((1, 0), (2, 0), (0, 2))
 _HOLDINGS = tuple(tuple(int(route[card] == hand) for card, hand in _PLANES) for route in _ROUTES)
+# For each plane, the hand its card goes to when the plane's hand does not hold
+# it: the card's other allowed hand, read off the routes.
+_OTHER_HANDS = tuple(({route[card] for route in _ROUTES} - {hand}).pop() for card, hand in _PLANES)
 
 
 def subsets_lex(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -160,36 +163,26 @@ def _loads(alphabets: _Alphabets) -> Iterator[tuple[tuple[int, ...], tuple[int, 
         yield codes, (red, sum(map(_GREEN_LOAD.__getitem__, codes)))
 
 
-def _routings(
-    n: int, allow_large: bool, **options: Any
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every deal over 1..n as (subset, routing codes): ``_join_groups`` flattened.
+def _keys(n: int, allow_large: bool, **options: Any) -> Iterator[int]:
+    """Every deal over 1..n as its key (see ``_key``), in canonical order.
 
     Takes the options of ``_join_groups``, which runs at the call, so the
-    arguments are checked and every join formed before the first deal.
+    arguments are checked and every join formed before the first key.
     """
     return (
-        (subset, head + tail)
-        for subset, (heads, groups) in _join_groups(n, allow_large, **options)
-        for head, index in heads
-        for tail in groups[index]
+        key
+        for subset, join in _join_groups(n, allow_large, **options)
+        for key in _join_keys(n, subset, join)
     )
 
 
-def _keys(n: int, allow_large: bool, **options: Any) -> list[int]:
-    """Every deal over 1..n as its key (see ``_key``), in ``_routings`` order.
-
-    Takes the options of ``_join_groups`` and reads its join groups: each
-    head is packed once and each tail once per subset, over its own
-    denominations, so a deal's key is its head's ORed with its tail's.
-    """
-    keys: list[int] = []
-    for subset, (heads, groups) in _join_groups(n, allow_large, **options):
-        head_denoms, tail_denoms = subset[: len(subset) // 2], subset[len(subset) // 2 :]
-        tail_keys = [[_key(n, tail_denoms, tail) for tail in group] for group in groups]
-        for head, index in heads:
-            keys += map(_key(n, head_denoms, head).__or__, tail_keys[index])
-    return keys
+def _join_keys(n: int, subset: tuple[int, ...], join: _Join) -> Iterator[int]:
+    """The keys of ``subset``'s join in order, each head and each tail packed once: head | tail."""
+    head_denoms, tail_denoms = subset[: len(subset) // 2], subset[len(subset) // 2 :]
+    heads, groups = join
+    tail_keys = [[_key(n, tail_denoms, tail) for tail in group] for group in groups]
+    for head, index in heads:
+        yield from map(_key(n, head_denoms, head).__or__, tail_keys[index])
 
 
 def _key(n: int, denoms: tuple[int, ...], codes: tuple[int, ...]) -> int:
@@ -198,14 +191,6 @@ def _key(n: int, denoms: tuple[int, ...], codes: tuple[int, ...]) -> int:
     for d, code in zip(denoms, codes):
         key |= _deal_key(n, 1, *_HOLDINGS[code]) << d - 1
     return key
-
-
-def _routing(n: int, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Read a key back into (subset, routing codes); the inverse of ``_key``."""
-    subset, green, blue, red = _key_sets(n, key)
-    denoms = _denoms(subset)
-    held = ((green >> d - 1 & 1, blue >> d - 1 & 1, red >> d - 1 & 1) for d in denoms)
-    return tuple(denoms), tuple(map(_HOLDINGS.index, held))
 
 
 def _deal_key(n: int, subset: int, holds_green: int, holds_blue: int, to_blue: int) -> int:
@@ -240,29 +225,37 @@ def _denoms(mask: int) -> list[int]:
     return denoms
 
 
-def _deals(
-    n: int, routings: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]
-) -> Iterator[Deal]:
-    """Each (subset, routing codes) pair as a ``Deal`` over 1..n.
+def _deals(n: int, keys: Iterable[int]) -> Iterator[Deal]:
+    """Each key (see ``_key``) as a ``Deal`` over 1..n.
 
-    The deals share one ``Card`` per (denomination, color), made the first
-    time a routing deals that denomination.
+    Each plane's card goes to the plane's hand where the plane's mask holds
+    the denomination, and to ``_OTHER_HANDS``' hand where it does not.  The
+    deals share one ``Card`` per (denomination, color), made the first time
+    a key deals that denomination, and each subset's denominations are read
+    off its mask once.
     """
     cards: dict[int, tuple[Card, Card, Card]] = {}
-    for subset, codes in routings:
+    # each subset's denominations, and each one's bit and red, green and blue card
+    dealt: dict[int, tuple[list[int], list[tuple[int, tuple[Card, Card, Card]]]]] = {}
+    for key in keys:
+        subset, *planes = _key_sets(n, key)
+        if subset not in dealt:
+            denoms = _denoms(subset)
+            for denom in denoms:
+                if denom not in cards:
+                    cards[denom] = tuple(Card(denom, color) for color in COLORS)
+            dealt[subset] = denoms, [(1 << denom - 1, cards[denom]) for denom in denoms]
+        denoms, triples = dealt[subset]
         hands: tuple[list[Card], list[Card], list[Card]] = ([], [], [])
-        for denom, code in zip(subset, codes):
-            triple = cards.get(denom)
-            if triple is None:
-                triple = cards[denom] = tuple(Card(denom, color) for color in COLORS)
-            for card, hand in zip(triple, _ROUTES[code]):
-                hands[hand].append(card)
-        yield Deal(n, subset, *hands)
+        for (card, hand), other, plane in zip(_PLANES, _OTHER_HANDS, planes):
+            for bit, triple in triples:
+                hands[hand if plane & bit else other].append(triple[card])
+        yield Deal(n, denoms, *hands)
 
 
 def _deal(n: int, key: int) -> Deal:
-    """The ``Deal`` over 1..n that a key packs (see ``_key``); the inverse of ``_held_key``."""
-    (deal,) = _deals(n, [_routing(n, key)])
+    """The ``Deal`` over 1..n a key packs, by ``_deals``; the inverse of ``_held_key``."""
+    (deal,) = _deals(n, [key])
     return deal
 
 
@@ -338,19 +331,19 @@ def enumerate_deals(n: int, *, allow_large: bool = False) -> Iterator[Deal]:
     Only routings that give every hand the same size are formed, so each
     yielded deal is valid by construction.
     """
-    yield from _deals(n, _routings(n, allow_large))
+    yield from _deals(n, _keys(n, allow_large))
 
 
 def enumerate_full_deck_deals(n: int, *, allow_large: bool = False) -> Iterator[Deal]:
     """Deals whose denomination set is all of 1..n."""
-    yield from _deals(n, _routings(n, allow_large, full_deck=True))
+    yield from _deals(n, _keys(n, allow_large, full_deck=True))
 
 
 def enumerate_deals_with_red_denoms(
     n: int, denoms: Iterable[int], *, allow_large: bool = False
 ) -> Iterator[Deal]:
     """Deals whose red hand shows exactly the given denominations."""
-    yield from _deals(n, _routings(n, allow_large, red_denoms=tuple(denoms)))
+    yield from _deals(n, _keys(n, allow_large, red_denoms=tuple(denoms)))
 
 
 def histogram(n: int, statistic: str, *, allow_large: bool = False) -> dict[int, int]:

@@ -171,11 +171,14 @@ class Deal(_Value):
         self._set(n, s, red, green, blue)
 
     def hand(self, color: Color) -> frozenset[Card]:
+        """The hand of the player who avoids ``color``; ValueError unless it is a ``Color``."""
         if color is Color.RED:
             return self.red
         if color is Color.GREEN:
             return self.green
-        return self.blue
+        if color is Color.BLUE:
+            return self.blue
+        raise ValueError(f"not a color: {color!r}")
 
     @property
     def hands(self) -> dict[Color, frozenset[Card]]:

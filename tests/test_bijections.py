@@ -31,13 +31,12 @@ from trideal.enumeration import (
     _key,
     _key_sets,
     _keys,
-    _routing,
     enumerate_deals,
     enumerate_deals_with_red_denoms,
     enumerate_full_deck_deals,
     subsets_lex,
 )
-from trideal.model import Card, Color, Deal, deal_from_text, validate_deal
+from trideal.model import COLORS, Card, Color, Deal, deal_from_text, validate_deal
 
 
 def deal(n, text):
@@ -126,7 +125,7 @@ def test_the_held_key_reads_every_oracle_key_back_off_its_deal(n):
     options = [{}, {"full_deck": True}]
     options += [{"red_denoms": denoms} for denoms in subsets_lex(tuple(range(1, n + 1)))]
     for option in options:
-        keys = _keys(n, True, **option)
+        keys = list(_keys(n, True, **option))
         assert [_held_key(_deal(n, key)) for key in keys] == keys
 
 
@@ -182,10 +181,19 @@ class TestSharedCodec:
     # eight patterns of plane bits, and the split reads each back by itself.
 
     def test_the_eight_membership_patterns_give_the_eight_codes(self):
-        codes = [_routing(1, _deal_key(1, 1, *pattern)) for pattern in MEMBERSHIPS]
-        assert sorted(code for _, [code] in codes) == list(range(8))
+        # each pattern's routing: the hand (red 0, green 1, blue 2) its deal
+        # puts the red, the green and the blue card in
+        deals = [_deal(1, _deal_key(1, 1, *pattern)) for pattern in MEMBERSHIPS]
+        hands = [(deal.red, deal.green, deal.blue) for deal in deals]
+        routes = [
+            tuple(next(h for h, hand in enumerate(held) if Card(1, c) in hand) for c in COLORS)
+            for held in hands
+        ]
+        assert sorted(routes) == sorted(_ROUTES)
         expected = [3 - 2 * green - blue + 4 * red for green, blue, red in MEMBERSHIPS]
-        assert codes == [((1,), (code,)) for code in expected]
+        assert routes == [_ROUTES[code] for code in expected]
+        # and decode reads each pattern back off its deal alone
+        assert [_key_sets(1, _held_key(deal)) for deal in deals] == [(1, *p) for p in MEMBERSHIPS]
 
     @pytest.mark.parametrize("code", range(8))
     def test_the_split_files_each_code_alone(self, code):

@@ -28,10 +28,9 @@ from trideal.enumeration import (
     _joins,
     _key,
     _keys,
+    _key_sets,
     _lines,
-    _routing,
     _routing_hands,
-    _routings,
     STATISTICS,
     GuardError,
     count_deals,
@@ -42,7 +41,9 @@ from trideal.enumeration import (
     subsets_lex,
 )
 from trideal.model import (
+    COLORS,
     Card,
+    Deal,
     deal_from_text,
     deal_stats,
     deal_to_text,
@@ -200,7 +201,7 @@ class TestTwelveSymmetries:
 
     @pytest.mark.parametrize("n", range(EXHAUSTIVE_GUARD + 1))
     def test_the_deals_are_closed_under_each_map(self, n):
-        deals = set(_routings(n, False))
+        deals = set(reference_routings(n))
         for codes_map in symmetry_maps().values():
             images = {(subset, tuple(codes_map[c] for c in codes)) for subset, codes in deals}
             assert images == deals
@@ -219,7 +220,7 @@ class TestTwelveSymmetries:
     def test_fixed_deals_per_map(self, n):
         # the identity fixes every deal, the two 3-cycles 3**n, each complemented
         # transposition red_prefix_sum(n), and the other six the empty deal alone
-        deals = list(_routings(n, False))
+        deals = list(reference_routings(n))
         for (perm, complement), codes_map in symmetry_maps().items():
             fixed = sum(all(codes_map[c] == c for c in codes) for _, codes in deals)
             kind = (sum(p == c for c, p in enumerate(perm)), complement)
@@ -243,6 +244,47 @@ def reference_red_set(subset, codes):
     return tuple(d for d, code in zip(subset, codes) if 0 in _ROUTES[code])
 
 
+def reference_streams(n, kind):
+    """Each stream of one kind at n as (options, its reference routings).
+
+    ``kind`` is "all" (the whole pass), "full-deck" or "red-sets" (one
+    stream per red set, each filtered from the whole pass).
+    """
+    if kind != "red-sets":
+        full_deck = kind == "full-deck"
+        yield {"full_deck": full_deck}, list(reference_routings(n, full_deck))
+        return
+    by_red_set = {}
+    for routing in reference_routings(n):
+        by_red_set.setdefault(reference_red_set(*routing), []).append(routing)
+    for denoms in subsets_lex(tuple(range(1, n + 1))):
+        yield {"red_denoms": denoms}, by_red_set.get(denoms, [])
+
+
+def reference_key(n, subset, codes):
+    # the subset, then the denominations whose green card red holds (bit 1 clear), whose
+    # blue card red holds (bit 0 clear) and whose red card blue holds (bit 2 set), n bits each
+    planes = [
+        subset,
+        [d for d, c in zip(subset, codes) if not c & 2],
+        [d for d, c in zip(subset, codes) if not c & 1],
+        [d for d, c in zip(subset, codes) if c & 4],
+    ]
+    return sum(1 << i * n + d - 1 for i, plane in enumerate(planes) for d in plane)
+
+
+def reference_deal(n, subset, codes):
+    """The readable definition: each card of each denomination in the hand its code routes it to."""
+    hands = ([], [], [])
+    for d, code in zip(subset, codes):
+        for color, hand in zip(COLORS, _ROUTES[code]):
+            hands[hand].append(Card(d, color))
+    return Deal(n, subset, *hands)
+
+
+STREAM_KINDS = ["all", "full-deck", "red-sets"]
+
+
 @pytest.fixture
 def red_load_lookups(monkeypatch):
     """Every code whose red load is read from ``_RED_LOAD``, in order."""
@@ -259,21 +301,14 @@ def red_load_lookups(monkeypatch):
 
 class TestRoutings:
     @pytest.mark.parametrize("n", range(7))
-    @pytest.mark.parametrize("full_deck", [False, True])
-    def test_match_the_product_and_filter_reference(self, n, full_deck):
-        # element for element, in order, past the guard too
-        assert list(_routings(n, True, full_deck=full_deck)) == list(
-            reference_routings(n, full_deck)
-        )
-
-    @pytest.mark.parametrize("n", range(7))
-    def test_red_set_streams_match_the_filtered_reference(self, n):
-        # element for element, in order, for every red set, past the guard too
-        by_red_set = {}
-        for routing in reference_routings(n):
-            by_red_set.setdefault(reference_red_set(*routing), []).append(routing)
-        for denoms in subsets_lex(tuple(range(1, n + 1))):
-            assert list(_routings(n, True, red_denoms=denoms)) == by_red_set.get(denoms, [])
+    @pytest.mark.parametrize("kind", STREAM_KINDS)
+    def test_keys_match_the_product_and_filter_reference(self, n, kind):
+        # key for key, in order, past the guard too: the whole pass, the full
+        # deck and every red set, each key packed from its reference routing
+        for options, routings in reference_streams(n, kind):
+            keys = list(_keys(n, True, **options))
+            assert keys == [reference_key(n, *routing) for routing in routings]
+            assert keys == [_key(n, *routing) for routing in routings]
 
     def test_form_only_balanced_tuples(self, red_load_lookups):
         assert count_deals(5) == 4653
@@ -310,7 +345,7 @@ class TestRoutings:
             shown = {tuple(d in red_denoms for d in subset) for subset in subsets}
             assert len(alphabets) == len(set(alphabets)) == len(shown)
 
-    @pytest.mark.parametrize("stream", [_routings, _keys])
+    @pytest.mark.parametrize("stream", [_join_groups, _keys])
     def test_arguments_are_checked_before_the_stream_starts(self, stream):
         # so enumerate can print its first line before the stream ends
         for full_deck in (False, True):
@@ -326,35 +361,20 @@ class TestRoutings:
             stream(-1, False, red_denoms=(1,))
 
 
-def reference_key(n, subset, codes):
-    # the subset, then the denominations whose green card red holds (bit 1 clear), whose
-    # blue card red holds (bit 0 clear) and whose red card blue holds (bit 2 set), n bits each
-    planes = [
-        subset,
-        [d for d, c in zip(subset, codes) if not c & 2],
-        [d for d, c in zip(subset, codes) if not c & 1],
-        [d for d, c in zip(subset, codes) if c & 4],
-    ]
-    return sum(1 << i * n + d - 1 for i, plane in enumerate(planes) for d in plane)
-
-
 @pytest.mark.parametrize("n", range(6))
-def test_keys_pack_the_routings_in_order(n):
-    # element for element, for the whole pass, the full deck and every red set
-    options = [{}, {"full_deck": True}]
-    options += [{"red_denoms": denoms} for denoms in subsets_lex(tuple(range(1, n + 1)))]
-    for option in options:
-        routings = list(_routings(n, True, **option))
-        keys = _keys(n, True, **option)
-        assert keys == [reference_key(n, *routing) for routing in routings]
-        assert [_key(n, *routing) for routing in routings] == keys
-        assert [_routing(n, key) for key in keys] == routings
+@pytest.mark.parametrize("kind", STREAM_KINDS)
+def test_each_key_deals_the_cards_its_reference_routing_places(n, kind):
+    # the round trip through _held_key cannot see a plane misread the same
+    # way in both directions; a deal placed through _ROUTES alone can
+    for options, routings in reference_streams(n, kind):
+        deals = [_deal(n, key) for key in _keys(n, True, **options)]
+        assert deals == [reference_deal(n, *routing) for routing in routings]
 
 
 def test_code_text_and_code_reading_match_the_built_deal():
-    # the deal is built by reading the codes back out of their key
+    # the deal is built from the key of the codes
     for n in range(6):
-        for subset, codes in _routings(n, False):
+        for subset, codes in reference_routings(n):
             built = _deal(n, _key(n, subset, codes))
             tokens = _routing_hands(subset, codes)
             hands = (built.red, built.green, built.blue)
@@ -432,7 +452,7 @@ def every_stream():
 class TestLines:
     def test_each_line_is_its_deals_text(self):
         for n, options in every_stream():
-            deals = enumeration._deals(n, _routings(n, True, **options))
+            deals = enumeration._deals(n, _keys(n, True, **options))
             texts = list(map(deal_to_text, deals))
             heads = sum(len(join[0]) for _, join in _join_groups(n, True, **options))
             for form, lines in (("text", texts), ("csv", list(map(csv_line, texts)))):
@@ -550,12 +570,14 @@ class TestHistogram:
 
     @pytest.mark.parametrize("n", range(8))
     def test_join_groups_match_the_per_deal_reference(self, n):
-        # per deal: its subset's size, and how many denominations red's hand shows
+        # per deal: its subset's size, and how many denominations red's hand
+        # shows, those whose green or blue card red holds
         by_size = dict.fromkeys(range(n + 1), 0)
         by_red = dict.fromkeys(range(n + 1), 0)
-        for routing in _routings(n, True):
-            by_size[len(routing[0])] += 1
-            by_red[len(reference_red_set(*routing))] += 1
+        for key in _keys(n, True):
+            subset, holds_green, holds_blue, _ = _key_sets(n, key)
+            by_size[bin(subset).count("1")] += 1
+            by_red[bin(holds_green | holds_blue).count("1")] += 1
         assert _histograms(n, True) == (by_size, by_red)
 
     def test_reads_each_red_distinct_once_per_alphabet(self, monkeypatch):

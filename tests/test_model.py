@@ -311,6 +311,14 @@ class TestHandLaws:
         assert list(d.hands) == [Color.RED, Color.GREEN, Color.BLUE]
         assert d.hand(Color.GREEN) == d.green
 
+    @pytest.mark.parametrize("color", ["r", "b", 0, 2, None])
+    def test_hand_takes_only_a_color(self, color):
+        # a color's letter, a hand position or None is no Color, and names no hand
+        d = deal(1, "S={1};R=[g1];G=[b1];B=[r1]")
+        with pytest.raises(ValueError, match="not a color"):
+            d.hand(color)
+        assert [d.hand(c) for c in COLORS] == [d.red, d.green, d.blue]
+
     def test_deal_is_hashable_and_value_compared(self):
         a = deal(1, "S={1};R=[g1];G=[b1];B=[r1]")
         b = Deal(1, [1], [Card.from_token("g1")], [Card.from_token("b1")], [Card.from_token("r1")])

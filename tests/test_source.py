@@ -307,9 +307,10 @@ def test_the_deal_rule_is_written_once_in_the_model_and_the_base_reads_it():
 
 def test_one_module_owns_the_deal_key_and_reads_its_holdings_off_the_rule():
     # enumeration alone packs and reads a key and turns a deal into its key and
-    # back, and names the key's planes once, in _PLANES, which both the holdings
-    # table built from the rule and _held_key read; bijections keeps set
-    # algebra on masks and keys, with no code bit, color or hand
+    # back, and names the key's planes once, in _PLANES, which the holdings
+    # table built from the rule, _deals and _held_key read, so a key and a Deal
+    # convert through one pair and no key is read back into codes; bijections
+    # keeps set algebra on masks and keys, with no code bit, color or hand
     conversions = ("_deal_key", "_key_sets", "_held_key", "_mask")
     definers = sorted(
         f"{path.stem}.{node.name}"
@@ -326,7 +327,15 @@ def test_one_module_owns_the_deal_key_and_reads_its_holdings_off_the_rule():
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_HOLDINGS"
     ]
     assert len(tables) == 1 and "_ROUTES" in tables[0] and "_PLANES" in tables[0]
-    assert "_PLANES" in function_reads(source)["_held_key"]
+    reads = function_reads(source)
+    assert "_PLANES" in reads["_deals"] and "_PLANES" in reads["_held_key"]
+    lookups = [
+        f"{path.name}: {ast.unparse(node)}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "_HOLDINGS.index"
+    ]
+    assert lookups == []
     source = (PACKAGE / "bijections.py").read_text()
     assert [token for token in ("_ROUTES", "_HOLDINGS", "^") if token in source] == []
     tree = ast.parse(source)
@@ -400,7 +409,6 @@ def test_the_oracle_has_one_join_loop_that_every_consumer_reads():
         "cli.cmd_table",
         "enumeration._histograms",
         "enumeration._keys",
-        "enumeration._routings",
         "enumeration.count_deals",
     ]
     # the renderer reads the groups it is given, a head and a tail part at a time
